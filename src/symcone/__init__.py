@@ -36,7 +36,6 @@ from .errors import (
     MapLeftCone,
     NonConvergence,
     NotInCone,
-    NotNormalized,
     SingularMatrix,
     SymConeError,
 )
@@ -44,7 +43,6 @@ from .metric import (
     MetricReport,
     distance,
     lambda_extremes,
-    norm_metric_bounds_check,
     rayleigh_oracle,
     upper_bound_oracle,
 )
@@ -66,10 +64,8 @@ from .transforms import (
     Scalar,
     apply,
     identity_word,
-    inversion,
     isometry_check,
     measure_contraction,
-    power_map,
     random_cone_element,
     random_word,
 )

@@ -14,6 +14,12 @@ Supported algebras and their coordinate conventions:
 The inner product is the trace form (x|y) = tr(x o y) in every algebra,
 which makes primitive idempotents have trace 1.
 
+Everything that depends on the family lives in one small kernel per
+family (a ``_Kernel`` of functions), reached through
+``AlgebraDescriptor.kernel``.  A kernel works on raw coordinate arrays.
+The public functions check their arguments, call the kernel and wrap the
+result; P(x)y, powers and the cone test are written once on top of them.
+
 All operations are pure functions of immutable values: element coordinate
 arrays are frozen at construction, so everything here is safe to call
 concurrently.
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,174 +38,11 @@ from .errors import AlgebraMismatch, EigensolverFailure, NotInCone
 ORTHANT = "orthant"
 SYM = "sym"
 SPIN = "spin"
-_KINDS = (ORTHANT, SYM, SPIN)
 
 # Ingestion tolerance for symmetric-matrix coordinates.
 _SYM_INGEST_RTOL = 1e-12
 
 _EPS = float(np.finfo(float).eps)
-
-
-@dataclass(frozen=True)
-class AlgebraDescriptor:
-    """Which simple algebra, plus its size parameter."""
-
-    kind: str
-    param: int
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown algebra kind {self.kind!r}")
-        if int(self.param) != self.param or self.param < 1:
-            raise ValueError("param must be a positive integer")
-        if self.kind == SPIN and self.param < 2:
-            raise ValueError("spin factor needs ambient dimension >= 2")
-        object.__setattr__(self, "param", int(self.param))
-
-    @property
-    def rank(self) -> int:
-        if self.kind == ORTHANT:
-            return self.param
-        if self.kind == SYM:
-            return self.param
-        return 2
-
-    @property
-    def dim(self) -> int:
-        """Dimension of V as a real vector space."""
-        if self.kind == SYM:
-            return self.param * (self.param + 1) // 2
-        return self.param
-
-    @property
-    def coord_shape(self) -> tuple[int, ...]:
-        if self.kind == SYM:
-            return (self.param, self.param)
-        return (self.param,)
-
-    def identity(self) -> Element:
-        if self.kind == ORTHANT:
-            return Element(self, np.ones(self.param))
-        if self.kind == SYM:
-            return Element(self, np.eye(self.param))
-        coords = np.zeros(self.param)
-        coords[0] = 1.0
-        return Element(self, coords)
-
-    def zero(self) -> Element:
-        return Element(self, np.zeros(self.coord_shape))
-
-
-def orthant(n: int) -> AlgebraDescriptor:
-    return AlgebraDescriptor(ORTHANT, n)
-
-
-def sym_matrix(r: int) -> AlgebraDescriptor:
-    return AlgebraDescriptor(SYM, r)
-
-
-def spin_factor(n: int) -> AlgebraDescriptor:
-    return AlgebraDescriptor(SPIN, n)
-
-
-@dataclass(frozen=True, eq=False)
-class Element:
-    """A point of the ambient space V (not necessarily in the cone)."""
-
-    algebra: AlgebraDescriptor
-    coords: np.ndarray
-
-    def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=float)
-        if coords.shape != self.algebra.coord_shape:
-            raise ValueError(
-                f"coords shape {coords.shape} does not match "
-                f"{self.algebra.kind}({self.algebra.param})"
-            )
-        if self.algebra.kind == SYM:
-            gap = np.abs(coords - coords.T)
-            tol = _SYM_INGEST_RTOL * (1.0 + np.abs(coords))
-            if np.any(gap > tol):
-                raise ValueError("matrix coordinates are not symmetric")
-            coords = (coords + coords.T) / 2.0
-        else:
-            coords = coords.copy()
-        coords.flags.writeable = False
-        object.__setattr__(self, "coords", coords)
-
-    def __add__(self, other: Element) -> Element:
-        _require_same_algebra(self, other)
-        return Element(self.algebra, self.coords + other.coords)
-
-    def __sub__(self, other: Element) -> Element:
-        _require_same_algebra(self, other)
-        return Element(self.algebra, self.coords - other.coords)
-
-    def __mul__(self, scalar: float) -> Element:
-        return Element(self.algebra, self.coords * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> Element:
-        return Element(self.algebra, -self.coords)
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues (descending) with a Jordan frame realizing x = sum l_j c_j."""
-
-    eigenvalues: np.ndarray
-    frame: list[Element] = field(repr=False)
-
-    def reconstruct(self) -> Element:
-        algebra = self.frame[0].algebra
-        coords = np.zeros(algebra.coord_shape)
-        for lam, c in zip(self.eigenvalues, self.frame):
-            coords += lam * c.coords
-        return Element(algebra, coords)
-
-
-def _require_same_algebra(x: Element, y: Element) -> None:
-    if x.algebra != y.algebra:
-        raise AlgebraMismatch(
-            f"elements live in {x.algebra.kind}({x.algebra.param}) and "
-            f"{y.algebra.kind}({y.algebra.param})"
-        )
-
-
-# ---------------------------------------------------------------------------
-# Jordan product and quadratic representation
-# ---------------------------------------------------------------------------
-
-def product(x: Element, y: Element) -> Element:
-    """Jordan product x o y."""
-    _require_same_algebra(x, y)
-    kind = x.algebra.kind
-    if kind == ORTHANT:
-        return Element(x.algebra, x.coords * y.coords)
-    if kind == SYM:
-        xy = x.coords @ y.coords
-        return Element(x.algebra, (xy + y.coords @ x.coords) / 2.0)
-    head = float(np.dot(x.coords, y.coords))
-    tail = x.coords[0] * y.coords[1:] + y.coords[0] * x.coords[1:]
-    return Element(x.algebra, np.concatenate(([head], tail)))
-
-
-def quad(x: Element, y: Element) -> Element:
-    """Quadratic representation P(x)y = 2 x o (x o y) - (x o x) o y."""
-    xy = product(x, y)
-    return 2.0 * product(x, xy) - product(product(x, x), y)
-
-
-def trace_inner(x: Element, y: Element) -> float:
-    """Trace form (x|y) = tr(x o y)."""
-    _require_same_algebra(x, y)
-    kind = x.algebra.kind
-    if kind == ORTHANT:
-        return float(np.dot(x.coords, y.coords))
-    if kind == SYM:
-        return float(np.sum(x.coords * y.coords))
-    return 2.0 * float(np.dot(x.coords, y.coords))
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +108,339 @@ def _jacobi(matrix: np.ndarray, accumulate: bool):
     )
 
 
-def _sym_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    diag, _ = _jacobi(matrix, accumulate=False)
+# ---------------------------------------------------------------------------
+# Per-family kernels
+# ---------------------------------------------------------------------------
+
+class _Kernel(NamedTuple):
+    """Everything that depends on the family, on raw coordinate arrays."""
+
+    min_param: int
+    # Generator types a word may contain, in the order random_word draws them.
+    generators: tuple[str, ...]
+    rank: Callable  # param -> rank
+    dim: Callable  # param -> dimension of V
+    coord_shape: Callable  # param -> shape of the coordinate array
+    identity: Callable  # param -> coords of the unit element
+    ingest: Callable  # coords -> validated private copy
+    product: Callable
+    trace_inner: Callable
+    decompose: Callable  # coords -> (eigenvalues descending, frame coords)
+    eigenvalues: Callable  # coords -> eigenvalues descending
+    lambda_min: Callable
+    det: Callable
+    tr: Callable
+    spectral_norm: Callable
+    random_point: Callable  # (param, rng, lo, hi) -> interior coords
+    # (x, y, samples, rng) -> ratios (x|c)/(y|c) over primitive idempotents c
+    rayleigh_ratios: Callable
+
+
+def _orthant_decompose(x):
+    order = np.argsort(-x, kind="stable")
+    frame = []
+    for idx in order:
+        c = np.zeros(x.shape[0])
+        c[idx] = 1.0
+        frame.append(c)
+    return x[order], frame
+
+
+_ORTHANT_KERNEL = _Kernel(
+    min_param=1,
+    generators=("scalar", "quad", "permutation"),
+    rank=lambda n: n,
+    dim=lambda n: n,
+    coord_shape=lambda n: (n,),
+    identity=np.ones,
+    ingest=lambda x: x.copy(),
+    product=lambda x, y: x * y,
+    trace_inner=lambda x, y: float(np.dot(x, y)),
+    decompose=_orthant_decompose,
+    eigenvalues=lambda x: np.sort(x)[::-1],
+    lambda_min=lambda x: float(np.min(x)),
+    det=lambda x: float(np.prod(x)),
+    tr=lambda x: float(np.sum(x)),
+    spectral_norm=lambda x: float(np.max(np.abs(x))),
+    random_point=lambda n, rng, lo, hi: np.array(
+        [rng.log_uniform(lo, hi) for _ in range(n)]),
+    # Exhaustive over the standard basis, so the bounds are exact.
+    rayleigh_ratios=lambda x, y, samples, rng: x / y,
+)
+
+
+def _sym_ingest(x):
+    gap = np.abs(x - x.T)
+    tol = _SYM_INGEST_RTOL * (1.0 + np.abs(x))
+    if np.any(gap > tol):
+        raise ValueError("matrix coordinates are not symmetric")
+    return (x + x.T) / 2.0
+
+
+def _sym_decompose(x):
+    diag, vmat = _jacobi(x, accumulate=True)
+    order = np.argsort(-diag, kind="stable")
+    return diag[order], [np.outer(vmat[:, j], vmat[:, j]) for j in order]
+
+
+def _sym_eigenvalues(x):
+    diag, _ = _jacobi(x, accumulate=False)
     return np.sort(diag)[::-1]
+
+
+def _sym_spectral_norm(x):
+    eigs = _sym_eigenvalues(x)
+    return float(max(abs(eigs[0]), abs(eigs[-1])))
+
+
+def _sym_random_point(r, rng, lo, hi):
+    lams = np.array([rng.log_uniform(lo, hi) for _ in range(r)])
+    q = rng.rotation(r)
+    return (q * lams) @ q.T
+
+
+def _sym_rayleigh_ratios(x, y, samples, rng):
+    ratios = []
+    for _ in range(samples):
+        v = rng.unit_vector(x.shape[0])
+        ratios.append(float(v @ x @ v) / float(v @ y @ v))
+    return ratios
+
+
+_SYM_KERNEL = _Kernel(
+    min_param=1,
+    generators=("scalar", "quad", "congruence"),
+    rank=lambda r: r,
+    dim=lambda r: r * (r + 1) // 2,
+    coord_shape=lambda r: (r, r),
+    identity=np.eye,
+    ingest=_sym_ingest,
+    product=lambda x, y: (x @ y + y @ x) / 2.0,
+    trace_inner=lambda x, y: float(np.sum(x * y)),
+    decompose=_sym_decompose,
+    eigenvalues=_sym_eigenvalues,
+    lambda_min=lambda x: float(_sym_eigenvalues(x)[-1]),
+    det=lambda x: float(np.prod(_sym_eigenvalues(x))),
+    tr=lambda x: float(np.trace(x)),
+    spectral_norm=_sym_spectral_norm,
+    random_point=_sym_random_point,
+    rayleigh_ratios=_sym_rayleigh_ratios,
+)
+
+
+def _spin_identity(n):
+    coords = np.zeros(n)
+    coords[0] = 1.0
+    return coords
+
+
+def _spin_product(x, y):
+    head = float(np.dot(x, y))
+    tail = x[0] * y[1:] + y[0] * x[1:]
+    return np.concatenate(([head], tail))
+
+
+def _spin_decompose(x):
+    x0 = float(x[0])
+    xbar = x[1:]
+    nrm = float(np.linalg.norm(xbar))
+    if nrm == 0.0:
+        u = np.zeros(xbar.shape[0])
+        u[0] = 1.0
+    else:
+        u = xbar / nrm
+    frame = [np.concatenate(([0.5], 0.5 * u)), np.concatenate(([0.5], -0.5 * u))]
+    return np.array([x0 + nrm, x0 - nrm]), frame
+
+
+def _spin_eigenvalues(x):
+    x0 = float(x[0])
+    nrm = float(np.linalg.norm(x[1:]))
+    return np.array([x0 + nrm, x0 - nrm])
+
+
+def _spin_det(x):
+    x0 = float(x[0])
+    return x0 * x0 - float(np.dot(x[1:], x[1:]))
+
+
+def _spin_random_point(n, rng, lo, hi):
+    lam1 = rng.log_uniform(lo, hi)
+    lam2 = rng.log_uniform(lo, hi)
+    u = rng.unit_vector(n - 1)
+    return np.concatenate(([0.5 * (lam1 + lam2)], 0.5 * (lam1 - lam2) * u))
+
+
+def _spin_rayleigh_ratios(x, y, samples, rng):
+    ratios = []
+    for _ in range(samples):
+        u = rng.unit_vector(x.shape[0] - 1)
+        num = float(x[0]) + float(np.dot(x[1:], u))
+        den = float(y[0]) + float(np.dot(y[1:], u))
+        ratios.append(num / den)
+    return ratios
+
+
+_SPIN_KERNEL = _Kernel(
+    min_param=2,
+    generators=("scalar", "quad"),
+    rank=lambda n: 2,
+    dim=lambda n: n,
+    coord_shape=lambda n: (n,),
+    identity=_spin_identity,
+    ingest=lambda x: x.copy(),
+    product=_spin_product,
+    trace_inner=lambda x, y: 2.0 * float(np.dot(x, y)),
+    decompose=_spin_decompose,
+    eigenvalues=_spin_eigenvalues,
+    lambda_min=lambda x: float(x[0]) - float(np.linalg.norm(x[1:])),
+    det=_spin_det,
+    tr=lambda x: 2.0 * float(x[0]),
+    spectral_norm=lambda x: abs(float(x[0])) + float(np.linalg.norm(x[1:])),
+    random_point=_spin_random_point,
+    rayleigh_ratios=_spin_rayleigh_ratios,
+)
+
+_KERNELS = {ORTHANT: _ORTHANT_KERNEL, SYM: _SYM_KERNEL, SPIN: _SPIN_KERNEL}
+
+
+# ---------------------------------------------------------------------------
+# Descriptors and elements
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class AlgebraDescriptor:
+    """Which simple algebra, plus its size parameter."""
+
+    kind: str
+    param: int
+    # The family's kernel, looked up once: every operation goes through it.
+    kernel: _Kernel = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not isinstance(self.kind, str) or self.kind not in _KERNELS:
+            raise ValueError(f"unknown algebra kind {self.kind!r}")
+        kernel = _KERNELS[self.kind]
+        if int(self.param) != self.param or self.param < kernel.min_param:
+            raise ValueError(f"{self.kind} param must be an integer >= {kernel.min_param}")
+        object.__setattr__(self, "param", int(self.param))
+        object.__setattr__(self, "kernel", kernel)
+
+    def __reduce__(self):
+        # Kernels hold lambdas, which do not pickle; rebuild from the fields.
+        return AlgebraDescriptor, (self.kind, self.param)
+
+    @property
+    def rank(self) -> int:
+        return self.kernel.rank(self.param)
+
+    @property
+    def dim(self) -> int:
+        """Dimension of V as a real vector space."""
+        return self.kernel.dim(self.param)
+
+    @property
+    def coord_shape(self) -> tuple[int, ...]:
+        return self.kernel.coord_shape(self.param)
+
+    def identity(self) -> Element:
+        return Element(self, self.kernel.identity(self.param))
+
+    def zero(self) -> Element:
+        return Element(self, np.zeros(self.coord_shape))
+
+
+def orthant(n: int) -> AlgebraDescriptor:
+    return AlgebraDescriptor(ORTHANT, n)
+
+
+def sym_matrix(r: int) -> AlgebraDescriptor:
+    return AlgebraDescriptor(SYM, r)
+
+
+def spin_factor(n: int) -> AlgebraDescriptor:
+    return AlgebraDescriptor(SPIN, n)
+
+
+@dataclass(frozen=True, eq=False)
+class Element:
+    """A point of the ambient space V (not necessarily in the cone)."""
+
+    algebra: AlgebraDescriptor
+    coords: np.ndarray
+
+    def __post_init__(self):
+        kernel = self.algebra.kernel
+        coords = np.asarray(self.coords, dtype=float)
+        if coords.shape != kernel.coord_shape(self.algebra.param):
+            raise ValueError(
+                f"coords shape {coords.shape} does not match "
+                f"{self.algebra.kind}({self.algebra.param})"
+            )
+        coords = kernel.ingest(coords)
+        coords.flags.writeable = False
+        object.__setattr__(self, "coords", coords)
+
+    def __add__(self, other: Element) -> Element:
+        _require_same_algebra(self, other)
+        return Element(self.algebra, self.coords + other.coords)
+
+    def __sub__(self, other: Element) -> Element:
+        _require_same_algebra(self, other)
+        return Element(self.algebra, self.coords - other.coords)
+
+    def __mul__(self, scalar: float) -> Element:
+        return Element(self.algebra, self.coords * float(scalar))
+
+    __rmul__ = __mul__
+
+    def __neg__(self) -> Element:
+        return Element(self.algebra, -self.coords)
+
+
+@dataclass(frozen=True)
+class SpectralDecomposition:
+    """Eigenvalues (descending) with a Jordan frame realizing x = sum l_j c_j."""
+
+    eigenvalues: np.ndarray
+    frame: list[Element] = field(repr=False)
+
+    def reconstruct(self) -> Element:
+        algebra = self.frame[0].algebra
+        coords = np.zeros(algebra.coord_shape)
+        for lam, c in zip(self.eigenvalues, self.frame):
+            coords += lam * c.coords
+        return Element(algebra, coords)
+
+
+def _require_same_algebra(x: Element, y: Element) -> None:
+    if x.algebra != y.algebra:
+        raise AlgebraMismatch(
+            f"elements live in {x.algebra.kind}({x.algebra.param}) and "
+            f"{y.algebra.kind}({y.algebra.param})"
+        )
+
+
+# ---------------------------------------------------------------------------
+# Jordan product and quadratic representation
+# ---------------------------------------------------------------------------
+
+def product(x: Element, y: Element) -> Element:
+    """Jordan product x o y."""
+    _require_same_algebra(x, y)
+    return Element(x.algebra, x.algebra.kernel.product(x.coords, y.coords))
+
+
+def quad(x: Element, y: Element) -> Element:
+    """Quadratic representation P(x)y = 2 x o (x o y) - (x o x) o y."""
+    xy = product(x, y)
+    return 2.0 * product(x, xy) - product(product(x, x), y)
+
+
+def trace_inner(x: Element, y: Element) -> float:
+    """Trace form (x|y) = tr(x o y)."""
+    _require_same_algebra(x, y)
+    return x.algebra.kernel.trace_inner(x.coords, y.coords)
 
 
 # ---------------------------------------------------------------------------
@@ -275,56 +449,18 @@ def _sym_eigenvalues(matrix: np.ndarray) -> np.ndarray:
 
 def spectral_decompose(x: Element) -> SpectralDecomposition:
     """Eigenvalues sorted descending with a Jordan frame for x."""
-    algebra = x.algebra
-    if algebra.kind == ORTHANT:
-        order = np.argsort(-x.coords, kind="stable")
-        eigs = x.coords[order]
-        frame = []
-        for idx in order:
-            coords = np.zeros(algebra.param)
-            coords[idx] = 1.0
-            frame.append(Element(algebra, coords))
-        return SpectralDecomposition(eigs, frame)
-    if algebra.kind == SYM:
-        diag, vmat = _jacobi(x.coords, accumulate=True)
-        order = np.argsort(-diag, kind="stable")
-        eigs = diag[order]
-        frame = [Element(algebra, np.outer(vmat[:, j], vmat[:, j])) for j in order]
-        return SpectralDecomposition(eigs, frame)
-    x0 = float(x.coords[0])
-    xbar = x.coords[1:]
-    nrm = float(np.linalg.norm(xbar))
-    if nrm == 0.0:
-        u = np.zeros(algebra.param - 1)
-        u[0] = 1.0
-    else:
-        u = xbar / nrm
-    c_plus = Element(algebra, np.concatenate(([0.5], 0.5 * u)))
-    c_minus = Element(algebra, np.concatenate(([0.5], -0.5 * u)))
-    eigs = np.array([x0 + nrm, x0 - nrm])
-    return SpectralDecomposition(eigs, [c_plus, c_minus])
+    eigs, frame = x.algebra.kernel.decompose(x.coords)
+    return SpectralDecomposition(eigs, [Element(x.algebra, c) for c in frame])
 
 
 def eigenvalues(x: Element) -> np.ndarray:
     """Eigenvalues sorted descending (no frame construction)."""
-    algebra = x.algebra
-    if algebra.kind == ORTHANT:
-        return np.sort(x.coords)[::-1]
-    if algebra.kind == SYM:
-        return _sym_eigenvalues(x.coords)
-    x0 = float(x.coords[0])
-    nrm = float(np.linalg.norm(x.coords[1:]))
-    return np.array([x0 + nrm, x0 - nrm])
+    return x.algebra.kernel.eigenvalues(x.coords)
 
 
 def lambda_min(x: Element) -> float:
     """Least eigenvalue of x."""
-    algebra = x.algebra
-    if algebra.kind == ORTHANT:
-        return float(np.min(x.coords))
-    if algebra.kind == SYM:
-        return float(_sym_eigenvalues(x.coords)[-1])
-    return float(x.coords[0]) - float(np.linalg.norm(x.coords[1:]))
+    return x.algebra.kernel.lambda_min(x.coords)
 
 
 def _is_nonneg_integer(p: float) -> bool:
@@ -362,41 +498,22 @@ def inverse(x: Element) -> Element:
 
 def det(x: Element) -> float:
     """Product of eigenvalues."""
-    algebra = x.algebra
-    if algebra.kind == ORTHANT:
-        return float(np.prod(x.coords))
-    if algebra.kind == SYM:
-        return float(np.prod(_sym_eigenvalues(x.coords)))
-    x0 = float(x.coords[0])
-    return x0 * x0 - float(np.dot(x.coords[1:], x.coords[1:]))
+    return x.algebra.kernel.det(x.coords)
 
 
 def tr(x: Element) -> float:
     """Sum of eigenvalues."""
-    algebra = x.algebra
-    if algebra.kind == ORTHANT:
-        return float(np.sum(x.coords))
-    if algebra.kind == SYM:
-        return float(np.trace(x.coords))
-    return 2.0 * float(x.coords[0])
+    return x.algebra.kernel.tr(x.coords)
 
 
 def spectral_norm(x: Element) -> float:
     """max_j |l_j|."""
-    algebra = x.algebra
-    if algebra.kind == ORTHANT:
-        return float(np.max(np.abs(x.coords)))
-    if algebra.kind == SYM:
-        eigs = _sym_eigenvalues(x.coords)
-        return float(max(abs(eigs[0]), abs(eigs[-1])))
-    return abs(float(x.coords[0])) + float(np.linalg.norm(x.coords[1:]))
+    return x.algebra.kernel.spectral_norm(x.coords)
 
 
-def in_cone(x: Element, margin: float = 0.0) -> bool:
-    """True iff the least eigenvalue exceeds margin (margin 0: open cone)."""
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
-    return lambda_min(x) > margin
+def in_cone(x: Element) -> bool:
+    """True iff x lies in the open cone (its least eigenvalue is positive)."""
+    return lambda_min(x) > 0.0
 
 
 def normalize(x: Element) -> Element:

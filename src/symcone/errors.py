@@ -13,10 +13,6 @@ class NotInCone(SymConeError):
     """An argument required to lie in the open cone does not."""
 
 
-class NotNormalized(SymConeError):
-    """An argument required to have spectral norm 1 does not."""
-
-
 class EigensolverFailure(SymConeError):
     """The Jacobi iteration exhausted its sweep budget."""
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import algebra
 from .algebra import Element
-from .errors import NotInCone, NotNormalized
+from .errors import NotInCone
 from .rng import SplitMix64
 
 
@@ -31,7 +31,7 @@ class MetricReport:
 
 
 def _require_interior(x: Element, name: str) -> None:
-    if not algebra.in_cone(x, 0.0):
+    if not algebra.in_cone(x):
         raise NotInCone(f"{name} is not in the open cone")
 
 
@@ -84,46 +84,6 @@ def rayleigh_oracle(
         raise ValueError("samples must be >= 1")
     _require_interior(x, "x")
     _require_interior(y, "y")
-    kind = x.algebra.kind
-    if kind == algebra.ORTHANT:
-        ratios = x.coords / y.coords
-        return float(np.max(ratios)), float(np.min(ratios))
     rng = SplitMix64(seed)
-    best_max = -math.inf
-    best_min = math.inf
-    if kind == algebra.SYM:
-        for _ in range(samples):
-            v = rng.unit_vector(x.algebra.param)
-            ratio = float(v @ x.coords @ v) / float(v @ y.coords @ v)
-            best_max = max(best_max, ratio)
-            best_min = min(best_min, ratio)
-    else:
-        for _ in range(samples):
-            u = rng.unit_vector(x.algebra.param - 1)
-            num = float(x.coords[0]) + float(np.dot(x.coords[1:], u))
-            den = float(y.coords[0]) + float(np.dot(y.coords[1:], u))
-            ratio = num / den
-            best_max = max(best_max, ratio)
-            best_min = min(best_min, ratio)
-    return best_max, best_min
-
-
-def norm_metric_bounds_check(x: Element, y: Element) -> bool:
-    """Check the spectral-norm vs metric bounds on unit-norm cone points.
-
-    Requires |x| = |y| = 1 (within 1e-10).  Verifies
-    |x - y| <= e^{d(x,y)} - 1 and, when |x - y| is below the least
-    eigenvalue of y, |x - y| >= lambda_min(y) * tanh(d(x,y)/2), each with
-    1e-9 slack.
-    """
-    for name, el in (("x", x), ("y", y)):
-        if abs(algebra.spectral_norm(el) - 1.0) > 1e-10:
-            raise NotNormalized(f"{name} does not have unit spectral norm")
-    d = distance(x, y).distance
-    diff = algebra.spectral_norm(x - y)
-    if diff > math.exp(d) - 1.0 + 1e-9:
-        return False
-    lam_min_y = algebra.lambda_min(y)
-    if diff < lam_min_y and diff < lam_min_y * math.tanh(0.5 * d) - 1e-9:
-        return False
-    return True
+    ratios = x.algebra.kernel.rayleigh_ratios(x.coords, y.coords, samples, rng)
+    return float(np.max(ratios)), float(np.min(ratios))

@@ -159,7 +159,7 @@ def contraction_suite(
     for k, p in enumerate(p_values):
         check = CheckResult(f"power_contraction_p={p:g}", 1e-9)
         rep = transforms.measure_contraction(
-            lambda x: transforms.power_map(x, p),
+            lambda x: algebra.power(x, p),
             descriptor, samples, seed + k, label=f"power {p:g}")
         check.update(rep.max_ratio - abs(p), {"p": p, "seed": seed + k})
         result.checks.append(check)
@@ -186,7 +186,7 @@ def isometry_suite(
         result.checks.append(check)
     inv = CheckResult("inversion_isometry", 1e-8)
     rep = transforms.measure_contraction(
-        transforms.inversion, descriptor, samples, seed + len(words),
+        algebra.inverse, descriptor, samples, seed + len(words),
         label="inversion")
     inv.update(max(rep.max_ratio - 1.0, 1.0 - rep.min_ratio),
                {"seed": seed + len(words)})

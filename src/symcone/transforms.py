@@ -7,10 +7,11 @@ x -> t' x t on symmetric matrices, coordinate permutations on the
 orthant).  A raw dim x dim matrix carries no certificate that it fixes
 the cone; a word always does.
 
-The power maps x -> x^p and the inversion x -> x^{-1} are the nonlinear
-maps of interest: powers with |p| <= 1 shrink the Hilbert metric by the
-factor |p|, inversion and every word preserve it.  Both facts are
-measured empirically here over seeded random pairs.
+The power maps x -> x^p (``algebra.power``) and the inversion x -> x^{-1}
+(``algebra.inverse``) are the nonlinear maps of interest: powers with
+|p| <= 1 shrink the Hilbert metric by the factor |p|, inversion and every
+word preserve it.  ``measure_contraction`` measures both facts
+empirically over seeded random pairs.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import algebra, metric
 from .algebra import AlgebraDescriptor, Element
-from .errors import AlgebraMismatch, InvalidGenerator, MapLeftCone, NotInCone
+from .errors import AlgebraMismatch, InvalidGenerator, MapLeftCone
 from .rng import SplitMix64
 
 # Eigenvalue range for random interior points, log-uniform.
@@ -50,8 +51,8 @@ class Quad:
     a: Element
 
     def __post_init__(self):
-        if not algebra.in_cone(self.a, 0.0):
-            raise InvalidGenerator("quad generator needs an interior element")
+        if not (np.all(np.isfinite(self.a.coords)) and algebra.in_cone(self.a)):
+            raise InvalidGenerator("quad generator needs a finite interior element")
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,6 +65,8 @@ class Congruence:
         t = np.asarray(self.t, dtype=float)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise InvalidGenerator("congruence factor must be a square matrix")
+        if not np.all(np.isfinite(t)):
+            raise InvalidGenerator("congruence factor has non-finite entries")
         if abs(float(np.linalg.det(t))) <= _DET_FLOOR:
             raise InvalidGenerator("congruence factor is numerically singular")
         t = t.copy()
@@ -97,21 +100,18 @@ class AutomorphismWord:
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
         for f in self.factors:
-            if isinstance(f, Quad):
-                if f.a.algebra != self.algebra:
-                    raise InvalidGenerator("quad generator from a different algebra")
-            elif isinstance(f, Congruence):
-                if self.algebra.kind != algebra.SYM:
-                    raise InvalidGenerator("congruence only acts on symmetric matrices")
-                if f.t.shape[0] != self.algebra.param:
-                    raise InvalidGenerator("congruence size does not match the algebra")
-            elif isinstance(f, Permutation):
-                if self.algebra.kind != algebra.ORTHANT:
-                    raise InvalidGenerator("permutation only acts on the orthant")
-                if len(f.sigma) != self.algebra.param:
-                    raise InvalidGenerator("permutation size does not match the algebra")
-            elif not isinstance(f, Scalar):
+            if not isinstance(f, Generator):
                 raise InvalidGenerator(f"unknown generator {f!r}")
+            name = type(f).__name__.lower()
+            if name not in self.algebra.kernel.generators:
+                raise InvalidGenerator(
+                    f"{name} generator does not act on the {self.algebra.kind} algebra")
+            if isinstance(f, Quad) and f.a.algebra != self.algebra:
+                raise InvalidGenerator("quad generator from a different algebra")
+            if isinstance(f, Congruence) and f.t.shape[0] != self.algebra.param:
+                raise InvalidGenerator("congruence size does not match the algebra")
+            if isinstance(f, Permutation) and len(f.sigma) != self.algebra.param:
+                raise InvalidGenerator("permutation size does not match the algebra")
 
     def then(self, other: "AutomorphismWord") -> "AutomorphismWord":
         """The composition: self first, then other."""
@@ -157,18 +157,6 @@ def apply(word: AutomorphismWord, x: Element) -> Element:
     return out
 
 
-def power_map(x: Element, p: float) -> Element:
-    """omega_p: x -> x^p on the open cone."""
-    if not algebra.in_cone(x, 0.0):
-        raise NotInCone("power map is only defined on the open cone")
-    return algebra.power(x, p)
-
-
-def inversion(x: Element) -> Element:
-    """The inversion map x -> x^{-1} (a metric isometry, not a word)."""
-    return algebra.inverse(x)
-
-
 @dataclass(frozen=True)
 class ContractionReport:
     samples: int
@@ -184,18 +172,7 @@ def random_cone_element(
     hi: float = EIG_HI,
 ) -> Element:
     """Interior point with eigenvalues log-uniform in [lo, hi] on a random frame."""
-    if descriptor.kind == algebra.ORTHANT:
-        coords = np.array([rng.log_uniform(lo, hi) for _ in range(descriptor.param)])
-        return Element(descriptor, coords)
-    if descriptor.kind == algebra.SYM:
-        r = descriptor.param
-        lams = np.array([rng.log_uniform(lo, hi) for _ in range(r)])
-        q = rng.rotation(r)
-        return Element(descriptor, (q * lams) @ q.T)
-    lam1 = rng.log_uniform(lo, hi)
-    lam2 = rng.log_uniform(lo, hi)
-    u = rng.unit_vector(descriptor.param - 1)
-    coords = np.concatenate(([0.5 * (lam1 + lam2)], 0.5 * (lam1 - lam2) * u))
+    coords = descriptor.kernel.random_point(descriptor.param, rng, lo, hi)
     return Element(descriptor, coords)
 
 
@@ -212,20 +189,14 @@ def random_word(
     singular values) log-uniform from [lo, hi], which bounds the word's
     conditioning; tighten the interval for gentler words.
     """
-    if descriptor.kind == algebra.ORTHANT:
-        kinds = ("scalar", "quad", "permutation")
-    elif descriptor.kind == algebra.SYM:
-        kinds = ("scalar", "quad", "congruence")
-    else:
-        kinds = ("scalar", "quad")
     factors = []
     for _ in range(1 + rng.integer(max_len)):
-        kind = rng.choice(kinds)
-        if kind == "scalar":
+        gen = rng.choice(descriptor.kernel.generators)
+        if gen == "scalar":
             factors.append(Scalar(rng.log_uniform(max(lo, 0.2), min(hi, 5.0))))
-        elif kind == "quad":
+        elif gen == "quad":
             factors.append(Quad(random_cone_element(descriptor, rng, lo, hi)))
-        elif kind == "congruence":
+        elif gen == "congruence":
             r = descriptor.param
             svals = np.array([rng.log_uniform(lo, hi) for _ in range(r)])
             t = rng.rotation(r) @ np.diag(svals) @ rng.rotation(r)
@@ -261,7 +232,7 @@ def measure_contraction(
         fx = map_fn(x)
         fy = map_fn(y)
         for image in (fx, fy):
-            if not algebra.in_cone(image, 0.0):
+            if not algebra.in_cone(image):
                 raise MapLeftCone(f"{label} sent a cone point out of the cone")
         ratio = metric.distance(fx, fy).distance / dxy
         max_ratio = max(max_ratio, ratio)

@@ -88,7 +88,7 @@ def test_criterion_3_contraction():
     o2 = sc.orthant(2)
     x = el(o2, [1, 16])
     y = el(o2, [1, 1])
-    ratio = (sc.distance(sc.power_map(x, 0.5), sc.power_map(y, 0.5)).distance
+    ratio = (sc.distance(sc.power(x, 0.5), sc.power(y, 0.5)).distance
              / sc.distance(x, y).distance)
     pair_ok = abs(ratio - 0.5) <= 1e-12
     ok = ok and pair_ok

@@ -229,6 +229,30 @@ def test_unknown_keys_in_nested_objects(capsys, tmp_path):
     assert code == 2 and "why" in err
 
 
+def test_non_string_algebra_kind_exit_2(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"algebra": {"kind": ["sym"], "param": 2}}))
+    code, _, err = run(capsys, "metric", str(path), "x", "y")
+    assert code == 2
+    assert "unknown algebra kind" in err
+
+
+@pytest.mark.parametrize("command, payload", [
+    (("metric", "x", "x"), {"elements": {"x": [[math.nan, 0], [0, 1]]}}),
+    (("bushell", "t"),
+     {"maps": {"t": [{"type": "congruence", "payload": [[math.nan, 0], [0, 1]]}]}}),
+    (("solve", "t", "--p", "2"),
+     {"maps": {"t": [{"type": "congruence", "payload": [[math.inf, 0], [0, 1]]}]}}),
+])
+def test_non_finite_input_exit_2(capsys, tmp_path, command, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"algebra": {"kind": "sym", "param": 2}, **payload}))
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
@@ -293,7 +317,7 @@ def test_gen_element_deterministic_and_interior(capsys):
     frag = json.loads(out1)
     descriptor = cli.parse_algebra_obj(frag["algebra"])
     x = cli.element_from_json(descriptor, frag["elements"]["gen0"], "gen0")
-    assert sc.in_cone(x, 1e-6)
+    assert sc.lambda_min(x) > 1e-6
 
 
 @pytest.mark.parametrize("flag", ["orthant:4", "sym:3", "spin:5"])
@@ -305,7 +329,7 @@ def test_gen_element_interior_all_kinds(capsys, flag):
         frag = json.loads(out)
         descriptor = cli.parse_algebra_obj(frag["algebra"])
         x = cli.element_from_json(descriptor, frag["elements"]["gen0"], "gen0")
-        assert sc.in_cone(x, 1e-6)
+        assert sc.lambda_min(x) > 1e-6
 
 
 def test_gen_map_is_isometry(capsys):

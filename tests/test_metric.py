@@ -5,7 +5,8 @@ import pytest
 import scipy.linalg
 
 import symcone as sc
-from symcone.errors import NotInCone, NotNormalized
+from symcone import suites
+from symcone.errors import NotInCone
 from symcone.rng import SplitMix64
 from symcone.transforms import random_cone_element
 
@@ -143,22 +144,22 @@ def test_rayleigh_oracle_validates_samples():
 
 
 def test_norm_metric_bounds_examples():
+    # |x - y| <= e^d - 1, and |x - y| >= lambda_min(y) tanh(d/2) when
+    # |x - y| < lambda_min(y), on unit-norm points.
     x = el(O2, [1.0, 0.5])
     y = el(O2, [1.0, 1.0])
-    assert sc.norm_metric_bounds_check(x, x)
-    assert sc.norm_metric_bounds_check(x, y)
-    with pytest.raises(NotNormalized, match="x"):
-        sc.norm_metric_bounds_check(el(O2, [2.0, 1.0]), y)
-    with pytest.raises(NotNormalized, match="y"):
-        sc.norm_metric_bounds_check(y, el(O2, [2.0, 1.0]))
+    for a, b in ((x, x), (x, y)):
+        d = sc.distance(a, b).distance
+        diff = sc.spectral_norm(a - b)
+        assert diff <= math.exp(d) - 1.0 + 1e-9
+        assert diff < sc.lambda_min(b)
+        assert diff >= sc.lambda_min(b) * math.tanh(0.5 * d) - 1e-9
 
 
 def test_norm_metric_bounds_sweep(small_algebra):
-    rng = SplitMix64(14)
-    for _ in range(200):
-        x = sc.normalize(random_cone_element(small_algebra, rng))
-        y = sc.normalize(random_cone_element(small_algebra, rng))
-        assert sc.norm_metric_bounds_check(x, y)
+    result = suites.bounds_suite(small_algebra, 200, 14)
+    assert result.passed
+    assert [c.count > 0 for c in result.checks] == [True, True]
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,7 @@ def test_solution_interior_and_residual(small_algebra):
     g = mild_word(small_algebra, rng)
     cfg = sc.SolveConfig(p=2.0)
     rep = sc.solve(g, cfg)
-    assert sc.in_cone(rep.solution, 0.0)
+    assert sc.in_cone(rep.solution)
     assert rep.residual <= 1e2 * cfg.tol
     assert rep.distance_trace[-1] <= cfg.tol * (1 - 1 / abs(cfg.p))
 
@@ -212,7 +212,7 @@ def test_bushell_generic_r3():
     lhs = t.T @ a @ t
     rhs = a @ a
     assert np.max(np.abs(lhs - rhs)) / (1 + np.max(np.abs(rhs))) <= 1e-10
-    assert sc.in_cone(rep.solution, 0.0)
+    assert sc.in_cone(rep.solution)
     # unique: a second start lands on the same matrix
     start = random_cone_element(sc.sym_matrix(3), rng)
     rep2 = sc.solve_bushell(t, 1, initial=start)
