@@ -18,11 +18,21 @@ Everything that depends on the family lives in one small kernel per
 family (a ``_Kernel`` of functions), reached through
 ``AlgebraDescriptor.kernel``.  A kernel works on raw coordinate arrays.
 The public functions check their arguments, call the kernel and wrap the
-result; P(x)y, powers and the cone test are written once on top of them.
+result; P(x)y, powers, the cone test and the spectral reductions
+(least eigenvalue, spectral norm) are written once on top of them.
+
+Each element computes its spectrum at most once.  The first call of
+``eigenvalues``, ``lambda_min``, ``spectral_norm``, ``det`` or
+``spectral_decompose`` on an element stores its descending eigenvalues on
+it as a read-only array, and later calls read them back; on ``sym`` this
+saves a Jacobi eigensolve per call.  Only the eigenvalues are kept (O(rank)
+memory), never the Jordan frame.
 
 All operations are pure functions of immutable values: element coordinate
-arrays are frozen at construction, so everything here is safe to call
-concurrently.
+arrays are frozen at construction, and the eigenvalue cache is a function
+of them alone, so filling it is idempotent.  Two threads that fill it at
+once store equal arrays, and either one may win; everything here is safe
+to call concurrently.
 """
 
 from __future__ import annotations
@@ -55,12 +65,19 @@ def _jacobi(matrix: np.ndarray, accumulate: bool):
     Rotations run in fixed row-major pair order, so the result is
     deterministic for a fixed input.  The annihilated entry is set to an
     exact zero each rotation; a sweep performing no rotation means every
-    off-diagonal entry is at most eps * ||A||_F and we are done.
+    off-diagonal entry is at most eps * ||A||_F and we are done.  A NaN or
+    infinite entry is refused up front: no rotation would ever clear it.
     """
     r = matrix.shape[0]
     a = [[float(matrix[i, j]) for j in range(r)] for i in range(r)]
+    frobenius_sq = sum(x * x for row in a for x in row)
+    if not math.isfinite(frobenius_sq):
+        raise EigensolverFailure(
+            f"Jacobi needs finite entries; the {r}x{r} matrix has NaN or "
+            f"infinite entries (or entries too large to square)"
+        )
     v = [[1.0 if i == j else 0.0 for j in range(r)] for i in range(r)] if accumulate else None
-    thresh = _EPS * max(1.0, math.sqrt(sum(x * x for row in a for x in row)))
+    thresh = _EPS * max(1.0, math.sqrt(frobenius_sq))
     max_sweeps = 30 * r * r
     for _ in range(max_sweeps):
         rotated = False
@@ -127,17 +144,20 @@ class _Kernel(NamedTuple):
     trace_inner: Callable
     decompose: Callable  # coords -> (eigenvalues descending, frame coords)
     eigenvalues: Callable  # coords -> eigenvalues descending
-    lambda_min: Callable
-    det: Callable
+    det: Callable  # (coords, eigenvalues descending) -> product of eigenvalues
     tr: Callable
-    spectral_norm: Callable
     random_point: Callable  # (param, rng, lo, hi) -> interior coords
     # (x, y, samples, rng) -> ratios (x|c)/(y|c) over primitive idempotents c
     rayleigh_ratios: Callable
 
 
+def _descending_order(values):
+    """Indices sorting values descending, ties in index order and NaN last."""
+    return np.argsort(-values, kind="stable")
+
+
 def _orthant_decompose(x):
-    order = np.argsort(-x, kind="stable")
+    order = _descending_order(x)
     frame = []
     for idx in order:
         c = np.zeros(x.shape[0])
@@ -157,11 +177,9 @@ _ORTHANT_KERNEL = _Kernel(
     product=lambda x, y: x * y,
     trace_inner=lambda x, y: float(np.dot(x, y)),
     decompose=_orthant_decompose,
-    eigenvalues=lambda x: np.sort(x)[::-1],
-    lambda_min=lambda x: float(np.min(x)),
-    det=lambda x: float(np.prod(x)),
+    eigenvalues=lambda x: x[_descending_order(x)],
+    det=lambda x, eigs: float(np.prod(x)),
     tr=lambda x: float(np.sum(x)),
-    spectral_norm=lambda x: float(np.max(np.abs(x))),
     random_point=lambda n, rng, lo, hi: np.array(
         [rng.log_uniform(lo, hi) for _ in range(n)]),
     # Exhaustive over the standard basis, so the bounds are exact.
@@ -179,18 +197,13 @@ def _sym_ingest(x):
 
 def _sym_decompose(x):
     diag, vmat = _jacobi(x, accumulate=True)
-    order = np.argsort(-diag, kind="stable")
+    order = _descending_order(diag)
     return diag[order], [np.outer(vmat[:, j], vmat[:, j]) for j in order]
 
 
 def _sym_eigenvalues(x):
     diag, _ = _jacobi(x, accumulate=False)
-    return np.sort(diag)[::-1]
-
-
-def _sym_spectral_norm(x):
-    eigs = _sym_eigenvalues(x)
-    return float(max(abs(eigs[0]), abs(eigs[-1])))
+    return diag[_descending_order(diag)]
 
 
 def _sym_random_point(r, rng, lo, hi):
@@ -219,10 +232,8 @@ _SYM_KERNEL = _Kernel(
     trace_inner=lambda x, y: float(np.sum(x * y)),
     decompose=_sym_decompose,
     eigenvalues=_sym_eigenvalues,
-    lambda_min=lambda x: float(_sym_eigenvalues(x)[-1]),
-    det=lambda x: float(np.prod(_sym_eigenvalues(x))),
+    det=lambda x, eigs: float(np.prod(eigs)),
     tr=lambda x: float(np.trace(x)),
-    spectral_norm=_sym_spectral_norm,
     random_point=_sym_random_point,
     rayleigh_ratios=_sym_rayleigh_ratios,
 )
@@ -259,7 +270,7 @@ def _spin_eigenvalues(x):
     return np.array([x0 + nrm, x0 - nrm])
 
 
-def _spin_det(x):
+def _spin_det(x, eigs):
     x0 = float(x[0])
     return x0 * x0 - float(np.dot(x[1:], x[1:]))
 
@@ -293,10 +304,8 @@ _SPIN_KERNEL = _Kernel(
     trace_inner=lambda x, y: 2.0 * float(np.dot(x, y)),
     decompose=_spin_decompose,
     eigenvalues=_spin_eigenvalues,
-    lambda_min=lambda x: float(x[0]) - float(np.linalg.norm(x[1:])),
     det=_spin_det,
     tr=lambda x: 2.0 * float(x[0]),
-    spectral_norm=lambda x: abs(float(x[0])) + float(np.linalg.norm(x[1:])),
     random_point=_spin_random_point,
     rayleigh_ratios=_spin_rayleigh_ratios,
 )
@@ -368,6 +377,9 @@ class Element:
 
     algebra: AlgebraDescriptor
     coords: np.ndarray
+    # Descending eigenvalues, read-only, filled on first use (module docstring).
+    _eigenvalues: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         kernel = self.algebra.kernel
@@ -380,6 +392,11 @@ class Element:
         coords = kernel.ingest(coords)
         coords.flags.writeable = False
         object.__setattr__(self, "coords", coords)
+
+    def __reduce__(self):
+        # Unpickled arrays are writable; rebuild so the coordinates are
+        # frozen again and the eigenvalue cache starts empty.
+        return Element, (self.algebra, self.coords)
 
     def __add__(self, other: Element) -> Element:
         _require_same_algebra(self, other)
@@ -400,17 +417,29 @@ class Element:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (descending) with a Jordan frame realizing x = sum l_j c_j."""
+    """Eigenvalues (descending) with a Jordan frame realizing x = sum l_j c_j.
 
+    The frame is held as the kernel's raw coordinate arrays; ``frame``
+    wraps them in Elements only when it is read.
+    """
+
+    algebra: AlgebraDescriptor
     eigenvalues: np.ndarray
-    frame: list[Element] = field(repr=False)
+    frame_coords: list[np.ndarray] = field(repr=False)
+
+    @property
+    def frame(self) -> list[Element]:
+        return [Element(self.algebra, c) for c in self.frame_coords]
+
+    def power(self, p: float) -> Element:
+        """sum_j l_j^p c_j; the caller checks that the powers are defined."""
+        coords = np.zeros(self.algebra.coord_shape)
+        for lam, c in zip(np.power(self.eigenvalues, p), self.frame_coords):
+            coords += lam * c
+        return Element(self.algebra, coords)
 
     def reconstruct(self) -> Element:
-        algebra = self.frame[0].algebra
-        coords = np.zeros(algebra.coord_shape)
-        for lam, c in zip(self.eigenvalues, self.frame):
-            coords += lam * c.coords
-        return Element(algebra, coords)
+        return self.power(1.0)
 
 
 def _require_same_algebra(x: Element, y: Element) -> None:
@@ -447,20 +476,36 @@ def trace_inner(x: Element, y: Element) -> float:
 # Spectral decomposition and functional calculus
 # ---------------------------------------------------------------------------
 
+def _store_eigenvalues(x: Element, eigs: np.ndarray) -> np.ndarray:
+    eigs.flags.writeable = False
+    object.__setattr__(x, "_eigenvalues", eigs)
+    return eigs
+
+
 def spectral_decompose(x: Element) -> SpectralDecomposition:
-    """Eigenvalues sorted descending with a Jordan frame for x."""
+    """Eigenvalues sorted descending with a Jordan frame for x.
+
+    Also stores the eigenvalues on x, so its later spectral reductions
+    need no eigensolve.
+    """
     eigs, frame = x.algebra.kernel.decompose(x.coords)
-    return SpectralDecomposition(eigs, [Element(x.algebra, c) for c in frame])
+    return SpectralDecomposition(x.algebra, _store_eigenvalues(x, eigs), frame)
 
 
 def eigenvalues(x: Element) -> np.ndarray:
-    """Eigenvalues sorted descending (no frame construction)."""
-    return x.algebra.kernel.eigenvalues(x.coords)
+    """Eigenvalues sorted descending (no frame construction), read-only.
+
+    Computed on the first call for x and stored on it.
+    """
+    eigs = x._eigenvalues
+    if eigs is None:
+        eigs = _store_eigenvalues(x, x.algebra.kernel.eigenvalues(x.coords))
+    return eigs
 
 
 def lambda_min(x: Element) -> float:
     """Least eigenvalue of x."""
-    return x.algebra.kernel.lambda_min(x.coords)
+    return float(eigenvalues(x)[-1])
 
 
 def _is_nonneg_integer(p: float) -> bool:
@@ -484,11 +529,7 @@ def power(x: Element, p: float) -> Element:
             f"x^({p:g}) needs x in the open cone; least eigenvalue is "
             f"{dec.eigenvalues[-1]:.6g}"
         )
-    powered = np.power(dec.eigenvalues, p)
-    coords = np.zeros(x.algebra.coord_shape)
-    for lam, c in zip(powered, dec.frame):
-        coords += lam * c.coords
-    return Element(x.algebra, coords)
+    return dec.power(p)
 
 
 def inverse(x: Element) -> Element:
@@ -498,7 +539,7 @@ def inverse(x: Element) -> Element:
 
 def det(x: Element) -> float:
     """Product of eigenvalues."""
-    return x.algebra.kernel.det(x.coords)
+    return x.algebra.kernel.det(x.coords, eigenvalues(x))
 
 
 def tr(x: Element) -> float:
@@ -508,7 +549,10 @@ def tr(x: Element) -> float:
 
 def spectral_norm(x: Element) -> float:
     """max_j |l_j|."""
-    return x.algebra.kernel.spectral_norm(x.coords)
+    eigs = eigenvalues(x)
+    # The least eigenvalue goes first: max() keeps a NaN only as its first
+    # argument, and a NaN eigenvalue sorts last.
+    return float(max(abs(eigs[-1]), abs(eigs[0])))
 
 
 def in_cone(x: Element) -> bool:

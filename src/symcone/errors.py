@@ -14,7 +14,11 @@ class NotInCone(SymConeError):
 
 
 class EigensolverFailure(SymConeError):
-    """The Jacobi iteration exhausted its sweep budget."""
+    """The Jacobi eigensolver cannot diagonalize its matrix.
+
+    Either the matrix has NaN or infinite entries, which is refused before
+    any rotation, or the iteration exhausted its sweep budget.
+    """
 
 
 class InvalidGenerator(SymConeError):

@@ -1,9 +1,12 @@
 """Hilbert projective metric on the open cone.
 
 The distance between interior points x, y is d(x, y) = log(l_max / l_min)
-where l_max, l_min are the extreme eigenvalues of P(y^{-1/2}) x.  One
-spectral decomposition per distance; the equivalent cross form
-log(l_max(x,y) * l_max(y,x)) is kept for tests only.
+where l_max, l_min are the extreme eigenvalues of P(y^{-1/2}) x.  A
+distance takes one spectral decomposition of y, which gives both y's cone
+check and y^{-1/2}, and the eigenvalues of P(y^{-1/2}) x; x's cone check
+reads the eigenvalues stored on x, computing them only the first time.
+The equivalent cross form log(l_max(x,y) * l_max(y,x)) is kept for tests
+only.
 
 Two independent oracles cross-check the eigenvalue route: a bisection on
 the order relation x <= lambda * y, and a Rayleigh-quotient sampler over
@@ -38,8 +41,10 @@ def _require_interior(x: Element, name: str) -> None:
 def lambda_extremes(x: Element, y: Element) -> tuple[float, float]:
     """Greatest and least eigenvalue of P(y^{-1/2}) x, both > 0."""
     _require_interior(x, "x")
+    dec = algebra.spectral_decompose(y)
+    # The decomposition stored y's eigenvalues, so this check solves nothing.
     _require_interior(y, "y")
-    z = algebra.quad(algebra.power(y, -0.5), x)
+    z = algebra.quad(dec.power(-0.5), x)
     eigs = algebra.eigenvalues(z)
     return float(eigs[0]), float(eigs[-1])
 

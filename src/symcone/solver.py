@@ -37,10 +37,11 @@ class SolveConfig:
     initial: Element | None = None
 
     def __post_init__(self):
-        if not abs(self.p) > 1.0:
-            raise ValueError(f"the equation g(x) = x^p needs |p| > 1, got p={self.p}")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+        if not (abs(self.p) > 1.0 and math.isfinite(self.p)):
+            raise ValueError(
+                f"the equation g(x) = x^p needs a finite p with |p| > 1, got p={self.p}")
+        if not (self.tol > 0.0 and math.isfinite(self.tol)):
+            raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
 

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 import symcone as sc
+from symcone import algebra
 from symcone.algebra import _jacobi
 from symcone.errors import AlgebraMismatch, EigensolverFailure, NotInCone
 from symcone.rng import SplitMix64
 from symcone.transforms import random_cone_element
 
-from conftest import el
+from conftest import el, mild_word
 
 O2 = sc.orthant(2)
 S2 = sc.sym_matrix(2)
@@ -188,7 +189,8 @@ def test_decomposition_deterministic():
     rng = SplitMix64(9)
     x = random_cone_element(sc.sym_matrix(5), rng)
     d1 = sc.spectral_decompose(x)
-    d2 = sc.spectral_decompose(x)
+    # A fresh element with the same coordinates holds no stored eigenvalues.
+    d2 = sc.spectral_decompose(sc.Element(x.algebra, x.coords))
     assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
     for c1, c2 in zip(d1.frame, d2.frame):
         assert np.array_equal(c1.coords, c2.coords)
@@ -197,8 +199,123 @@ def test_decomposition_deterministic():
 def test_eigensolver_failure_on_nan():
     nan = float("nan")
     x = el(sc.sym_matrix(3), [[1.0, nan, nan], [nan, 1.0, nan], [nan, nan, 1.0]])
-    with pytest.raises(EigensolverFailure):
+    with pytest.raises(EigensolverFailure, match="finite"):
         sc.spectral_decompose(x)
+    # Refused before any sweep, not after the 30 r^2 sweep budget runs out.
+    m = np.eye(6)
+    m[0, 5] = m[5, 0] = nan
+    with pytest.raises(EigensolverFailure, match="finite"):
+        sc.eigenvalues(el(sc.sym_matrix(6), m))
+    with pytest.raises(EigensolverFailure, match="finite"):
+        sc.distance(el(S2, [[nan, 0.0], [0.0, 1.0]]), S2.identity())
+
+
+@pytest.mark.parametrize("descriptor, coords", [
+    (sc.orthant(3), [math.nan, 1.0, 1.0]),
+    (sc.orthant(3), [1.0, 1.0, math.nan]),
+    (S2, [[math.nan, 0.0], [0.0, 1.0]]),
+    (S2, [[1.0, 0.0], [0.0, math.nan]]),
+    (S2, [[1.0, math.nan], [math.nan, 1.0]]),
+    (P3, [math.nan, 0.0, 0.0]),
+    (P3, [2.0, math.nan, 0.0]),
+])
+def test_nan_coordinate_never_in_cone(descriptor, coords):
+    x = el(descriptor, coords)
+    try:
+        inside = sc.in_cone(x)
+    except EigensolverFailure:
+        return
+    assert inside is False
+
+
+# ---------------------------------------------------------------------------
+# eigenvalue cache
+# ---------------------------------------------------------------------------
+
+def _count_jacobi(monkeypatch):
+    calls = []
+
+    def counted(matrix, accumulate):
+        calls.append(accumulate)
+        return _jacobi(matrix, accumulate)
+
+    monkeypatch.setattr(algebra, "_jacobi", counted)
+    return calls
+
+
+def _fresh(x):
+    return sc.Element(x.algebra, x.coords)
+
+
+def test_sym_distance_runs_three_eigensolves(monkeypatch):
+    rng = SplitMix64(41)
+    x = random_cone_element(sc.sym_matrix(4), rng)
+    y = random_cone_element(sc.sym_matrix(4), rng)
+    calls = _count_jacobi(monkeypatch)
+    sc.distance(x, y)
+    # x's eigenvalues, y's decomposition, the eigenvalues of P(y^{-1/2}) x.
+    assert calls == [False, True, False]
+
+
+def test_eigenvalues_computed_once(monkeypatch):
+    rng = SplitMix64(42)
+    x = random_cone_element(sc.sym_matrix(4), rng)
+    y = random_cone_element(sc.sym_matrix(4), rng)
+    readers = (sc.lambda_min, sc.spectral_norm, sc.det, sc.eigenvalues, sc.in_cone)
+    calls = _count_jacobi(monkeypatch)
+    first = sc.lambda_min(x)
+    assert len(calls) == 1
+    assert sc.lambda_min(x) == first
+    for read in readers:
+        read(x)
+    assert len(calls) == 1
+    sc.spectral_decompose(y)
+    for read in readers:
+        read(y)
+    assert calls == [False, True]
+
+
+def test_stored_eigenvalues_read_only(small_algebra):
+    rng = SplitMix64(43)
+    x = random_cone_element(small_algebra, rng)
+    for eigs in (sc.eigenvalues(x), sc.spectral_decompose(x).eigenvalues):
+        with pytest.raises(ValueError):
+            eigs[0] = 1.0
+    back = pickle.loads(pickle.dumps(x))
+    assert np.array_equal(back.coords, x.coords)
+    with pytest.raises(ValueError):
+        back.coords[0] = 1.0
+    with pytest.raises(ValueError):
+        sc.eigenvalues(back)[0] = 1.0
+
+
+def test_cached_spectra_give_identical_bits(small_algebra):
+    rng = SplitMix64(44)
+    for _ in range(5):
+        x = random_cone_element(small_algebra, rng)
+        y = random_cone_element(small_algebra, rng)
+        # Fill the two caches by the two routes: eigenvalues only, and a
+        # full decomposition.
+        sc.lambda_min(x)
+        sc.spectral_decompose(y)
+        assert (sc.eigenvalues(_fresh(x)).tobytes()
+                == sc.spectral_decompose(_fresh(x)).eigenvalues.tobytes())
+        for a, b in ((x, y), (y, x)):
+            cached = sc.distance(a, b)
+            fresh = sc.distance(_fresh(a), _fresh(b))
+            assert (np.array([cached.lambda_max, cached.lambda_min, cached.distance]).tobytes()
+                    == np.array([fresh.lambda_max, fresh.lambda_min, fresh.distance]).tobytes())
+        for p in (0.5, -1.0, 3.0):
+            assert sc.power(x, p).coords.tobytes() == sc.power(_fresh(x), p).coords.tobytes()
+        z = x - 1.5 * y
+        sc.spectral_decompose(z)
+        assert np.float64(sc.spectral_norm(z)).tobytes() == np.float64(
+            sc.spectral_norm(_fresh(z))).tobytes()
+    word = mild_word(small_algebra, rng)
+    reps = [sc.solve(word, sc.SolveConfig(p=2.0, tol=1e-10, initial=start))
+            for start in (x, _fresh(x))]
+    assert reps[0].solution.coords.tobytes() == reps[1].solution.coords.tobytes()
+    assert reps[0].distance_trace == reps[1].distance_trace
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,15 @@ def test_solve_rejects_small_p(capsys, instance):
     assert "|p| > 1" in err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--p", "inf"), ("--p", "-inf"), ("--tol", "inf")])
+def test_solve_non_finite_option_exit_2(capsys, instance, flag, value):
+    code, out, err = run(capsys, "solve", instance, "g", "--p", "2", f"{flag}={value}")
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_solve_nonconvergence_exit_4(capsys, instance):
     code, out, err = run(capsys, "solve", instance, "g", "--p", "2",
                          "--max-iter", "1")

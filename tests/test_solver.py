@@ -24,6 +24,12 @@ def test_config_validation():
         sc.SolveConfig(p=2.0, tol=0.0)
     with pytest.raises(ValueError):
         sc.SolveConfig(p=2.0, max_iter=0)
+    for p in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            sc.SolveConfig(p=p)
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            sc.SolveConfig(p=2.0, tol=tol)
 
 
 def test_identity_map_p2():
