@@ -19,7 +19,9 @@ family (a ``_Kernel`` of functions), reached through
 ``AlgebraDescriptor.kernel``.  A kernel works on raw coordinate arrays.
 The public functions check their arguments, call the kernel and wrap the
 result; P(x)y, powers, the cone test and the spectral reductions
-(least eigenvalue, spectral norm) are written once on top of them.
+(least eigenvalue, spectral norm) are written once on top of them.  The
+one exception is the spectrum of P(y^{-1/2})x, which each kernel computes
+in its own way and ``metric`` reads directly.
 
 Each element computes its spectrum at most once.  The first call of
 ``eigenvalues``, ``lambda_min``, ``spectral_norm``, ``det`` or
@@ -71,13 +73,19 @@ def _jacobi(matrix: np.ndarray, accumulate: bool):
     r = matrix.shape[0]
     a = [[float(matrix[i, j]) for j in range(r)] for i in range(r)]
     frobenius_sq = sum(x * x for row in a for x in row)
-    if not math.isfinite(frobenius_sq):
+    if math.isfinite(frobenius_sq):
+        frobenius = math.sqrt(frobenius_sq)
+    elif all(math.isfinite(x) for row in a for x in row):
+        # Finite entries whose squares overflow: scale by the largest one.
+        scale = max(abs(x) for row in a for x in row)
+        frobenius = scale * math.sqrt(sum((x / scale) ** 2 for row in a for x in row))
+    else:
         raise EigensolverFailure(
             f"Jacobi needs finite entries; the {r}x{r} matrix has NaN or "
-            f"infinite entries (or entries too large to square)"
+            f"infinite entries"
         )
     v = [[1.0 if i == j else 0.0 for j in range(r)] for i in range(r)] if accumulate else None
-    thresh = _EPS * max(1.0, math.sqrt(frobenius_sq))
+    thresh = _EPS * max(1.0, frobenius)
     max_sweeps = 30 * r * r
     for _ in range(max_sweeps):
         rotated = False
@@ -146,6 +154,10 @@ class _Kernel(NamedTuple):
     eigenvalues: Callable  # coords -> eigenvalues descending
     det: Callable  # (coords, eigenvalues descending) -> product of eigenvalues
     tr: Callable
+    # (x, y) -> eigenvalues of P(y^{-1/2})x descending, or None when y is
+    # not in the open cone (on sym also when an entry is not finite); x is
+    # in the cone iff the least eigenvalue is > 0.
+    relative_eigenvalues: Callable
     random_point: Callable  # (param, rng, lo, hi) -> interior coords
     # (x, y, samples, rng) -> ratios (x|c)/(y|c) over primitive idempotents c
     rayleigh_ratios: Callable
@@ -154,6 +166,21 @@ class _Kernel(NamedTuple):
 def _descending_order(values):
     """Indices sorting values descending, ties in index order and NaN last."""
     return np.argsort(-values, kind="stable")
+
+
+def _frame_power(eigenvalues, frame_coords, p):
+    """sum_j l_j^p c_j on raw coordinates."""
+    coords = np.zeros(frame_coords[0].shape)
+    for lam, c in zip(np.power(eigenvalues, p), frame_coords):
+        coords += lam * c
+    return coords
+
+
+def _orthant_relative_eigenvalues(x, y):
+    if not np.min(y) > 0.0:
+        return None
+    ratios = x / y
+    return ratios[_descending_order(ratios)]
 
 
 def _orthant_decompose(x):
@@ -180,6 +207,7 @@ _ORTHANT_KERNEL = _Kernel(
     eigenvalues=lambda x: x[_descending_order(x)],
     det=lambda x, eigs: float(np.prod(x)),
     tr=lambda x: float(np.sum(x)),
+    relative_eigenvalues=_orthant_relative_eigenvalues,
     random_point=lambda n, rng, lo, hi: np.array(
         [rng.log_uniform(lo, hi) for _ in range(n)]),
     # Exhaustive over the standard basis, so the bounds are exact.
@@ -204,6 +232,50 @@ def _sym_decompose(x):
 def _sym_eigenvalues(x):
     diag, _ = _jacobi(x, accumulate=False)
     return diag[_descending_order(diag)]
+
+
+def _sym_cholesky(y):
+    """Upper factor R = L^T of y = L L^T, or None unless every pivot is > 0.
+
+    Row-oriented: step k finishes row k of R and takes its outer product
+    off the trailing block.
+    """
+    a = y.copy()
+    upper = np.zeros_like(a)
+    for k in range(a.shape[0]):
+        pivot = a[k, k]
+        if not pivot > 0.0:
+            return None
+        row = a[k, k:] / math.sqrt(pivot)
+        upper[k, k:] = row
+        a[k + 1:, k + 1:] -= np.outer(row[1:], row[1:])
+    return upper
+
+
+def _lower_solve(upper, b):
+    """L^{-1} b for L = upper^T, by forward substitution row by row."""
+    w = np.empty_like(b)
+    for i in range(b.shape[0]):
+        w[i] = (b[i] - upper[:i, i] @ w[:i]) / upper[i, i]
+    return w
+
+
+def _sym_relative_eigenvalues(x, y):
+    """Eigenvalues of z = L^{-1} x L^{-T}, where y = L L^T.
+
+    z is similar to y^{-1} x, so it has the spectrum of P(y^{-1/2})x =
+    y^{-1/2} x y^{-1/2}; it is congruent to x, so by Sylvester's law of
+    inertia it is positive definite iff x is.  One eigensolve in all.
+    Non-finite entries give None: an infinite pivot would pass the test,
+    and the caller's eigensolves of x and y report such entries.
+    """
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        return None
+    upper = _sym_cholesky(y)
+    if upper is None:
+        return None
+    z = _lower_solve(upper, _lower_solve(upper, x).T)
+    return _sym_eigenvalues((z + z.T) / 2.0)
 
 
 def _sym_random_point(r, rng, lo, hi):
@@ -234,6 +306,7 @@ _SYM_KERNEL = _Kernel(
     eigenvalues=_sym_eigenvalues,
     det=lambda x, eigs: float(np.prod(eigs)),
     tr=lambda x: float(np.trace(x)),
+    relative_eigenvalues=_sym_relative_eigenvalues,
     random_point=_sym_random_point,
     rayleigh_ratios=_sym_rayleigh_ratios,
 )
@@ -275,6 +348,17 @@ def _spin_det(x, eigs):
     return x0 * x0 - float(np.dot(x[1:], x[1:]))
 
 
+def _spin_relative_eigenvalues(x, y):
+    # y's closed-form eigenvalues are checked before anything divides by
+    # them.  Then a = y^{-1/2} and P(a)x = 2 a o (a o x) - (a o a) o x,
+    # in the order of the generic power and quad, so the bits match them.
+    if not _spin_eigenvalues(y)[-1] > 0.0:
+        return None
+    a = _frame_power(*_spin_decompose(y), -0.5)
+    z = 2.0 * _spin_product(a, _spin_product(a, x)) - _spin_product(_spin_product(a, a), x)
+    return _spin_eigenvalues(z)
+
+
 def _spin_random_point(n, rng, lo, hi):
     lam1 = rng.log_uniform(lo, hi)
     lam2 = rng.log_uniform(lo, hi)
@@ -306,6 +390,7 @@ _SPIN_KERNEL = _Kernel(
     eigenvalues=_spin_eigenvalues,
     det=_spin_det,
     tr=lambda x: 2.0 * float(x[0]),
+    relative_eigenvalues=_spin_relative_eigenvalues,
     random_point=_spin_random_point,
     rayleigh_ratios=_spin_rayleigh_ratios,
 )
@@ -415,6 +500,10 @@ class Element:
         return Element(self.algebra, -self.coords)
 
 
+def _is_nonneg_integer(p: float) -> bool:
+    return p >= 0 and float(p).is_integer()
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues (descending) with a Jordan frame realizing x = sum l_j c_j.
@@ -432,11 +521,17 @@ class SpectralDecomposition:
         return [Element(self.algebra, c) for c in self.frame_coords]
 
     def power(self, p: float) -> Element:
-        """sum_j l_j^p c_j; the caller checks that the powers are defined."""
-        coords = np.zeros(self.algebra.coord_shape)
-        for lam, c in zip(np.power(self.eigenvalues, p), self.frame_coords):
-            coords += lam * c
-        return Element(self.algebra, coords)
+        """sum_j l_j^p c_j.
+
+        Any eigenvalues are accepted for non-negative integer p (polynomial
+        calculus); otherwise they must be positive.
+        """
+        if not _is_nonneg_integer(p) and self.eigenvalues[-1] <= 0.0:
+            raise NotInCone(
+                f"x^({p:g}) needs x in the open cone; least eigenvalue is "
+                f"{self.eigenvalues[-1]:.6g}"
+            )
+        return Element(self.algebra, _frame_power(self.eigenvalues, self.frame_coords, p))
 
     def reconstruct(self) -> Element:
         return self.power(1.0)
@@ -508,10 +603,6 @@ def lambda_min(x: Element) -> float:
     return float(eigenvalues(x)[-1])
 
 
-def _is_nonneg_integer(p: float) -> bool:
-    return p >= 0 and float(p).is_integer()
-
-
 def power(x: Element, p: float) -> Element:
     """Spectral power x^p = sum l_j^p c_j.
 
@@ -523,13 +614,7 @@ def power(x: Element, p: float) -> Element:
         return x
     if p == 0.0:
         return x.algebra.identity()
-    dec = spectral_decompose(x)
-    if not _is_nonneg_integer(p) and dec.eigenvalues[-1] <= 0.0:
-        raise NotInCone(
-            f"x^({p:g}) needs x in the open cone; least eigenvalue is "
-            f"{dec.eigenvalues[-1]:.6g}"
-        )
-    return dec.power(p)
+    return spectral_decompose(x).power(p)
 
 
 def inverse(x: Element) -> Element:

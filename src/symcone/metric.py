@@ -1,10 +1,19 @@
 """Hilbert projective metric on the open cone.
 
 The distance between interior points x, y is d(x, y) = log(l_max / l_min)
-where l_max, l_min are the extreme eigenvalues of P(y^{-1/2}) x.  A
-distance takes one spectral decomposition of y, which gives both y's cone
-check and y^{-1/2}, and the eigenvalues of P(y^{-1/2}) x; x's cone check
-reads the eigenvalues stored on x, computing them only the first time.
+where l_max, l_min are the extreme eigenvalues of P(y^{-1/2}) x.  Each
+family's kernel computes that spectrum, and the cone tests of x and y,
+in one pass:
+
+* orthant: the ratios x_i / y_i, so d(x, x) is exactly 0;
+* sym: a Cholesky factorisation y = L L^T (y is in the cone iff every
+  pivot is positive) and two forward substitutions give L^{-1} x L^{-T},
+  which has the same spectrum; its eigenvalues are the one Jacobi
+  eigensolve of the distance, and x is in the cone iff the least is
+  positive, as the congruence keeps x's inertia;
+* spin: y's closed-form eigenvalues, then y^{-1/2} and P(y^{-1/2})x from
+  the Jordan product, whose closed-form eigenvalues finish it.
+
 The equivalent cross form log(l_max(x,y) * l_max(y,x)) is kept for tests
 only.
 
@@ -40,12 +49,20 @@ def _require_interior(x: Element, name: str) -> None:
 
 def lambda_extremes(x: Element, y: Element) -> tuple[float, float]:
     """Greatest and least eigenvalue of P(y^{-1/2}) x, both > 0."""
-    _require_interior(x, "x")
-    dec = algebra.spectral_decompose(y)
-    # The decomposition stored y's eigenvalues, so this check solves nothing.
-    _require_interior(y, "y")
-    z = algebra.quad(dec.power(-0.5), x)
-    eigs = algebra.eigenvalues(z)
+    algebra._require_same_algebra(x, y)
+    eigs = x.algebra.kernel.relative_eigenvalues(x.coords, y.coords)
+    if eigs is None:
+        # y failed its cone test, or a sym entry is not finite.  Test x and
+        # y one by one: the error names x first when both fail, and their
+        # eigensolves report non-finite entries.
+        _require_interior(x, "x")
+        _require_interior(y, "y")
+        # A y at the rounding edge of the cone: its Cholesky pivots failed
+        # although its computed least eigenvalue is positive.
+        raise NotInCone("y is not in the open cone")
+    # P(y^{-1/2}) is an automorphism of the cone: it is in the cone iff x is.
+    if not eigs[-1] > 0.0:
+        raise NotInCone("x is not in the open cone")
     return float(eigs[0]), float(eigs[-1])
 
 

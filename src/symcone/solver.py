@@ -115,13 +115,17 @@ def solve(g: AutomorphismWord, cfg: SolveConfig) -> SolveReport:
         # For p < -1 the exponent 1/p is negative: the step is the inversion
         # isometry composed with the |1/p| power, so the contraction factor
         # is 1/|p| in both regimes.
+        dec = algebra.spectral_decompose(transforms.apply(g, x))
         try:
-            x_next = algebra.normalize(
-                algebra.power(transforms.apply(g, x), 1.0 / p))
+            root = dec.power(1.0 / p)
         except NotInCone as exc:
             raise NotInCone(
                 "an iterate left the open cone: the supplied map does not "
                 "preserve it") from exc
+        # The eigenvalues of g(x)^{1/p} are l_j^{1/p}, all positive, so its
+        # spectral norm is the larger end of them: no eigensolve of root.
+        ends = np.power(dec.eigenvalues[[0, -1]], 1.0 / p)
+        x_next = root * (1.0 / float(max(ends)))
         step = metric.distance(x, x_next).distance
         trace.append(step)
         x = x_next

@@ -4,11 +4,25 @@ import numpy as np
 import pytest
 
 import symcone as sc
+from symcone import algebra
 from symcone.transforms import random_word
 
 
 def el(descriptor, values):
     return sc.Element(descriptor, np.asarray(values, dtype=float))
+
+
+def count_jacobi(monkeypatch):
+    """Record the ``accumulate`` flag of every Jacobi eigensolve from now on."""
+    calls = []
+    jacobi = algebra._jacobi
+
+    def counted(matrix, accumulate):
+        calls.append(accumulate)
+        return jacobi(matrix, accumulate)
+
+    monkeypatch.setattr(algebra, "_jacobi", counted)
+    return calls
 
 
 def mild_word(descriptor, rng, sigma=0.5):

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 import symcone as sc
-from symcone import algebra
 from symcone.algebra import _jacobi
 from symcone.errors import AlgebraMismatch, EigensolverFailure, NotInCone
 from symcone.rng import SplitMix64
 from symcone.transforms import random_cone_element
 
-from conftest import el, mild_word
+from conftest import count_jacobi, el, mild_word
 
 O2 = sc.orthant(2)
 S2 = sc.sym_matrix(2)
@@ -196,6 +195,16 @@ def test_decomposition_deterministic():
         assert np.array_equal(c1.coords, c2.coords)
 
 
+def test_jacobi_scales_an_overflowing_norm():
+    # The squared Frobenius sum overflows, the entries do not.
+    x = el(S2, [[1e160, 1e160], [1e160, 1e160]])
+    assert sc.eigenvalues(x).tolist() == [2e160, 0.0]
+    m = np.full((3, 3), 1e200)
+    m[2, 2] = math.nan
+    with pytest.raises(EigensolverFailure, match="finite"):
+        _jacobi(m, accumulate=False)
+
+
 def test_eigensolver_failure_on_nan():
     nan = float("nan")
     x = el(sc.sym_matrix(3), [[1.0, nan, nan], [nan, 1.0, nan], [nan, nan, 1.0]])
@@ -232,29 +241,18 @@ def test_nan_coordinate_never_in_cone(descriptor, coords):
 # eigenvalue cache
 # ---------------------------------------------------------------------------
 
-def _count_jacobi(monkeypatch):
-    calls = []
-
-    def counted(matrix, accumulate):
-        calls.append(accumulate)
-        return _jacobi(matrix, accumulate)
-
-    monkeypatch.setattr(algebra, "_jacobi", counted)
-    return calls
-
-
 def _fresh(x):
     return sc.Element(x.algebra, x.coords)
 
 
-def test_sym_distance_runs_three_eigensolves(monkeypatch):
+def test_sym_distance_runs_one_eigensolve(monkeypatch):
     rng = SplitMix64(41)
     x = random_cone_element(sc.sym_matrix(4), rng)
     y = random_cone_element(sc.sym_matrix(4), rng)
-    calls = _count_jacobi(monkeypatch)
+    calls = count_jacobi(monkeypatch)
     sc.distance(x, y)
-    # x's eigenvalues, y's decomposition, the eigenvalues of P(y^{-1/2}) x.
-    assert calls == [False, True, False]
+    # The eigenvalues of L^{-1} x L^{-T}, where y = L L^T.
+    assert calls == [False]
 
 
 def test_eigenvalues_computed_once(monkeypatch):
@@ -262,7 +260,7 @@ def test_eigenvalues_computed_once(monkeypatch):
     x = random_cone_element(sc.sym_matrix(4), rng)
     y = random_cone_element(sc.sym_matrix(4), rng)
     readers = (sc.lambda_min, sc.spectral_norm, sc.det, sc.eigenvalues, sc.in_cone)
-    calls = _count_jacobi(monkeypatch)
+    calls = count_jacobi(monkeypatch)
     first = sc.lambda_min(x)
     assert len(calls) == 1
     assert sc.lambda_min(x) == first

@@ -1,12 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import symcone as sc
 from symcone import suites
-from symcone.errors import NotInCone
+from symcone.errors import EigensolverFailure, NotInCone
 from symcone.rng import SplitMix64
 from symcone.transforms import random_cone_element
 
@@ -15,17 +15,35 @@ from conftest import el
 O2 = sc.orthant(2)
 
 
+def _pencil_eigvalsh(x, y):
+    """Generalized eigenvalues of the pencil (x, y), ascending, by LAPACK:
+    the eigenvalues of L^-1 x L^-T, where y = L L^T."""
+    linv = np.linalg.inv(np.linalg.cholesky(y))
+    z = linv @ x @ linv.T
+    return np.linalg.eigvalsh((z + z.T) / 2.0)
+
+
+def _spin_as_sym2(x, basis):
+    """x in R x span(basis) as a 2x2 matrix: x0 I + a sigma_x + b sigma_z.
+
+    This is a Jordan isomorphism from that spin:3 subalgebra onto Sym(2):
+    it keeps products, traces and so the eigenvalues x0 +- sqrt(a^2 + b^2).
+    """
+    a, b = basis @ x[1:]
+    return np.array([[x[0] + b, a], [a, x[0] - b]])
+
+
 def test_lambda_extremes_sym_vs_generalized_eig():
     # Independent route: l_max, l_min are the extreme generalized
     # eigenvalues of the pencil (x, y), via LAPACK instead of the
-    # package's own Jacobi + quadratic-representation path.
+    # package's own Cholesky + Jacobi path.
     s5 = sc.sym_matrix(5)
     rng = SplitMix64(1)
     for _ in range(100):
         x = random_cone_element(s5, rng)
         y = random_cone_element(s5, rng)
         lam_max, lam_min = sc.lambda_extremes(x, y)
-        ref = scipy.linalg.eigh(x.coords, y.coords, eigvals_only=True)
+        ref = _pencil_eigvalsh(x.coords, y.coords)
         assert abs(lam_max - ref[-1]) <= 1e-10 * (1 + abs(ref[-1]))
         assert abs(lam_min - ref[0]) <= 1e-10 * (1 + abs(ref[0]))
 
@@ -60,6 +78,65 @@ def test_not_in_cone_names_argument():
         sc.distance(x, y)
     with pytest.raises(NotInCone, match="y"):
         sc.distance(y, x)
+    # With both outside, x is named first, in every family.
+    s2 = sc.sym_matrix(2)
+    p3 = sc.spin_factor(3)
+    for x, y in ((el(O2, [1, 0]), el(O2, [-1, 1])),
+                 (el(s2, [[1, 0], [0, -1]]), el(s2, [[-1, 0], [0, 1]])),
+                 (el(p3, [1, 2, 0]), el(p3, [1, 0, 3]))):
+        with pytest.raises(NotInCone, match="^x "):
+            sc.distance(x, y)
+        with pytest.raises(NotInCone, match="^y "):
+            sc.distance(y.algebra.identity(), y)
+
+
+def test_spin_y_with_infinite_vector_part_warns_nothing():
+    p3 = sc.spin_factor(3)
+    y = el(p3, [1.0, math.inf, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotInCone, match="^y "):
+            sc.distance(p3.identity(), y)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_sym_argument_is_an_eigensolver_failure(bad):
+    s3 = sc.sym_matrix(3)
+    good = 2.0 * s3.identity()
+    for i, j in ((0, 0), (0, 2)):
+        m = np.eye(3)
+        m[i, j] = m[j, i] = bad
+        with pytest.raises(EigensolverFailure, match="finite"):
+            sc.distance(el(s3, m), good)
+        with pytest.raises(EigensolverFailure, match="finite"):
+            sc.distance(good, el(s3, m))
+
+
+def test_orthant_distance_to_itself_is_exactly_zero():
+    rng = SplitMix64(8)
+    for n in (1, 2, 5, 8):
+        for _ in range(20):
+            x = random_cone_element(sc.orthant(n), rng)
+            assert sc.distance(x, x).distance == 0.0
+
+
+@pytest.mark.parametrize("descriptor", [sc.sym_matrix(2), sc.sym_matrix(6),
+                                        sc.sym_matrix(12), sc.spin_factor(3),
+                                        sc.spin_factor(10)])
+def test_distance_against_congruence_eigvalsh(descriptor):
+    # LAPACK on L^-1 x L^-T with y = L L^T; a spin pair is carried into
+    # Sym(2) through the spin:3 subalgebra spanned by e, xbar and ybar.
+    rng = SplitMix64(9)
+    for _ in range(20):
+        x = random_cone_element(descriptor, rng)
+        y = random_cone_element(descriptor, rng)
+        assert sc.distance(x, x).distance <= 1e-14
+        xc, yc = x.coords, y.coords
+        if descriptor.kind == "spin":
+            basis = np.linalg.qr(np.column_stack([xc[1:], yc[1:]]))[0].T
+            xc, yc = _spin_as_sym2(xc, basis), _spin_as_sym2(yc, basis)
+        ref = _pencil_eigvalsh(xc, yc)
+        assert abs(sc.distance(x, y).distance - math.log(ref[-1] / ref[0])) <= 1e-12
 
 
 def test_distance_closed_form():

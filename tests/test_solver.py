@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import symcone as sc
+from symcone import transforms
 from symcone.errors import NonConvergence, NotInCone, SingularMatrix
 from symcone.rng import SplitMix64
 from symcone.transforms import random_cone_element
 
-from conftest import el, mild_word
+from conftest import count_jacobi, el, mild_word
 
 O2 = sc.orthant(2)
 
@@ -74,6 +75,25 @@ def test_initial_point_must_be_interior():
     with pytest.raises(sc.AlgebraMismatch):
         sc.solve(sc.identity_word(O2),
                  sc.SolveConfig(p=2.0, initial=el(sc.orthant(3), [1, 1, 1])))
+
+
+def test_iteration_runs_two_eigensolves(monkeypatch):
+    # g(x)'s decomposition and the distance; the norm of g(x)^{1/p} comes
+    # from the decomposition.
+    word = mild_word(sc.sym_matrix(4), SplitMix64(31))
+    calls = count_jacobi(monkeypatch)
+    rep = sc.solve(word, sc.SolveConfig(p=2.0, tol=1e-10))
+    # Outside the loop: the initial point's cone test, then the rescale
+    # (u^p, |g(u)|, |u^p|) and the residual (a^p, two norms).
+    assert len(calls) == 2 * rep.iterations + 7
+    assert calls.count(True) == rep.iterations + 2
+
+
+def test_iterate_leaving_the_cone_is_named(monkeypatch):
+    monkeypatch.setattr(transforms, "apply", lambda g, x: -x)
+    with pytest.raises(NotInCone, match="an iterate left the open cone") as info:
+        sc.solve(sc.identity_word(O2), sc.SolveConfig(p=2.0))
+    assert isinstance(info.value.__cause__, NotInCone)
 
 
 def test_non_convergence_carries_report():
