@@ -64,14 +64,16 @@ _EPS = float(np.finfo(float).eps)
 def _jacobi(matrix: np.ndarray, accumulate: bool):
     """Cyclic Jacobi on a symmetric matrix; returns (diag, columns or None).
 
-    Rotations run in fixed row-major pair order, so the result is
-    deterministic for a fixed input.  The annihilated entry is set to an
-    exact zero each rotation; a sweep performing no rotation means every
-    off-diagonal entry is at most eps * ||A||_F and we are done.  A NaN or
-    infinite entry is refused up front: no rotation would ever clear it.
+    The float matrix must equal its transpose bit for bit, as every caller's
+    does: each rotation computes an off-diagonal pair once and writes it to
+    both triangles.  Rotations run in fixed row-major pair order, so the
+    result is deterministic for a fixed input.  The annihilated entry is set
+    to an exact zero each rotation; a sweep performing no rotation means
+    every off-diagonal entry is at most eps * ||A||_F and we are done.  A
+    NaN or infinite entry is refused up front: no rotation can clear it.
     """
     r = matrix.shape[0]
-    a = [[float(matrix[i, j]) for j in range(r)] for i in range(r)]
+    a = matrix.tolist()
     frobenius_sq = sum(x * x for row in a for x in row)
     if math.isfinite(frobenius_sq):
         frobenius = math.sqrt(frobenius_sq)
@@ -103,24 +105,18 @@ def _jacobi(matrix: np.ndarray, accumulate: bool):
                 s = t * c
                 app = ap[p]
                 aqq = aq[q]
-                for k in range(r):
-                    ak = a[k]
+                # Rows p and q pass too; their 2x2 block is overwritten below.
+                for k, ak in enumerate(a):
                     akp = ak[p]
                     akq = ak[q]
-                    ak[p] = c * akp - s * akq
-                    ak[q] = s * akp + c * akq
-                for k in range(r):
-                    apk = ap[k]
-                    aqk = aq[k]
-                    ap[k] = c * apk - s * aqk
-                    aq[k] = s * apk + c * aqk
+                    ap[k] = ak[p] = c * akp - s * akq
+                    aq[k] = ak[q] = s * akp + c * akq
                 ap[p] = app - t * apq
                 aq[q] = aqq + t * apq
                 ap[q] = 0.0
                 aq[p] = 0.0
                 if accumulate:
-                    for k in range(r):
-                        vk = v[k]
+                    for vk in v:
                         vkp = vk[p]
                         vkq = vk[q]
                         vk[p] = c * vkp - s * vkq
@@ -155,8 +151,8 @@ class _Kernel(NamedTuple):
     det: Callable  # (coords, eigenvalues descending) -> product of eigenvalues
     tr: Callable
     # (x, y) -> eigenvalues of P(y^{-1/2})x descending, or None when y is
-    # not in the open cone (on sym also when an entry is not finite); x is
-    # in the cone iff the least eigenvalue is > 0.
+    # not in the open cone or an entry of x (on sym also of y) is not
+    # finite; x is in the cone iff the least eigenvalue is > 0.
     relative_eigenvalues: Callable
     random_point: Callable  # (param, rng, lo, hi) -> interior coords
     # (x, y, samples, rng) -> ratios (x|c)/(y|c) over primitive idempotents c
@@ -177,7 +173,7 @@ def _frame_power(eigenvalues, frame_coords, p):
 
 
 def _orthant_relative_eigenvalues(x, y):
-    if not np.min(y) > 0.0:
+    if not (y.min() > 0.0 and np.isfinite(x).all()):
         return None
     ratios = x / y
     return ratios[_descending_order(ratios)]
@@ -216,6 +212,9 @@ _ORTHANT_KERNEL = _Kernel(
 
 
 def _sym_ingest(x):
+    # Bitwise symmetric (signed zeros, NaN payloads): x + x^T could overflow.
+    if x.tobytes() == x.T.tobytes():
+        return x.copy()
     gap = np.abs(x - x.T)
     tol = _SYM_INGEST_RTOL * (1.0 + np.abs(x))
     if np.any(gap > tol):
@@ -349,10 +348,11 @@ def _spin_det(x, eigs):
 
 
 def _spin_relative_eigenvalues(x, y):
-    # y's closed-form eigenvalues are checked before anything divides by
-    # them.  Then a = y^{-1/2} and P(a)x = 2 a o (a o x) - (a o a) o x,
-    # in the order of the generic power and quad, so the bits match them.
-    if not _spin_eigenvalues(y)[-1] > 0.0:
+    # y's eigenvalues are checked before anything divides by them, and x
+    # before a product multiplies inf by 0.  Then a = y^{-1/2} and P(a)x =
+    # 2 a o (a o x) - (a o a) o x, in the order of the generic power and
+    # quad, so the bits match them.
+    if not (_spin_eigenvalues(y)[-1] > 0.0 and np.isfinite(x).all()):
         return None
     a = _frame_power(*_spin_decompose(y), -0.5)
     z = 2.0 * _spin_product(a, _spin_product(a, x)) - _spin_product(_spin_product(a, a), x)

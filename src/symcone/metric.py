@@ -43,7 +43,8 @@ class MetricReport:
 
 
 def _require_interior(x: Element, name: str) -> None:
-    if not algebra.in_cone(x):
+    # in_cone first: on sym it reports a non-finite entry as EigensolverFailure.
+    if not (algebra.in_cone(x) and np.isfinite(x.coords).all()):
         raise NotInCone(f"{name} is not in the open cone")
 
 
@@ -51,18 +52,15 @@ def lambda_extremes(x: Element, y: Element) -> tuple[float, float]:
     """Greatest and least eigenvalue of P(y^{-1/2}) x, both > 0."""
     algebra._require_same_algebra(x, y)
     eigs = x.algebra.kernel.relative_eigenvalues(x.coords, y.coords)
-    if eigs is None:
-        # y failed its cone test, or a sym entry is not finite.  Test x and
-        # y one by one: the error names x first when both fail, and their
-        # eigensolves report non-finite entries.
+    # P(y^{-1/2}) is an automorphism of the cone: it is in the cone iff x is.
+    if eigs is None or not eigs[-1] > 0.0:
+        # Name the argument at fault, x first: an infinite entry can pass
+        # the kernel's tests, and a sym eigensolve reports a non-finite one.
         _require_interior(x, "x")
         _require_interior(y, "y")
-        # A y at the rounding edge of the cone: its Cholesky pivots failed
-        # although its computed least eigenvalue is positive.
-        raise NotInCone("y is not in the open cone")
-    # P(y^{-1/2}) is an automorphism of the cone: it is in the cone iff x is.
-    if not eigs[-1] > 0.0:
-        raise NotInCone("x is not in the open cone")
+        # Both pass: y's Cholesky pivots or x's relative spectrum sit at the
+        # rounding edge of the cone.
+        raise NotInCone(f"{'y' if eigs is None else 'x'} is not in the open cone")
     return float(eigs[0]), float(eigs[-1])
 
 
@@ -102,6 +100,7 @@ def rayleigh_oracle(
     `samples` random idempotents otherwise.  The returned maximum never
     exceeds l_max and the minimum never falls below l_min.
     """
+    algebra._require_same_algebra(x, y)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     _require_interior(x, "x")

@@ -1,0 +1,86 @@
+"""The cyclic Jacobi eigensolver as it was before its rotation loop wrote
+each off-diagonal pair once, kept verbatim as a reference oracle.
+
+The production ``algebra._jacobi`` must reproduce its diagonal and
+eigenvectors byte for byte on every exactly symmetric input.
+"""
+
+import math
+
+import numpy as np
+
+from symcone.errors import EigensolverFailure
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _jacobi(matrix: np.ndarray, accumulate: bool):
+    """Cyclic Jacobi on a symmetric matrix; returns (diag, columns or None).
+
+    Rotations run in fixed row-major pair order, so the result is
+    deterministic for a fixed input.  The annihilated entry is set to an
+    exact zero each rotation; a sweep performing no rotation means every
+    off-diagonal entry is at most eps * ||A||_F and we are done.  A NaN or
+    infinite entry is refused up front: no rotation would ever clear it.
+    """
+    r = matrix.shape[0]
+    a = [[float(matrix[i, j]) for j in range(r)] for i in range(r)]
+    frobenius_sq = sum(x * x for row in a for x in row)
+    if math.isfinite(frobenius_sq):
+        frobenius = math.sqrt(frobenius_sq)
+    elif all(math.isfinite(x) for row in a for x in row):
+        # Finite entries whose squares overflow: scale by the largest one.
+        scale = max(abs(x) for row in a for x in row)
+        frobenius = scale * math.sqrt(sum((x / scale) ** 2 for row in a for x in row))
+    else:
+        raise EigensolverFailure(
+            f"Jacobi needs finite entries; the {r}x{r} matrix has NaN or "
+            f"infinite entries"
+        )
+    v = [[1.0 if i == j else 0.0 for j in range(r)] for i in range(r)] if accumulate else None
+    thresh = _EPS * max(1.0, frobenius)
+    max_sweeps = 30 * r * r
+    for _ in range(max_sweeps):
+        rotated = False
+        for p in range(r - 1):
+            ap = a[p]
+            for q in range(p + 1, r):
+                apq = ap[q]
+                if abs(apq) <= thresh:
+                    continue
+                rotated = True
+                aq = a[q]
+                tau = (aq[q] - ap[p]) / (2.0 * apq)
+                t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                app = ap[p]
+                aqq = aq[q]
+                for k in range(r):
+                    ak = a[k]
+                    akp = ak[p]
+                    akq = ak[q]
+                    ak[p] = c * akp - s * akq
+                    ak[q] = s * akp + c * akq
+                for k in range(r):
+                    apk = ap[k]
+                    aqk = aq[k]
+                    ap[k] = c * apk - s * aqk
+                    aq[k] = s * apk + c * aqk
+                ap[p] = app - t * apq
+                aq[q] = aqq + t * apq
+                ap[q] = 0.0
+                aq[p] = 0.0
+                if accumulate:
+                    for k in range(r):
+                        vk = v[k]
+                        vkp = vk[p]
+                        vkq = vk[q]
+                        vk[p] = c * vkp - s * vkq
+                        vk[q] = s * vkp + c * vkq
+        if not rotated:
+            diag = np.array([a[i][i] for i in range(r)])
+            return diag, (np.array(v) if accumulate else None)
+    raise EigensolverFailure(
+        f"Jacobi did not converge within {max_sweeps} sweeps (r={r})"
+    )

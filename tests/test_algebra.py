@@ -1,16 +1,19 @@
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
 
 import symcone as sc
+from symcone import algebra
 from symcone.algebra import _jacobi
 from symcone.errors import AlgebraMismatch, EigensolverFailure, NotInCone
 from symcone.rng import SplitMix64
 from symcone.transforms import random_cone_element
 
 from conftest import count_jacobi, el, mild_word
+from jacobi_reference import _jacobi as reference_jacobi
 
 O2 = sc.orthant(2)
 S2 = sc.sym_matrix(2)
@@ -502,3 +505,78 @@ def test_jacobi_against_numpy_eigh():
             assert np.max(np.abs(np.sort(diag) - ref)) <= 1e-12 * (1 + np.max(np.abs(ref)))
             recon = (vecs * diag) @ vecs.T
             assert np.max(np.abs(recon - m)) <= 1e-12 * (1 + np.max(np.abs(m)))
+
+
+def _jacobi_inputs(r, rng):
+    """Exactly symmetric matrices of the kinds the kernels and tests feed
+    the eigensolver, plus the corner cases of its loop."""
+    s = sc.sym_matrix(r)
+    x = random_cone_element(s, rng).coords
+    y = random_cone_element(s, rng).coords
+    yield x
+    # The distance's Cholesky congruence L^-1 x L^-T, where y = L L^T.
+    upper = algebra._sym_cholesky(y)
+    z = algebra._lower_solve(upper, algebra._lower_solve(upper, x).T)
+    yield (z + z.T) / 2.0
+    m = rng.normal_matrix(r, r)
+    yield (m + m.T) / 2.0
+    grade = np.logspace(-4.0, 4.0, r)
+    yield np.diag(grade * grade)
+    yield (m + m.T) / 2.0 * np.outer(grade, grade)
+    yield np.eye(r)
+    k = r // 2
+    yield np.diag([2.0] * k + [1.0] * (r - k))
+    q = rng.rotation(r)
+    w = (q * ([2.0] * k + [1.0] * (r - k))) @ q.T
+    yield (w + w.T) / 2.0
+    # Exact zeros off the diagonal, then signed zeros in both triangles.
+    sparse = (m + m.T) / 2.0
+    sparse[np.add.outer(np.arange(r), np.arange(r)) % 3 == 1] = 0.0
+    yield sparse
+    signed = np.diag(np.arange(1.0, r + 1.0))
+    signed[~np.eye(r, dtype=bool)] = -0.0
+    signed[0, 0] = -0.0
+    yield signed
+    yield np.full((r, r), 1e160)
+
+
+def test_jacobi_bits_match_the_reference_loop():
+    # The rotation writes each off-diagonal pair once; on an exactly
+    # symmetric input it must give the separate row and column passes'
+    # bits, eigenvectors included.
+    rng = SplitMix64(17)
+    for r in range(1, 21):
+        for m in _jacobi_inputs(r, rng):
+            assert m.tobytes() == m.T.tobytes()
+            for accumulate in (False, True):
+                diag, vecs = _jacobi(m, accumulate)
+                ref_diag, ref_vecs = reference_jacobi(m, accumulate)
+                assert diag.tobytes() == ref_diag.tobytes()
+                if accumulate:
+                    assert vecs.tobytes() == ref_vecs.tobytes()
+                else:
+                    assert vecs is None and ref_vecs is None
+
+
+def test_sym_ingestion_keeps_symmetric_bits():
+    s1 = sc.sym_matrix(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # x + x^T would overflow this to inf.
+        assert el(s1, [[1.5e308]]).coords.tolist() == [[1.5e308]]
+        # x - x^T of an infinite entry is NaN, with a warning.
+        x = el(S2, [[math.inf, 0.0], [0.0, 1.0]])
+        assert x.coords.tolist() == [[math.inf, 0.0], [0.0, 1.0]]
+        signed = el(S2, [[-0.0, -0.0], [-0.0, 1.0]])
+        assert np.signbit(signed.coords).tolist() == [[True, True], [True, False]]
+    # A near-symmetric input is still averaged with its transpose.
+    m = np.array([[1.0, 0.1 + 1e-16], [0.1, 3.0]])
+    x = el(S2, m)
+    assert x.coords.tobytes() == ((m + m.T) / 2.0).tobytes()
+    assert x.coords[0, 1] == x.coords[1, 0]
+    # The caller's array is copied, never aliased or frozen.
+    m = np.array([[2.0, 1.0], [1.0, 2.0]])
+    x = sc.Element(S2, m)
+    assert not np.shares_memory(x.coords, m) and m.flags.writeable
+    m[0, 0] = 5.0
+    assert x.coords[0, 0] == 2.0

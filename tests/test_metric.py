@@ -6,7 +6,7 @@ import pytest
 
 import symcone as sc
 from symcone import suites
-from symcone.errors import EigensolverFailure, NotInCone
+from symcone.errors import AlgebraMismatch, EigensolverFailure, NotInCone
 from symcone.rng import SplitMix64
 from symcone.transforms import random_cone_element
 
@@ -97,6 +97,26 @@ def test_spin_y_with_infinite_vector_part_warns_nothing():
         warnings.simplefilter("error")
         with pytest.raises(NotInCone, match="^y "):
             sc.distance(p3.identity(), y)
+
+
+@pytest.mark.parametrize("name, x, y", [
+    ("y", [1.0, 1.0], [math.inf, 1.0]),
+    ("x", [math.inf, 1.0], [1.0, 1.0]),
+    ("x", [math.inf, 1.0], [math.inf, 1.0]),
+    ("y", [1.0, 0.0, 0.0], [math.inf, 0.0, 0.0]),
+    ("x", [math.inf, 0.0, 0.0], [1.0, 0.0, 0.0]),
+    ("x", [1.0, math.inf, 0.0], [1.0, 0.0, 0.0]),
+], ids=["orthant-y", "orthant-x", "orthant-both", "spin-y", "spin-x-head",
+        "spin-x-tail"])
+def test_infinite_argument_is_named_without_warnings(name, x, y):
+    # Orthant pairs have two coordinates, spin:3 pairs three.  An infinite
+    # coordinate can pass the kernel's cone tests; it must not give an inf
+    # distance, blame the other argument or warn from inf * 0.
+    d = sc.orthant(2) if len(x) == 2 else sc.spin_factor(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotInCone, match=f"^{name} "):
+            sc.distance(el(d, x), el(d, y))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -212,6 +232,14 @@ def test_rayleigh_oracle_one_sided(small_algebra):
         mx, mn = sc.rayleigh_oracle(x, y, 200, seed)
         assert mx <= lam_max + 1e-10
         assert mn >= lam_min - 1e-10
+
+
+def test_rayleigh_oracle_checks_the_algebra():
+    # Spin coordinates must not be read as orthant ones.
+    x = el(sc.orthant(3), [3, 1, 1])
+    y = el(sc.spin_factor(3), [3, 1, 1])
+    with pytest.raises(AlgebraMismatch):
+        sc.rayleigh_oracle(x, y, 10, 1)
 
 
 def test_rayleigh_oracle_validates_samples():
