@@ -18,10 +18,11 @@ Everything that depends on the family lives in one small kernel per
 family (a ``_Kernel`` of functions), reached through
 ``AlgebraDescriptor.kernel``.  A kernel works on raw coordinate arrays.
 The public functions check their arguments, call the kernel and wrap the
-result; P(x)y, powers, the cone test and the spectral reductions
-(least eigenvalue, spectral norm) are written once on top of them.  The
-one exception is the spectrum of P(y^{-1/2})x, which each kernel computes
-in its own way and ``metric`` reads directly.
+result; the cone test and the spectral reductions (least eigenvalue,
+spectral norm) are written once on top of them.  P(x)y has a closed form
+in each kernel (x y x on sym, 2<x, y> x - det(x) y* on spin), and the
+spectrum of P(y^{-1/2})x is computed by each kernel in its own way and
+read directly by ``metric``.
 
 Each element computes its spectrum at most once.  The first call of
 ``eigenvalues``, ``lambda_min``, ``spectral_norm``, ``det`` or
@@ -145,8 +146,11 @@ class _Kernel(NamedTuple):
     identity: Callable  # param -> coords of the unit element
     ingest: Callable  # coords -> validated private copy
     product: Callable
+    quad: Callable  # (a, x) -> P(a)x
     trace_inner: Callable
     decompose: Callable  # coords -> (eigenvalues descending, frame coords)
+    # (eigenvalues, frame coords, p) -> sum_j l_j^p c_j
+    frame_power: Callable
     eigenvalues: Callable  # coords -> eigenvalues descending
     det: Callable  # (coords, eigenvalues descending) -> product of eigenvalues
     tr: Callable
@@ -181,12 +185,13 @@ def _orthant_relative_eigenvalues(x, y):
 
 def _orthant_decompose(x):
     order = _descending_order(x)
-    frame = []
-    for idx in order:
-        c = np.zeros(x.shape[0])
-        c[idx] = 1.0
-        frame.append(c)
-    return x[order], frame
+    return x[order], np.eye(x.shape[0])[order]
+
+
+def _orthant_frame_power(eigenvalues, frame, p):
+    # Each coordinate has one nonzero term, so the sum is exact in any
+    # order; starting from +0.0 gives _frame_power's bits, signed zeros too.
+    return (np.power(eigenvalues, p)[:, None] * frame).sum(axis=0, initial=0.0)
 
 
 _ORTHANT_KERNEL = _Kernel(
@@ -198,8 +203,10 @@ _ORTHANT_KERNEL = _Kernel(
     identity=np.ones,
     ingest=lambda x: x.copy(),
     product=lambda x, y: x * y,
+    quad=lambda a, x: a * a * x,
     trace_inner=lambda x, y: float(np.dot(x, y)),
     decompose=_orthant_decompose,
+    frame_power=_orthant_frame_power,
     eigenvalues=lambda x: x[_descending_order(x)],
     det=lambda x, eigs: float(np.prod(x)),
     tr=lambda x: float(np.sum(x)),
@@ -220,6 +227,13 @@ def _sym_ingest(x):
     if np.any(gap > tol):
         raise ValueError("matrix coordinates are not symmetric")
     return (x + x.T) / 2.0
+
+
+def _sym_quad(a, x):
+    # Averaged with its transpose so that it is bitwise symmetric and
+    # ingestion takes its copying path.
+    m = a @ x @ a
+    return (m + m.T) / 2.0
 
 
 def _sym_decompose(x):
@@ -300,8 +314,10 @@ _SYM_KERNEL = _Kernel(
     identity=np.eye,
     ingest=_sym_ingest,
     product=lambda x, y: (x @ y + y @ x) / 2.0,
+    quad=_sym_quad,
     trace_inner=lambda x, y: float(np.sum(x * y)),
     decompose=_sym_decompose,
+    frame_power=_frame_power,
     eigenvalues=_sym_eigenvalues,
     det=lambda x, eigs: float(np.prod(eigs)),
     tr=lambda x: float(np.trace(x)),
@@ -321,6 +337,19 @@ def _spin_product(x, y):
     head = float(np.dot(x, y))
     tail = x[0] * y[1:] + y[0] * x[1:]
     return np.concatenate(([head], tail))
+
+
+def _spin_quad(a, x):
+    """P(a)x = 2<a, x> a - det(a) x*, where x* = (x0, -xbar).
+
+    Faraut & Koranyi, Analysis on Symmetric Cones, ch. II; <.,.> is the
+    plain dot product.
+    """
+    out = 2.0 * float(np.dot(a, x)) * a
+    det_a = _spin_det(a, None)
+    out[0] -= det_a * x[0]
+    out[1:] += det_a * x[1:]
+    return out
 
 
 def _spin_decompose(x):
@@ -349,14 +378,13 @@ def _spin_det(x, eigs):
 
 def _spin_relative_eigenvalues(x, y):
     # y's eigenvalues are checked before anything divides by them, and x
-    # before a product multiplies inf by 0.  Then a = y^{-1/2} and P(a)x =
-    # 2 a o (a o x) - (a o a) o x, in the order of the generic power and
-    # quad, so the bits match them.
+    # before a product multiplies inf by 0.  Then a = y^{-1/2} and P(a)x
+    # come from the generic power and the closed-form quad, so the bits
+    # match theirs.
     if not (_spin_eigenvalues(y)[-1] > 0.0 and np.isfinite(x).all()):
         return None
     a = _frame_power(*_spin_decompose(y), -0.5)
-    z = 2.0 * _spin_product(a, _spin_product(a, x)) - _spin_product(_spin_product(a, a), x)
-    return _spin_eigenvalues(z)
+    return _spin_eigenvalues(_spin_quad(a, x))
 
 
 def _spin_random_point(n, rng, lo, hi):
@@ -385,8 +413,10 @@ _SPIN_KERNEL = _Kernel(
     identity=_spin_identity,
     ingest=lambda x: x.copy(),
     product=_spin_product,
+    quad=_spin_quad,
     trace_inner=lambda x, y: 2.0 * float(np.dot(x, y)),
     decompose=_spin_decompose,
+    frame_power=_frame_power,
     eigenvalues=_spin_eigenvalues,
     det=_spin_det,
     tr=lambda x: 2.0 * float(x[0]),
@@ -508,13 +538,14 @@ def _is_nonneg_integer(p: float) -> bool:
 class SpectralDecomposition:
     """Eigenvalues (descending) with a Jordan frame realizing x = sum l_j c_j.
 
-    The frame is held as the kernel's raw coordinate arrays; ``frame``
-    wraps them in Elements only when it is read.
+    The frame is held as the kernel's raw coordinate arrays (on the orthant
+    the rows of one permutation matrix); ``frame`` wraps them in Elements
+    only when it is read.
     """
 
     algebra: AlgebraDescriptor
     eigenvalues: np.ndarray
-    frame_coords: list[np.ndarray] = field(repr=False)
+    frame_coords: list[np.ndarray] | np.ndarray = field(repr=False)
 
     @property
     def frame(self) -> list[Element]:
@@ -531,7 +562,8 @@ class SpectralDecomposition:
                 f"x^({p:g}) needs x in the open cone; least eigenvalue is "
                 f"{self.eigenvalues[-1]:.6g}"
             )
-        return Element(self.algebra, _frame_power(self.eigenvalues, self.frame_coords, p))
+        return Element(self.algebra, self.algebra.kernel.frame_power(
+            self.eigenvalues, self.frame_coords, p))
 
     def reconstruct(self) -> Element:
         return self.power(1.0)
@@ -556,9 +588,12 @@ def product(x: Element, y: Element) -> Element:
 
 
 def quad(x: Element, y: Element) -> Element:
-    """Quadratic representation P(x)y = 2 x o (x o y) - (x o x) o y."""
-    xy = product(x, y)
-    return 2.0 * product(x, xy) - product(product(x, x), y)
+    """Quadratic representation P(x)y = 2 x o (x o y) - (x o x) o y.
+
+    Each family's kernel computes it in closed form.
+    """
+    _require_same_algebra(x, y)
+    return Element(x.algebra, x.algebra.kernel.quad(x.coords, y.coords))
 
 
 def trace_inner(x: Element, y: Element) -> float:

@@ -11,8 +11,8 @@ in one pass:
   which has the same spectrum; its eigenvalues are the one Jacobi
   eigensolve of the distance, and x is in the cone iff the least is
   positive, as the congruence keeps x's inertia;
-* spin: y's closed-form eigenvalues, then y^{-1/2} and P(y^{-1/2})x from
-  the Jordan product, whose closed-form eigenvalues finish it.
+* spin: y's closed-form eigenvalues, then y^{-1/2} and the closed form
+  P(a)x = 2<a, x> a - det(a) x*, whose closed-form eigenvalues finish it.
 
 The equivalent cross form log(l_max(x,y) * l_max(y,x)) is kept for tests
 only.

@@ -56,23 +56,25 @@ class SolveReport:
     converged: bool
 
 
-def _residual(g: AutomorphismWord, a: Element, p: float) -> float:
-    image = transforms.apply(g, a)
-    target = algebra.power(a, p)
-    return algebra.spectral_norm(image - target) / (
-        1.0 + algebra.spectral_norm(target)
-    )
+def _power_norm(eigenvalues: np.ndarray, p: float) -> float:
+    """Spectral norm of x^p from x's positive eigenvalues: no eigensolve."""
+    return float(max(np.power(eigenvalues[[0, -1]], p)))
 
 
 def _fit_geometric_ratio(trace) -> float:
-    """Least-squares geometric decay ratio of the positive trace entries."""
+    """Least-squares geometric decay ratio of the positive trace entries.
+
+    The slope of log d_k against k is sum (k - kbar)(y - ybar) / sum
+    (k - kbar)^2, each sum a correctly rounded ``math.fsum``.
+    """
     logs = [(k, math.log(d)) for k, d in enumerate(trace) if d > 0.0]
     if len(logs) < 2:
         return 0.0
-    ks = np.array([k for k, _ in logs], dtype=float)
-    ys = np.array([y for _, y in logs])
-    slope = np.polyfit(ks, ys, 1)[0]
-    return float(math.exp(slope))
+    k_mean = math.fsum(k for k, _ in logs) / len(logs)
+    y_mean = math.fsum(y for _, y in logs) / len(logs)
+    sxy = math.fsum((k - k_mean) * (y - y_mean) for k, y in logs)
+    sxx = math.fsum((k - k_mean) ** 2 for k, _ in logs)
+    return math.exp(sxy / sxx)
 
 
 def banach_iteration_bound(first_step: float, p: float, tol: float) -> int:
@@ -86,12 +88,20 @@ def banach_iteration_bound(first_step: float, p: float, tol: float) -> int:
 def _rescale_to_solution(
     g: AutomorphismWord, u: Element, p: float
 ) -> tuple[Element, float]:
-    """Pick beta so a = beta*u solves g(a) = a^p; return a and its residual."""
-    gu = transforms.apply(g, u)
-    up = algebra.power(u, p)
-    beta = (algebra.spectral_norm(gu) / algebra.spectral_norm(up)) ** (1.0 / (p - 1.0))
+    """Pick beta so a = beta*u solves g(a) = a^p; return a and its residual.
+
+    One decomposition of u serves both powers: u^p has eigenvalues l_j^p,
+    and a^p is built on u's frame from the eigenvalues beta*l_j.
+    """
+    dec = algebra.spectral_decompose(u)
+    gu_norm = algebra.spectral_norm(transforms.apply(g, u))
+    beta = (gu_norm / _power_norm(dec.eigenvalues, p)) ** (1.0 / (p - 1.0))
     a = beta * u
-    return a, _residual(g, a, p)
+    a_dec = replace(dec, eigenvalues=beta * dec.eigenvalues)
+    target = a_dec.power(p)
+    residual = algebra.spectral_norm(transforms.apply(g, a) - target) / (
+        1.0 + _power_norm(a_dec.eigenvalues, p))
+    return a, residual
 
 
 def solve(g: AutomorphismWord, cfg: SolveConfig) -> SolveReport:
@@ -123,9 +133,8 @@ def solve(g: AutomorphismWord, cfg: SolveConfig) -> SolveReport:
                 "an iterate left the open cone: the supplied map does not "
                 "preserve it") from exc
         # The eigenvalues of g(x)^{1/p} are l_j^{1/p}, all positive, so its
-        # spectral norm is the larger end of them: no eigensolve of root.
-        ends = np.power(dec.eigenvalues[[0, -1]], 1.0 / p)
-        x_next = root * (1.0 / float(max(ends)))
+        # spectral norm needs no eigensolve of root.
+        x_next = root * (1.0 / _power_norm(dec.eigenvalues, 1.0 / p))
         step = metric.distance(x, x_next).distance
         trace.append(step)
         x = x_next
@@ -186,7 +195,7 @@ def solve_bushell(
     t = np.asarray(t, dtype=float)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise SingularMatrix("t must be a square matrix")
-    if abs(float(np.linalg.det(t))) <= 1e-12:
+    if transforms.numerically_singular(t):
         raise SingularMatrix("t is numerically singular")
     if int(k) != k or k < 1:
         raise ValueError("k must be a positive integer")

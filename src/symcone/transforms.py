@@ -33,6 +33,19 @@ EIG_HI = math.exp(2.0)
 _DET_FLOOR = 1e-12
 
 
+def numerically_singular(t: np.ndarray) -> bool:
+    """True iff |det(t / max|t_ij|)| <= _DET_FLOOR.
+
+    Dividing by the largest entry first makes the test blind to scale:
+    0.2 * I of order 20 has det 1e-14 but is as regular as I.  An all-zero
+    t is singular; a non-finite one is left to the finiteness checks.
+    """
+    scale = float(np.max(np.abs(t)))
+    if scale == 0.0:
+        return True
+    return abs(float(np.linalg.det(t / scale))) <= _DET_FLOOR
+
+
 @dataclass(frozen=True)
 class Scalar:
     """x -> mu * x, mu > 0."""
@@ -67,7 +80,7 @@ class Congruence:
             raise InvalidGenerator("congruence factor must be a square matrix")
         if not np.all(np.isfinite(t)):
             raise InvalidGenerator("congruence factor has non-finite entries")
-        if abs(float(np.linalg.det(t))) <= _DET_FLOOR:
+        if numerically_singular(t):
             raise InvalidGenerator("congruence factor is numerically singular")
         t = t.copy()
         t.flags.writeable = False

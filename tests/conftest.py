@@ -25,6 +25,11 @@ def count_jacobi(monkeypatch):
     return calls
 
 
+def three_product_quad(a, x):
+    """Reference P(a)x = 2 a o (a o x) - (a o a) o x, from the Jordan product."""
+    return 2.0 * sc.product(a, sc.product(a, x)) - sc.product(sc.product(a, a), x)
+
+
 def mild_word(descriptor, rng, sigma=0.5):
     """Random word with conditioning bounded for fixed-point instances.
 

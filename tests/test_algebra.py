@@ -7,12 +7,12 @@ import pytest
 
 import symcone as sc
 from symcone import algebra
-from symcone.algebra import _jacobi
+from symcone.algebra import _frame_power, _jacobi
 from symcone.errors import AlgebraMismatch, EigensolverFailure, NotInCone
 from symcone.rng import SplitMix64
-from symcone.transforms import random_cone_element
+from symcone.transforms import random_cone_element, random_word
 
-from conftest import count_jacobi, el, mild_word
+from conftest import count_jacobi, el, mild_word, three_product_quad
 from jacobi_reference import _jacobi as reference_jacobi
 
 O2 = sc.orthant(2)
@@ -117,6 +117,55 @@ def test_quad_matches_sym_congruence_on_random_pairs():
         lhs = sc.quad(x, y).coords
         rhs = x.coords @ y.coords @ x.coords
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * (1 + np.max(np.abs(rhs)))
+
+
+def _relative_gap(got, ref):
+    return np.max(np.abs(got.coords - ref.coords)) / np.max(np.abs(ref.coords))
+
+
+@pytest.mark.parametrize("descriptor", [sc.orthant(8), sc.sym_matrix(6),
+                                        sc.spin_factor(10)])
+def test_closed_form_quad_matches_three_products(descriptor):
+    rng = SplitMix64(19)
+    for _ in range(300):
+        a = random_cone_element(descriptor, rng)
+        x = random_cone_element(descriptor, rng)
+        assert _relative_gap(sc.quad(a, x), three_product_quad(a, x)) <= 1e-13
+    # Words with factors in e^{+-2}, applied factor by factor with the
+    # reference quad in place of each Quad.
+    sigma = 2.0
+    for _ in range(100):
+        word = random_word(descriptor, rng, lo=math.exp(-sigma), hi=math.exp(sigma))
+        x = random_cone_element(descriptor, rng)
+        ref = x
+        for f in word.factors:
+            if isinstance(f, sc.Quad):
+                ref = three_product_quad(f.a, ref)
+            else:
+                ref = sc.apply(sc.AutomorphismWord(descriptor, (f,)), ref)
+        assert _relative_gap(sc.apply(word, x), ref) <= 1e-13
+
+
+def test_quad_of_identity_is_exact(small_algebra):
+    rng = SplitMix64(23)
+    e = small_algebra.identity()
+    for _ in range(50):
+        x = _random_ambient(small_algebra, rng)
+        assert sc.quad(e, x).coords.tobytes() == x.coords.tobytes()
+
+
+def test_quad_fundamental_formula(small_algebra):
+    # P(P(a)x) = P(a) P(x) P(a), applied to a third element y.
+    rng = SplitMix64(29)
+    for _ in range(100):
+        a = random_cone_element(small_algebra, rng)
+        x = random_cone_element(small_algebra, rng)
+        y = random_cone_element(small_algebra, rng)
+        lhs = sc.quad(sc.quad(a, x), y)
+        rhs = sc.quad(a, sc.quad(x, sc.quad(a, y)))
+        scale = (sc.spectral_norm(a) ** 4 * sc.spectral_norm(x) ** 2
+                 * sc.spectral_norm(y))
+        assert sc.spectral_norm(lhs - rhs) <= 1e-13 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +405,22 @@ def test_power_roundtrip(small_algebra):
             x = random_cone_element(small_algebra, rng)
             back = sc.power(sc.power(x, p), 1.0 / p)
             assert sc.spectral_norm(back - x) <= 1e-8 * (1 + sc.spectral_norm(x))
+
+
+def test_orthant_power_keeps_the_frame_loop_bits():
+    # The reduction over the permutation rows against the ordered loop over
+    # the same frame, on cone points and on finite points outside the cone.
+    o6 = sc.orthant(6)
+    rng = SplitMix64(43)
+    points = [random_cone_element(o6, rng) for _ in range(40)]
+    cases = [(x, p) for x in points for p in (-3.0, -0.5, 2.0 / 3.0, 2.0, 0.3)]
+    outside = (el(o6, [-2.0, 0.0, 3.0, -0.0, 1.5, -1.0]),
+               el(o6, [-0.0, -1.0, -0.0, -2.0, -3.0, -0.5]))
+    cases += [(x, p) for x in outside for p in (2.0, 3.0)]
+    for x, p in cases:
+        eigs, frame = algebra._orthant_decompose(x.coords)
+        want = _frame_power(eigs, list(frame), p)
+        assert sc.power(x, p).coords.tobytes() == want.tobytes()
 
 
 def test_sym_power_vs_eigh_functional_calculus():

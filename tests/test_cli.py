@@ -152,6 +152,25 @@ def test_bushell(capsys, sym_instance):
     assert rep["p"] == 4.0 or rep["p"] == 2.0  # k=1 -> p=2
 
 
+@pytest.mark.parametrize("payload, code", [
+    (0.2 * np.eye(20), 0),
+    (np.zeros((20, 20)), 2),
+    (np.outer(np.arange(1.0, 21.0), np.ones(20)), 2),
+])
+def test_bushell_singularity_exit_codes(capsys, tmp_path, payload, code):
+    path = tmp_path / "bushell.json"
+    path.write_text(json.dumps({
+        "algebra": {"kind": "sym", "param": 20},
+        "maps": {"t": [{"type": "congruence", "payload": payload.tolist()}]}}))
+    got, out, err = run(capsys, "bushell", str(path), "t", "--k", "1")
+    assert got == code
+    if code == 0:
+        np.testing.assert_allclose(json.loads(out)["solution"], 0.04 * np.eye(20),
+                                   rtol=1e-12, atol=1e-14)
+    else:
+        assert out == "" and "singular" in err
+
+
 def test_bushell_requires_single_congruence(capsys, sym_instance):
     code, _, err = run(capsys, "bushell", sym_instance, "w")
     assert code == 2

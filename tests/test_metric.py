@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -138,6 +139,34 @@ def test_orthant_distance_to_itself_is_exactly_zero():
         for _ in range(20):
             x = random_cone_element(sc.orthant(n), rng)
             assert sc.distance(x, x).distance == 0.0
+
+
+def _diagonally_dominant(r, rng):
+    # Built entry by entry, so the inputs involve no BLAS call.
+    m = np.zeros((r, r))
+    for i in range(r):
+        m[i, i] = r + rng.uniform()
+        for j in range(i + 1, r):
+            m[i, j] = m[j, i] = rng.uniform_in(-1.0, 1.0)
+    return m
+
+
+def test_sym_distance_bits_are_pinned():
+    # The sha256 of (lambda_max, lambda_min, distance) over 60 fixed sym
+    # pairs.  The sym distance does not go through P(a)x, so the closed-form
+    # quad left these bits alone; a change that means to move them updates
+    # the digest and says so.
+    rng = SplitMix64(2024)
+    digest = hashlib.sha256()
+    for r in (2, 3, 4):
+        s = sc.sym_matrix(r)
+        for _ in range(20):
+            x = el(s, _diagonally_dominant(r, rng))
+            y = el(s, _diagonally_dominant(r, rng))
+            rep = sc.distance(x, y)
+            digest.update(np.array([rep.lambda_max, rep.lambda_min, rep.distance]).tobytes())
+    assert digest.hexdigest() == (
+        "26714be3a7d9230790e4f83e81701189b9901ed2b1f1ac808eba6e5b8e8a347c")
 
 
 @pytest.mark.parametrize("descriptor", [sc.sym_matrix(2), sc.sym_matrix(6),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import symcone as sc
-from symcone import transforms
+from symcone import solver, transforms
 from symcone.errors import NonConvergence, NotInCone, SingularMatrix
 from symcone.rng import SplitMix64
 from symcone.transforms import random_cone_element
@@ -83,10 +83,11 @@ def test_iteration_runs_two_eigensolves(monkeypatch):
     word = mild_word(sc.sym_matrix(4), SplitMix64(31))
     calls = count_jacobi(monkeypatch)
     rep = sc.solve(word, sc.SolveConfig(p=2.0, tol=1e-10))
-    # Outside the loop: the initial point's cone test, then the rescale
-    # (u^p, |g(u)|, |u^p|) and the residual (a^p, two norms).
-    assert len(calls) == 2 * rep.iterations + 7
-    assert calls.count(True) == rep.iterations + 2
+    # Outside the loop: the initial point's cone test, then u's
+    # decomposition, |g(u)| and the residual's |g(a) - a^p|; |u^p|, a^p
+    # and |a^p| come from u's decomposition.
+    assert len(calls) == 2 * rep.iterations + 4
+    assert calls.count(True) == rep.iterations + 1
 
 
 def test_iterate_leaving_the_cone_is_named(monkeypatch):
@@ -167,6 +168,29 @@ def test_iterates_are_cauchy_and_limit_interior(small_algebra):
     u = sc.normalize(rep.solution)
     assert sc.lambda_min(u) > 0.0
     assert abs(sc.spectral_norm(u) - 1.0) <= 1e-12
+
+
+def test_geometric_ratio_matches_polyfit(small_algebra):
+    rng = SplitMix64(59)
+    traces = [sc.solve(mild_word(small_algebra, rng), sc.SolveConfig(p=p)).distance_trace
+              for p in (2.0, -3.0, 1.5)]
+    traces += [[rng.log_uniform(1e-12, 1.0) for _ in range(2 + k)] for k in range(20)]
+    traces.append([0.3, 0.0, 0.1, 0.0, 0.02])
+    for trace in traces:
+        logs = [(k, math.log(d)) for k, d in enumerate(trace) if d > 0.0]
+        if len(logs) < 2:
+            continue
+        ks, ys = zip(*logs)
+        want = math.exp(np.polyfit(ks, ys, 1)[0])
+        assert abs(solver._fit_geometric_ratio(trace) - want) <= 1e-12 * want
+
+
+def test_geometric_ratio_of_a_geometric_trace():
+    for ratio in (0.5, 1.0 / 3.0, 0.9):
+        trace = [0.7 * ratio ** k for k in range(30)]
+        assert solver._fit_geometric_ratio(trace) == pytest.approx(ratio, rel=1e-14)
+    assert solver._fit_geometric_ratio([0.5]) == 0.0
+    assert solver._fit_geometric_ratio([0.5, 0.0, 0.0]) == 0.0
 
 
 def test_contraction_estimate_range(small_algebra):
@@ -254,6 +278,15 @@ def test_bushell_k2():
     lhs = t.T @ a @ t
     rhs = np.linalg.matrix_power(a, 4)
     assert np.max(np.abs(lhs - rhs)) / (1 + np.max(np.abs(rhs))) <= 1e-10
+
+
+def test_bushell_singularity_test_is_scale_invariant():
+    # det(0.2 I) = 1e-14 at order 20, yet the matrix is perfectly conditioned.
+    rep = sc.solve_bushell(0.2 * np.eye(20), 1)
+    np.testing.assert_allclose(rep.solution.coords, 0.04 * np.eye(20), rtol=1e-12,
+                               atol=1e-14)
+    with pytest.raises(SingularMatrix):
+        sc.solve_bushell(1e-3 * np.outer([1.0, 2.0, 3.0], [3.0, 1.0, 2.0]), 1)
 
 
 def test_bushell_rejects_singular():

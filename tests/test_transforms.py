@@ -52,6 +52,16 @@ def test_congruence_validation():
             sc.Congruence(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
+def test_congruence_singularity_test_is_scale_invariant():
+    # det(0.005 I) = 1.6e-14 at order 6, yet the matrix is perfectly conditioned.
+    sc.Congruence(0.005 * np.eye(6))
+    sc.Congruence(1e6 * np.eye(6))
+    for singular in (np.zeros((3, 3)), np.outer([1.0, 2.0, 3.0], [3.0, 1.0, 2.0]),
+                     1e-8 * np.outer([1.0, 2.0, 3.0], [3.0, 1.0, 2.0])):
+        with pytest.raises(InvalidGenerator, match="singular"):
+            sc.Congruence(singular)
+
+
 def test_permutation_validation():
     sc.Permutation((1, 0, 2))
     with pytest.raises(InvalidGenerator):
