@@ -58,7 +58,9 @@ class SolveReport:
 
 def _power_norm(eigenvalues: np.ndarray, p: float) -> float:
     """Spectral norm of x^p from x's positive eigenvalues: no eigensolve."""
-    return float(max(np.power(eigenvalues[[0, -1]], p)))
+    # The least eigenvalue goes first: max() keeps a NaN only as its first
+    # argument, and a NaN eigenvalue sorts last.
+    return float(max(np.power(eigenvalues[[-1, 0]], p)))
 
 
 def _fit_geometric_ratio(trace) -> float:

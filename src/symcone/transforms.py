@@ -34,16 +34,26 @@ _DET_FLOOR = 1e-12
 
 
 def numerically_singular(t: np.ndarray) -> bool:
-    """True iff |det(t / max|t_ij|)| <= _DET_FLOOR.
+    """True iff |det t| <= _DET_FLOOR * min(1, prod_i |t_i|), t_i the rows.
 
-    Dividing by the largest entry first makes the test blind to scale:
-    0.2 * I of order 20 has det 1e-14 but is as regular as I.  An all-zero
-    t is singular; a non-finite one is left to the finiteness checks.
+    For rows of norm product below 1 the test is on the Hadamard ratio
+    |det t| / prod_i |t_i|, which lies in [0, 1], is 1 on every diagonal t
+    and does not move when t or one of its rows is scaled: 0.2 * I of order
+    20 (det 1e-14) and diag(1, 0.1, ..., 0.1) are regular.  Otherwise it is
+    the absolute floor, so no t with |det t| > _DET_FLOOR is refused.  A t
+    with a zero row is singular; a non-finite one is left to the finiteness
+    checks.  Norms are taken of rows divided by their largest entry, and
+    products as sums of logarithms, so no entry range over- or underflows.
     """
-    scale = float(np.max(np.abs(t)))
-    if scale == 0.0:
+    if not np.all(np.isfinite(t)):
+        return False
+    row_max = np.max(np.abs(t), axis=1)
+    if not np.all(row_max > 0.0):
         return True
-    return abs(float(np.linalg.det(t / scale))) <= _DET_FLOOR
+    rows = t / row_max[:, None]
+    log_norms = np.log(row_max) + 0.5 * np.log(np.einsum("ij,ij->i", rows, rows))
+    log_det = float(np.linalg.slogdet(t)[1])
+    return log_det <= math.log(_DET_FLOOR) + min(0.0, float(np.sum(log_norms)))
 
 
 @dataclass(frozen=True)

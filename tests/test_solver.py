@@ -289,6 +289,18 @@ def test_bushell_singularity_test_is_scale_invariant():
         sc.solve_bushell(1e-3 * np.outer([1.0, 2.0, 3.0], [3.0, 1.0, 2.0]), 1)
 
 
+@pytest.mark.parametrize("t", [np.diag([5.0] + [1.0] * 19), np.diag([100.0] + [1.0] * 7)])
+def test_bushell_accepts_well_conditioned_t(t):
+    rep = sc.solve_bushell(t, 1)
+    # t' A t = A^2 with diagonal t has the solution A = t^2.
+    np.testing.assert_allclose(rep.solution.coords, t @ t, rtol=1e-10)
+
+
+def test_power_norm_keeps_a_nan_at_the_low_end():
+    assert math.isnan(solver._power_norm(np.array([2.0, math.nan]), 2.0))
+    assert solver._power_norm(np.array([2.0, 0.5]), -1.0) == 2.0
+
+
 def test_bushell_rejects_singular():
     with pytest.raises(SingularMatrix):
         sc.solve_bushell(np.zeros((2, 2)), 1)

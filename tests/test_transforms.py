@@ -10,6 +10,7 @@ from symcone.errors import (
     MapLeftCone,
     NotInCone,
 )
+from symcone import transforms
 from symcone.rng import SplitMix64
 from symcone.transforms import random_cone_element, random_word
 
@@ -60,6 +61,32 @@ def test_congruence_singularity_test_is_scale_invariant():
                      1e-8 * np.outer([1.0, 2.0, 3.0], [3.0, 1.0, 2.0])):
         with pytest.raises(InvalidGenerator, match="singular"):
             sc.Congruence(singular)
+
+
+# Regular t whose determinant after division by the largest entry is tiny:
+# one large row, a graded diagonal, a shear, and rows far apart in scale.
+WELL_CONDITIONED = [
+    np.diag([5.0] + [1.0] * 19),
+    np.diag([100.0] + [1.0] * 7),
+    np.diag([1.0] + [0.1] * 19),
+    np.eye(13) + 10.0 * np.outer(np.eye(13)[0], np.eye(13)[1]),
+    np.diag([1e200, 1e-200, 1.0]),
+    1e-170 * np.eye(3),
+]
+
+
+@pytest.mark.parametrize("t", WELL_CONDITIONED)
+def test_congruence_accepts_well_conditioned_t(t):
+    sc.Congruence(t)
+
+
+def test_singularity_test_keeps_every_t_the_absolute_floor_accepts():
+    rng = SplitMix64(11)
+    for n in (2, 5, 12):
+        for _ in range(20):
+            t = rng.normal_matrix(n, n) * 10.0 ** rng.uniform_in(-3.0, 3.0)
+            if abs(np.linalg.det(t)) > 1e-12:
+                assert not transforms.numerically_singular(t)
 
 
 def test_permutation_validation():
