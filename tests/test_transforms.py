@@ -81,6 +81,8 @@ def test_congruence_accepts_well_conditioned_t(t):
 
 
 def test_singularity_test_keeps_every_t_the_absolute_floor_accepts():
+    # det 100 but Hadamard ratio 5e-13: the rows are long, so the floor rules.
+    assert not transforms.numerically_singular(np.array([[1e7, 1e7], [1e7, 1e7 + 1e-5]]))
     rng = SplitMix64(11)
     for n in (2, 5, 12):
         for _ in range(20):
