@@ -50,10 +50,8 @@ from .rng import SplitMix64
 from .solver import (
     SolveConfig,
     SolveReport,
-    banach_iteration_bound,
     solve,
     solve_bushell,
-    solve_corollary,
 )
 from .transforms import (
     AutomorphismWord,
@@ -63,7 +61,6 @@ from .transforms import (
     Quad,
     Scalar,
     apply,
-    identity_word,
     isometry_check,
     measure_contraction,
     random_cone_element,

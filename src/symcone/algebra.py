@@ -56,6 +56,8 @@ SPIN = "spin"
 _SYM_INGEST_RTOL = 1e-12
 
 _EPS = float(np.finfo(float).eps)
+# Least positive normal double: a smaller sum of squares has lost bits.
+_TINY = float(np.finfo(float).tiny)
 
 
 # ---------------------------------------------------------------------------
@@ -70,17 +72,20 @@ def _jacobi(matrix: np.ndarray, accumulate: bool):
     both triangles.  Rotations run in fixed row-major pair order, so the
     result is deterministic for a fixed input.  The annihilated entry is set
     to an exact zero each rotation; a sweep performing no rotation means
-    every off-diagonal entry is at most eps * ||A||_F and we are done.  A
-    NaN or infinite entry is refused up front: no rotation can clear it.
+    every off-diagonal entry is at most eps * ||A||_F and we are done.  The
+    threshold is relative at every scale, so c * A is rotated as A is, up
+    to rounding, however small c is.  A NaN or infinite entry is refused up
+    front: no rotation can clear it.
     """
     r = matrix.shape[0]
     a = matrix.tolist()
     frobenius_sq = sum(x * x for row in a for x in row)
-    if math.isfinite(frobenius_sq):
+    if _TINY <= frobenius_sq < math.inf:
         frobenius = math.sqrt(frobenius_sq)
     elif all(math.isfinite(x) for row in a for x in row):
-        # Finite entries whose squares overflow: scale by the largest one.
-        scale = max(abs(x) for row in a for x in row)
+        # Finite entries whose squares overflow or underflow: scale by the
+        # largest one (1 on a zero matrix, whose norm stays 0).
+        scale = max(abs(x) for row in a for x in row) or 1.0
         frobenius = scale * math.sqrt(sum((x / scale) ** 2 for row in a for x in row))
     else:
         raise EigensolverFailure(
@@ -88,7 +93,7 @@ def _jacobi(matrix: np.ndarray, accumulate: bool):
             f"infinite entries"
         )
     v = [[1.0 if i == j else 0.0 for j in range(r)] for i in range(r)] if accumulate else None
-    thresh = _EPS * max(1.0, frobenius)
+    thresh = _EPS * frobenius
     max_sweeps = 30 * r * r
     for _ in range(max_sweeps):
         rotated = False
@@ -140,8 +145,6 @@ class _Kernel(NamedTuple):
     min_param: int
     # Generator types a word may contain, in the order random_word draws them.
     generators: tuple[str, ...]
-    rank: Callable  # param -> rank
-    dim: Callable  # param -> dimension of V
     coord_shape: Callable  # param -> shape of the coordinate array
     identity: Callable  # param -> coords of the unit element
     ingest: Callable  # coords -> validated private copy
@@ -197,8 +200,6 @@ def _orthant_frame_power(eigenvalues, frame, p):
 _ORTHANT_KERNEL = _Kernel(
     min_param=1,
     generators=("scalar", "quad", "permutation"),
-    rank=lambda n: n,
-    dim=lambda n: n,
     coord_shape=lambda n: (n,),
     identity=np.ones,
     ingest=lambda x: x.copy(),
@@ -308,8 +309,6 @@ def _sym_rayleigh_ratios(x, y, samples, rng):
 _SYM_KERNEL = _Kernel(
     min_param=1,
     generators=("scalar", "quad", "congruence"),
-    rank=lambda r: r,
-    dim=lambda r: r * (r + 1) // 2,
     coord_shape=lambda r: (r, r),
     identity=np.eye,
     ingest=_sym_ingest,
@@ -407,8 +406,6 @@ def _spin_rayleigh_ratios(x, y, samples, rng):
 _SPIN_KERNEL = _Kernel(
     min_param=2,
     generators=("scalar", "quad"),
-    rank=lambda n: 2,
-    dim=lambda n: n,
     coord_shape=lambda n: (n,),
     identity=_spin_identity,
     ingest=lambda x: x.copy(),
@@ -455,23 +452,11 @@ class AlgebraDescriptor:
         return AlgebraDescriptor, (self.kind, self.param)
 
     @property
-    def rank(self) -> int:
-        return self.kernel.rank(self.param)
-
-    @property
-    def dim(self) -> int:
-        """Dimension of V as a real vector space."""
-        return self.kernel.dim(self.param)
-
-    @property
     def coord_shape(self) -> tuple[int, ...]:
         return self.kernel.coord_shape(self.param)
 
     def identity(self) -> Element:
         return Element(self, self.kernel.identity(self.param))
-
-    def zero(self) -> Element:
-        return Element(self, np.zeros(self.coord_shape))
 
 
 def orthant(n: int) -> AlgebraDescriptor:
@@ -526,9 +511,6 @@ class Element:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> Element:
-        return Element(self.algebra, -self.coords)
-
 
 def _is_nonneg_integer(p: float) -> bool:
     return p >= 0 and float(p).is_integer()
@@ -539,17 +521,12 @@ class SpectralDecomposition:
     """Eigenvalues (descending) with a Jordan frame realizing x = sum l_j c_j.
 
     The frame is held as the kernel's raw coordinate arrays (on the orthant
-    the rows of one permutation matrix); ``frame`` wraps them in Elements
-    only when it is read.
+    the rows of one permutation matrix), never wrapped in Elements.
     """
 
     algebra: AlgebraDescriptor
     eigenvalues: np.ndarray
     frame_coords: list[np.ndarray] | np.ndarray = field(repr=False)
-
-    @property
-    def frame(self) -> list[Element]:
-        return [Element(self.algebra, c) for c in self.frame_coords]
 
     def power(self, p: float) -> Element:
         """sum_j l_j^p c_j.
@@ -564,9 +541,6 @@ class SpectralDecomposition:
             )
         return Element(self.algebra, self.algebra.kernel.frame_power(
             self.eigenvalues, self.frame_coords, p))
-
-    def reconstruct(self) -> Element:
-        return self.power(1.0)
 
 
 def _require_same_algebra(x: Element, y: Element) -> None:

@@ -3,7 +3,8 @@
 Subcommands: metric, solve, bushell, check, gen.  Instance files carry an
 algebra header plus named elements and generator-word maps; every command
 echoes its invocation, the input hash, the tool version and the seed, so
-a report is reproducible bit-for-bit from the same inputs.
+a report is reproducible bit for bit from the same inputs on the same
+numpy and BLAS build.
 
 Exit codes: 0 success, 2 parse/validation error (NaN or infinite numbers
 included), 3 cone-membership failure, 4 non-convergence, 5 rejected

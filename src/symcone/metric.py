@@ -73,7 +73,9 @@ def upper_bound_oracle(x: Element, y: Element, tol: float) -> float:
     """M(x, y) = inf{lambda : lambda*y - x in the closed cone}, by bisection.
 
     Independent of the eigenvalue route: only the order predicate
-    "least eigenvalue of lambda*y - x >= 0" is consulted.
+    "least eigenvalue of lambda*y - x >= 0" is consulted.  The bisection
+    stops early once lo and hi are adjacent floats, where a tol below
+    their spacing could not be met.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -83,6 +85,8 @@ def upper_bound_oracle(x: Element, y: Element, tol: float) -> float:
     hi = algebra.tr(x) / algebra.lambda_min(y) + 1.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if algebra.lambda_min(mid * y - x) >= 0.0:
             hi = mid
         else:

@@ -1,9 +1,10 @@
 """Seeded randomness for sampling and instance generation.
 
 Every random draw in the package flows through :class:`SplitMix64`, a
-64-bit counter-based generator (splitmix64).  It is trivially portable, so
-any suite or generated instance is reproducible from the single integer
-seed alone, independent of numpy's generator versioning.
+64-bit counter-based generator (splitmix64) independent of numpy's
+generator versioning.  A suite or generated instance is reproducible bit
+for bit from its seed on the same numpy and BLAS build: ``rotation`` takes
+a LAPACK QR and ``unit_vector`` a BLAS norm, whose bits may differ on others.
 """
 
 from __future__ import annotations

@@ -79,14 +79,6 @@ def _fit_geometric_ratio(trace) -> float:
     return math.exp(sxy / sxx)
 
 
-def banach_iteration_bound(first_step: float, p: float, tol: float) -> int:
-    """A-priori iteration count for the stop rule, from the first step size."""
-    threshold = tol * (1.0 - 1.0 / abs(p))
-    if first_step <= threshold:
-        return 2
-    return math.ceil(math.log(first_step / threshold) / math.log(abs(p))) + 2
-
-
 def _rescale_to_solution(
     g: AutomorphismWord, u: Element, p: float
 ) -> tuple[Element, float]:
@@ -162,25 +154,6 @@ def solve(g: AutomorphismWord, cfg: SolveConfig) -> SolveReport:
         raise NonConvergence(
             f"iteration converged but the residual {res:.3e} exceeds "
             f"{1e2 * cfg.tol:.3e}",
-            report=report,
-        )
-    return report
-
-
-def solve_corollary(h: AutomorphismWord, cfg: SolveConfig) -> SolveReport:
-    """Unique a in the open cone with h(a^p) = a.
-
-    Delegates to solve() with g = h^{-1}; the reported residual is
-    measured against the corollary equation itself.
-    """
-    report = solve(h.inverse(), cfg)
-    a = report.solution
-    lhs = transforms.apply(h, algebra.power(a, cfg.p))
-    res = algebra.spectral_norm(lhs - a) / (1.0 + algebra.spectral_norm(a))
-    report = replace(report, residual=res, converged=res <= 1e2 * cfg.tol)
-    if not report.converged:
-        raise NonConvergence(
-            f"corollary residual {res:.3e} exceeds {1e2 * cfg.tol:.3e}",
             report=report,
         )
     return report

@@ -41,6 +41,38 @@ def mild_word(descriptor, rng, sigma=0.5):
     return random_word(descriptor, rng, lo=math.exp(-sigma), hi=math.exp(sigma))
 
 
+def banach_iteration_bound(first_step, p, tol):
+    """A-priori iteration count of the solver's stop rule, from its first step.
+
+    Each step is at most 1/|p| times the one before, so the rule
+    d_k <= tol * (1 - 1/|p|) holds once |p|^k reaches first_step over that
+    threshold.
+    """
+    threshold = tol * (1.0 - 1.0 / abs(p))
+    if first_step <= threshold:
+        return 2
+    return math.ceil(math.log(first_step / threshold) / math.log(abs(p))) + 2
+
+
+def inverse_word(word):
+    """The word of the inverse map: each factor inverted, in reverse order.
+
+    A congruence factor is inverted by LAPACK, which serves as an oracle
+    here; the package itself has no inverse word.
+    """
+    inv = []
+    for f in reversed(word.factors):
+        if isinstance(f, sc.Scalar):
+            inv.append(sc.Scalar(1.0 / f.mu))
+        elif isinstance(f, sc.Quad):
+            inv.append(sc.Quad(sc.inverse(f.a)))
+        elif isinstance(f, sc.Congruence):
+            inv.append(sc.Congruence(np.linalg.inv(f.t)))
+        else:
+            inv.append(sc.Permutation(tuple(np.argsort(f.sigma))))
+    return sc.AutomorphismWord(word.algebra, tuple(inv))
+
+
 @pytest.fixture(params=["orthant", "sym", "spin"])
 def small_algebra(request):
     return {

@@ -1,5 +1,7 @@
 """The cyclic Jacobi eigensolver as it was before its rotation loop wrote
-each off-diagonal pair once, kept verbatim as a reference oracle.
+each off-diagonal pair once, kept as a reference oracle.  Its stopping
+threshold follows the production one (eps * ||A||_F, the norm scaled when
+its square over- or underflows); the rotation loop is verbatim.
 
 The production ``algebra._jacobi`` must reproduce its diagonal and
 eigenvectors byte for byte on every exactly symmetric input.
@@ -12,6 +14,7 @@ import numpy as np
 from symcone.errors import EigensolverFailure
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 def _jacobi(matrix: np.ndarray, accumulate: bool):
@@ -26,11 +29,12 @@ def _jacobi(matrix: np.ndarray, accumulate: bool):
     r = matrix.shape[0]
     a = [[float(matrix[i, j]) for j in range(r)] for i in range(r)]
     frobenius_sq = sum(x * x for row in a for x in row)
-    if math.isfinite(frobenius_sq):
+    if _TINY <= frobenius_sq < math.inf:
         frobenius = math.sqrt(frobenius_sq)
     elif all(math.isfinite(x) for row in a for x in row):
-        # Finite entries whose squares overflow: scale by the largest one.
-        scale = max(abs(x) for row in a for x in row)
+        # Finite entries whose squares overflow or underflow: scale by the
+        # largest one (1 on a zero matrix).
+        scale = max(abs(x) for row in a for x in row) or 1.0
         frobenius = scale * math.sqrt(sum((x / scale) ** 2 for row in a for x in row))
     else:
         raise EigensolverFailure(
@@ -38,7 +42,7 @@ def _jacobi(matrix: np.ndarray, accumulate: bool):
             f"infinite entries"
         )
     v = [[1.0 if i == j else 0.0 for j in range(r)] for i in range(r)] if accumulate else None
-    thresh = _EPS * max(1.0, frobenius)
+    thresh = _EPS * frobenius
     max_sweeps = 30 * r * r
     for _ in range(max_sweeps):
         rotated = False

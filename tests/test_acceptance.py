@@ -15,7 +15,7 @@ from symcone import suites
 from symcone.rng import SplitMix64
 from symcone.transforms import random_cone_element
 
-from conftest import ACCEPTANCE_ALGEBRAS, el, mild_word
+from conftest import ACCEPTANCE_ALGEBRAS, banach_iteration_bound, el, mild_word
 
 SOLVE_PS = (-3.0, -2.0, 1.5, 2.0, 3.0)
 
@@ -161,7 +161,7 @@ def test_criterion_6_main_theorem(theorem_runs):
         ok = ok and rep.residual <= 1e-10 and rep2.residual <= 1e-10
         worst_res = max(worst_res, rep.residual, rep2.residual)
         if rep.distance_trace:
-            bound = sc.banach_iteration_bound(rep.distance_trace[0], p, cfg.tol)
+            bound = banach_iteration_bound(rep.distance_trace[0], p, cfg.tol)
             ok = ok and rep.iterations <= bound + 2
         gap = sc.spectral_norm(rep.solution - rep2.solution) / (
             1 + sc.spectral_norm(rep.solution))

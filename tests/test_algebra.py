@@ -25,9 +25,10 @@ P3 = sc.spin_factor(3)
 # ---------------------------------------------------------------------------
 
 def test_descriptor_basics():
-    assert sc.orthant(4).rank == 4 and sc.orthant(4).dim == 4
-    assert sc.sym_matrix(3).rank == 3 and sc.sym_matrix(3).dim == 6
-    assert sc.spin_factor(7).rank == 2 and sc.spin_factor(7).dim == 7
+    # The rank is the number of eigenvalues.
+    assert len(sc.eigenvalues(sc.orthant(4).identity())) == 4
+    assert len(sc.eigenvalues(sc.sym_matrix(3).identity())) == 3
+    assert len(sc.eigenvalues(sc.spin_factor(7).identity())) == 2
     assert np.array_equal(sc.orthant(3).identity().coords, [1, 1, 1])
     assert np.array_equal(sc.sym_matrix(2).identity().coords, np.eye(2))
     assert np.array_equal(sc.spin_factor(3).identity().coords, [1, 0, 0])
@@ -175,48 +176,49 @@ def test_quad_fundamental_formula(small_algebra):
 def test_spectral_orthant_order():
     dec = sc.spectral_decompose(el(sc.orthant(3), [3, 1, 2]))
     np.testing.assert_allclose(dec.eigenvalues, [3, 2, 1], atol=0)
-    np.testing.assert_allclose(dec.frame[0].coords, [1, 0, 0], atol=0)
-    np.testing.assert_allclose(dec.frame[1].coords, [0, 0, 1], atol=0)
-    np.testing.assert_allclose(dec.frame[2].coords, [0, 1, 0], atol=0)
+    np.testing.assert_allclose(dec.frame_coords[0], [1, 0, 0], atol=0)
+    np.testing.assert_allclose(dec.frame_coords[1], [0, 0, 1], atol=0)
+    np.testing.assert_allclose(dec.frame_coords[2], [0, 1, 0], atol=0)
 
 
 def test_spectral_spin_closed_form():
     dec = sc.spectral_decompose(el(P3, [2, 1, 0]))
     np.testing.assert_allclose(dec.eigenvalues, [3, 1], atol=1e-15)
-    np.testing.assert_allclose(dec.frame[0].coords, [0.5, 0.5, 0], atol=1e-15)
-    np.testing.assert_allclose(dec.frame[1].coords, [0.5, -0.5, 0], atol=1e-15)
+    np.testing.assert_allclose(dec.frame_coords[0], [0.5, 0.5, 0], atol=1e-15)
+    np.testing.assert_allclose(dec.frame_coords[1], [0.5, -0.5, 0], atol=1e-15)
 
 
 def test_spectral_spin_degenerate_tiebreak():
     dec = sc.spectral_decompose(el(P3, [2, 0, 0]))
     np.testing.assert_allclose(dec.eigenvalues, [2, 2], atol=0)
-    np.testing.assert_allclose(dec.frame[0].coords, [0.5, 0.5, 0], atol=0)
-    np.testing.assert_allclose(dec.frame[1].coords, [0.5, -0.5, 0], atol=0)
+    np.testing.assert_allclose(dec.frame_coords[0], [0.5, 0.5, 0], atol=0)
+    np.testing.assert_allclose(dec.frame_coords[1], [0.5, -0.5, 0], atol=0)
 
 
 def test_spectral_sym_hand_case():
     dec = sc.spectral_decompose(el(S2, [[2, 1], [1, 2]]))
     np.testing.assert_allclose(dec.eigenvalues, [3, 1], atol=1e-14)
     proj = np.full((2, 2), 0.5)
-    np.testing.assert_allclose(dec.frame[0].coords, proj, atol=1e-14)
-    np.testing.assert_allclose(dec.frame[1].coords, [[0.5, -0.5], [-0.5, 0.5]],
+    np.testing.assert_allclose(dec.frame_coords[0], proj, atol=1e-14)
+    np.testing.assert_allclose(dec.frame_coords[1], [[0.5, -0.5], [-0.5, 0.5]],
                                atol=1e-14)
 
 
 def _check_decomposition(x, tol=1e-10):
     dec = sc.spectral_decompose(x)
     alg = x.algebra
-    assert len(dec.frame) == alg.rank
+    frame = [sc.Element(alg, c) for c in dec.frame_coords]
+    assert len(frame) == len(sc.eigenvalues(alg.identity()))
     assert np.all(np.diff(dec.eigenvalues) <= 1e-15)
-    total = alg.zero()
-    for i, c in enumerate(dec.frame):
+    total = sc.Element(alg, np.zeros(alg.coord_shape))
+    for i, c in enumerate(frame):
         assert sc.spectral_norm(sc.product(c, c) - c) <= tol
         assert abs(sc.tr(c) - 1.0) <= tol
-        for d in dec.frame[i + 1:]:
+        for d in frame[i + 1:]:
             assert sc.spectral_norm(sc.product(c, d)) <= tol
         total = total + c
     assert sc.spectral_norm(total - alg.identity()) <= tol
-    err = sc.spectral_norm(dec.reconstruct() - x)
+    err = sc.spectral_norm(dec.power(1.0) - x)
     assert err <= tol * (1 + sc.spectral_norm(x))
 
 
@@ -243,8 +245,8 @@ def test_decomposition_deterministic():
     # A fresh element with the same coordinates holds no stored eigenvalues.
     d2 = sc.spectral_decompose(sc.Element(x.algebra, x.coords))
     assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
-    for c1, c2 in zip(d1.frame, d2.frame):
-        assert np.array_equal(c1.coords, c2.coords)
+    for c1, c2 in zip(d1.frame_coords, d2.frame_coords):
+        assert np.array_equal(c1, c2)
 
 
 def test_jacobi_scales_an_overflowing_norm():
@@ -255,6 +257,44 @@ def test_jacobi_scales_an_overflowing_norm():
     m[2, 2] = math.nan
     with pytest.raises(EigensolverFailure, match="finite"):
         _jacobi(m, accumulate=False)
+
+
+def test_jacobi_scales_an_underflowing_norm():
+    # The squared Frobenius sum underflows to zero, the entries do not.
+    x = el(S2, [[1e-170, 1e-170], [1e-170, 1e-170]])
+    assert sc.eigenvalues(x).tolist() == [2e-170, 0.0]
+    assert sc.eigenvalues(el(S2, np.zeros((2, 2)))).tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("k", [-1000, -900, 900, 1000])
+def test_jacobi_rotates_a_power_of_two_multiple_alike(k):
+    # Scaling by 2^k is exact, and so is each rotation of the scaled matrix
+    # while its entries stay normal; the threshold scales with it too where
+    # the squared norm underflows or overflows.
+    rng = SplitMix64(29)
+    c = 2.0 ** k
+    for r in (2, 3, 6, 12):
+        m = rng.normal_matrix(r, r)
+        for x in (random_cone_element(sc.sym_matrix(r), rng).coords, (m + m.T) / 2.0):
+            diag, vecs = _jacobi(x, accumulate=True)
+            scaled_diag, scaled_vecs = _jacobi(c * x, accumulate=True)
+            assert scaled_diag.tobytes() == (c * diag).tobytes()
+            assert scaled_vecs.tobytes() == vecs.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-17, 1e17, 1e300])
+def test_in_cone_at_extreme_scales(scale):
+    # Eigenvalues 2.1 and -0.1: indefinite at every scale.
+    assert not sc.in_cone(scale * el(S2, [[1.0, 1.1], [1.1, 1.0]]))
+    rng = SplitMix64(27)
+    s6 = sc.sym_matrix(6)
+    for _ in range(5):
+        x = random_cone_element(s6, rng)
+        assert sc.in_cone(scale * x)
+        # Least eigenvalue -0.01 * lambda_min(x), on a positive diagonal.
+        shifted = x - 1.01 * sc.lambda_min(x) * s6.identity()
+        assert np.all(np.diag(shifted.coords) > 0.0)
+        assert not sc.in_cone(scale * shifted)
 
 
 def test_eigensolver_failure_on_nan():
@@ -547,7 +587,7 @@ def test_edge_ranks():
     x = el(p2, [3.0, 1.0])
     dec = sc.spectral_decompose(x)
     np.testing.assert_allclose(dec.eigenvalues, [4, 2], atol=0)
-    assert sc.spectral_norm(dec.reconstruct() - x) <= 1e-14
+    assert sc.spectral_norm(dec.power(1.0) - x) <= 1e-14
     np.testing.assert_allclose(sc.inverse(x).coords, [3 / 8, -1 / 8],
                                atol=1e-15)
     s1 = sc.sym_matrix(1)
@@ -621,6 +661,19 @@ def test_jacobi_bits_match_the_reference_loop():
                     assert vecs.tobytes() == ref_vecs.tobytes()
                 else:
                     assert vecs is None and ref_vecs is None
+
+
+def test_jacobi_bits_match_the_reference_loop_at_extreme_scales():
+    rng = SplitMix64(19)
+    for r in (2, 6):
+        for m in _jacobi_inputs(r, rng):
+            for scale in (1e-300, 1e-170, 1e-17, 1e17):
+                for accumulate in (False, True):
+                    diag, vecs = _jacobi(scale * m, accumulate)
+                    ref_diag, ref_vecs = reference_jacobi(scale * m, accumulate)
+                    assert diag.tobytes() == ref_diag.tobytes()
+                    if accumulate:
+                        assert vecs.tobytes() == ref_vecs.tobytes()
 
 
 def test_sym_ingestion_keeps_symmetric_bits():

@@ -223,6 +223,13 @@ def test_upper_bound_oracle_examples():
         sc.upper_bound_oracle(x, y, 0.0)
 
 
+def test_upper_bound_oracle_stops_at_adjacent_floats():
+    # tol is below the float spacing at lambda_max = 100, so hi - lo can
+    # never reach it: the bisection ends when lo and hi are adjacent.
+    got = sc.upper_bound_oracle(el(O2, [100, 1]), O2.identity(), 1e-15)
+    assert abs(got - 100.0) <= np.spacing(100.0)
+
+
 def test_upper_bound_oracle_agrees_with_extremes(small_algebra):
     rng = SplitMix64(8)
     for _ in range(25):
@@ -357,6 +364,20 @@ def test_projectivity(small_algebra):
         for alpha in (0.1, 1.0, 10.0):
             for beta in (0.1, 1.0, 10.0):
                 assert abs(sc.distance(alpha * x, beta * y).distance - d) <= 1e-10
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-17, 1e17, 1e300])
+@pytest.mark.parametrize("descriptor", [sc.sym_matrix(2), sc.sym_matrix(6)],
+                         ids=["sym2", "sym6"])
+def test_sym_distance_is_projective_at_extreme_scales(descriptor, scale):
+    # The relative spectrum of scale * x is that of x times scale, however
+    # far below or above norm 1 it lies.
+    rng = SplitMix64(21)
+    for _ in range(10):
+        x = random_cone_element(descriptor, rng)
+        y = random_cone_element(descriptor, rng)
+        d = sc.distance(x, y).distance
+        assert abs(sc.distance(scale * x, y).distance - d) <= 1e-12 * d
 
 
 def test_definiteness_on_rays(small_algebra):
