@@ -18,11 +18,12 @@ Everything that depends on the family lives in one small kernel per
 family (a ``_Kernel`` of functions), reached through
 ``AlgebraDescriptor.kernel``.  A kernel works on raw coordinate arrays.
 The public functions check their arguments, call the kernel and wrap the
-result; the cone test and the spectral reductions (least eigenvalue,
-spectral norm) are written once on top of them.  P(x)y has a closed form
-in each kernel (x y x on sym, 2<x, y> x - det(x) y* on spin), and the
-spectrum of P(y^{-1/2})x is computed by each kernel in its own way and
-read directly by ``metric``.
+result.  A kernel returns the Jordan frame of x = sum_j l_j c_j as one
+array, row j the coords of c_j; x^p (one reduction over the rows), det,
+the cone test and the spectral norm are written once on top of it.  P(x)y
+has a closed form in each kernel (x y x on sym, 2<x, y> x - det(x) y* on
+spin), and the spectrum of P(y^{-1/2})x is computed by each kernel in its
+own way and read directly by ``metric``.
 
 Each element computes its spectrum at most once.  The first call of
 ``eigenvalues``, ``lambda_min``, ``spectral_norm``, ``det`` or
@@ -145,17 +146,13 @@ class _Kernel(NamedTuple):
     min_param: int
     # Generator types a word may contain, in the order random_word draws them.
     generators: tuple[str, ...]
-    coord_shape: Callable  # param -> shape of the coordinate array
     identity: Callable  # param -> coords of the unit element
     ingest: Callable  # coords -> validated private copy
     product: Callable
     quad: Callable  # (a, x) -> P(a)x
     trace_inner: Callable
-    decompose: Callable  # coords -> (eigenvalues descending, frame coords)
-    # (eigenvalues, frame coords, p) -> sum_j l_j^p c_j
-    frame_power: Callable
+    decompose: Callable  # coords -> (eigenvalues descending, frame array)
     eigenvalues: Callable  # coords -> eigenvalues descending
-    det: Callable  # (coords, eigenvalues descending) -> product of eigenvalues
     tr: Callable
     # (x, y) -> eigenvalues of P(y^{-1/2})x descending, or None when y is
     # not in the open cone or an entry of x (on sym also of y) is not
@@ -171,12 +168,11 @@ def _descending_order(values):
     return np.argsort(-values, kind="stable")
 
 
-def _frame_power(eigenvalues, frame_coords, p):
-    """sum_j l_j^p c_j on raw coordinates."""
-    coords = np.zeros(frame_coords[0].shape)
-    for lam, c in zip(np.power(eigenvalues, p), frame_coords):
-        coords += lam * c
-    return coords
+def _power_sum(eigenvalues, frame, p):
+    """sum_j l_j^p c_j, the frame's rows added in order to +0.0 (signed
+    zeros and all, as a loop over the rows would)."""
+    weights = np.power(eigenvalues, p).reshape((-1,) + (1,) * (frame.ndim - 1))
+    return (weights * frame).sum(axis=0, initial=0.0)
 
 
 def _orthant_relative_eigenvalues(x, y):
@@ -191,25 +187,16 @@ def _orthant_decompose(x):
     return x[order], np.eye(x.shape[0])[order]
 
 
-def _orthant_frame_power(eigenvalues, frame, p):
-    # Each coordinate has one nonzero term, so the sum is exact in any
-    # order; starting from +0.0 gives _frame_power's bits, signed zeros too.
-    return (np.power(eigenvalues, p)[:, None] * frame).sum(axis=0, initial=0.0)
-
-
 _ORTHANT_KERNEL = _Kernel(
     min_param=1,
     generators=("scalar", "quad", "permutation"),
-    coord_shape=lambda n: (n,),
     identity=np.ones,
     ingest=lambda x: x.copy(),
     product=lambda x, y: x * y,
     quad=lambda a, x: a * a * x,
     trace_inner=lambda x, y: float(np.dot(x, y)),
     decompose=_orthant_decompose,
-    frame_power=_orthant_frame_power,
     eigenvalues=lambda x: x[_descending_order(x)],
-    det=lambda x, eigs: float(np.prod(x)),
     tr=lambda x: float(np.sum(x)),
     relative_eigenvalues=_orthant_relative_eigenvalues,
     random_point=lambda n, rng, lo, hi: np.array(
@@ -240,7 +227,8 @@ def _sym_quad(a, x):
 def _sym_decompose(x):
     diag, vmat = _jacobi(x, accumulate=True)
     order = _descending_order(diag)
-    return diag[order], [np.outer(vmat[:, j], vmat[:, j]) for j in order]
+    cols = vmat.T[order]  # the eigenvector columns, descending
+    return diag[order], cols[:, :, None] * cols[:, None, :]
 
 
 def _sym_eigenvalues(x):
@@ -309,16 +297,13 @@ def _sym_rayleigh_ratios(x, y, samples, rng):
 _SYM_KERNEL = _Kernel(
     min_param=1,
     generators=("scalar", "quad", "congruence"),
-    coord_shape=lambda r: (r, r),
     identity=np.eye,
     ingest=_sym_ingest,
     product=lambda x, y: (x @ y + y @ x) / 2.0,
     quad=_sym_quad,
     trace_inner=lambda x, y: float(np.sum(x * y)),
     decompose=_sym_decompose,
-    frame_power=_frame_power,
     eigenvalues=_sym_eigenvalues,
-    det=lambda x, eigs: float(np.prod(eigs)),
     tr=lambda x: float(np.trace(x)),
     relative_eigenvalues=_sym_relative_eigenvalues,
     random_point=_sym_random_point,
@@ -345,7 +330,8 @@ def _spin_quad(a, x):
     plain dot product.
     """
     out = 2.0 * float(np.dot(a, x)) * a
-    det_a = _spin_det(a, None)
+    lam1, lam2 = _spin_eigenvalues(a).tolist()
+    det_a = lam1 * lam2
     out[0] -= det_a * x[0]
     out[1:] += det_a * x[1:]
     return out
@@ -353,26 +339,17 @@ def _spin_quad(a, x):
 
 def _spin_decompose(x):
     x0 = float(x[0])
-    xbar = x[1:]
-    nrm = float(np.linalg.norm(xbar))
-    if nrm == 0.0:
-        u = np.zeros(xbar.shape[0])
-        u[0] = 1.0
-    else:
-        u = xbar / nrm
-    frame = [np.concatenate(([0.5], 0.5 * u)), np.concatenate(([0.5], -0.5 * u))]
+    nrm = math.hypot(*x[1:].tolist())
+    u = x[1:] / nrm if nrm != 0.0 else np.eye(x.shape[0] - 1)[0]
+    frame = 0.5 * np.array([np.concatenate(([1.0], u)), np.concatenate(([1.0], -u))])
     return np.array([x0 + nrm, x0 - nrm]), frame
 
 
 def _spin_eigenvalues(x):
     x0 = float(x[0])
-    nrm = float(np.linalg.norm(x[1:]))
+    # hypot scales its arguments: no sum of squares to over- or underflow.
+    nrm = math.hypot(*x[1:].tolist())
     return np.array([x0 + nrm, x0 - nrm])
-
-
-def _spin_det(x, eigs):
-    x0 = float(x[0])
-    return x0 * x0 - float(np.dot(x[1:], x[1:]))
 
 
 def _spin_relative_eigenvalues(x, y):
@@ -382,7 +359,7 @@ def _spin_relative_eigenvalues(x, y):
     # match theirs.
     if not (_spin_eigenvalues(y)[-1] > 0.0 and np.isfinite(x).all()):
         return None
-    a = _frame_power(*_spin_decompose(y), -0.5)
+    a = _power_sum(*_spin_decompose(y), -0.5)
     return _spin_eigenvalues(_spin_quad(a, x))
 
 
@@ -406,16 +383,13 @@ def _spin_rayleigh_ratios(x, y, samples, rng):
 _SPIN_KERNEL = _Kernel(
     min_param=2,
     generators=("scalar", "quad"),
-    coord_shape=lambda n: (n,),
     identity=_spin_identity,
     ingest=lambda x: x.copy(),
     product=_spin_product,
     quad=_spin_quad,
     trace_inner=lambda x, y: 2.0 * float(np.dot(x, y)),
     decompose=_spin_decompose,
-    frame_power=_frame_power,
     eigenvalues=_spin_eigenvalues,
-    det=_spin_det,
     tr=lambda x: 2.0 * float(x[0]),
     relative_eigenvalues=_spin_relative_eigenvalues,
     random_point=_spin_random_point,
@@ -437,6 +411,8 @@ class AlgebraDescriptor:
     param: int
     # The family's kernel, looked up once: every operation goes through it.
     kernel: _Kernel = field(init=False, repr=False, compare=False)
+    # The shape of the unit element's coords, computed once.
+    coord_shape: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in _KERNELS:
@@ -446,14 +422,11 @@ class AlgebraDescriptor:
             raise ValueError(f"{self.kind} param must be an integer >= {kernel.min_param}")
         object.__setattr__(self, "param", int(self.param))
         object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "coord_shape", kernel.identity(self.param).shape)
 
     def __reduce__(self):
         # Kernels hold lambdas, which do not pickle; rebuild from the fields.
         return AlgebraDescriptor, (self.kind, self.param)
-
-    @property
-    def coord_shape(self) -> tuple[int, ...]:
-        return self.kernel.coord_shape(self.param)
 
     def identity(self) -> Element:
         return Element(self, self.kernel.identity(self.param))
@@ -482,14 +455,13 @@ class Element:
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        kernel = self.algebra.kernel
         coords = np.asarray(self.coords, dtype=float)
-        if coords.shape != kernel.coord_shape(self.algebra.param):
+        if coords.shape != self.algebra.coord_shape:
             raise ValueError(
                 f"coords shape {coords.shape} does not match "
                 f"{self.algebra.kind}({self.algebra.param})"
             )
-        coords = kernel.ingest(coords)
+        coords = self.algebra.kernel.ingest(coords)
         coords.flags.writeable = False
         object.__setattr__(self, "coords", coords)
 
@@ -520,13 +492,14 @@ def _is_nonneg_integer(p: float) -> bool:
 class SpectralDecomposition:
     """Eigenvalues (descending) with a Jordan frame realizing x = sum l_j c_j.
 
-    The frame is held as the kernel's raw coordinate arrays (on the orthant
-    the rows of one permutation matrix), never wrapped in Elements.
+    The frame is one array of shape (rank, *coord_shape) on every family:
+    row j holds the raw coordinates of c_j (on the orthant the rows of a
+    permutation matrix), never wrapped in an Element.
     """
 
     algebra: AlgebraDescriptor
     eigenvalues: np.ndarray
-    frame_coords: list[np.ndarray] | np.ndarray = field(repr=False)
+    frame_coords: np.ndarray = field(repr=False)
 
     def power(self, p: float) -> Element:
         """sum_j l_j^p c_j.
@@ -539,8 +512,7 @@ class SpectralDecomposition:
                 f"x^({p:g}) needs x in the open cone; least eigenvalue is "
                 f"{self.eigenvalues[-1]:.6g}"
             )
-        return Element(self.algebra, self.algebra.kernel.frame_power(
-            self.eigenvalues, self.frame_coords, p))
+        return Element(self.algebra, _power_sum(self.eigenvalues, self.frame_coords, p))
 
 
 def _require_same_algebra(x: Element, y: Element) -> None:
@@ -633,7 +605,7 @@ def inverse(x: Element) -> Element:
 
 def det(x: Element) -> float:
     """Product of eigenvalues."""
-    return x.algebra.kernel.det(x.coords, eigenvalues(x))
+    return float(np.prod(eigenvalues(x)))
 
 
 def tr(x: Element) -> float:

@@ -101,10 +101,6 @@ def generator_from_json(descriptor: AlgebraDescriptor, obj, where: str):
             return transforms.Congruence(t)
         if gtype == "permutation":
             return transforms.Permutation(tuple(int(i) for i in payload))
-    except InvalidGenerator:
-        raise
-    except ParseError:
-        raise
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{where}: bad payload ({exc})") from exc
     raise ParseError(f"{where}: unknown generator type {gtype!r}")

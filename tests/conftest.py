@@ -30,6 +30,14 @@ def three_product_quad(a, x):
     return 2.0 * sc.product(a, sc.product(a, x)) - sc.product(sc.product(a, a), x)
 
 
+def frame_loop_power(eigenvalues, frame, p):
+    """Reference sum_j l_j^p c_j: an ordered loop over the frame's rows."""
+    coords = np.zeros(frame[0].shape)
+    for lam, c in zip(np.power(eigenvalues, p), frame):
+        coords += lam * c
+    return coords
+
+
 def mild_word(descriptor, rng, sigma=0.5):
     """Random word with conditioning bounded for fixed-point instances.
 

@@ -7,12 +7,12 @@ import pytest
 
 import symcone as sc
 from symcone import algebra
-from symcone.algebra import _frame_power, _jacobi
+from symcone.algebra import _jacobi
 from symcone.errors import AlgebraMismatch, EigensolverFailure, NotInCone
 from symcone.rng import SplitMix64
 from symcone.transforms import random_cone_element, random_word
 
-from conftest import count_jacobi, el, mild_word, three_product_quad
+from conftest import count_jacobi, el, frame_loop_power, mild_word, three_product_quad
 from jacobi_reference import _jacobi as reference_jacobi
 
 O2 = sc.orthant(2)
@@ -282,7 +282,7 @@ def test_jacobi_rotates_a_power_of_two_multiple_alike(k):
             assert scaled_vecs.tobytes() == vecs.tobytes()
 
 
-@pytest.mark.parametrize("scale", [1e-300, 1e-17, 1e17, 1e300])
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e-17, 1e17, 1e170, 1e300])
 def test_in_cone_at_extreme_scales(scale):
     # Eigenvalues 2.1 and -0.1: indefinite at every scale.
     assert not sc.in_cone(scale * el(S2, [[1.0, 1.1], [1.1, 1.0]]))
@@ -295,6 +295,8 @@ def test_in_cone_at_extreme_scales(scale):
         shifted = x - 1.01 * sc.lambda_min(x) * s6.identity()
         assert np.all(np.diag(shifted.coords) > 0.0)
         assert not sc.in_cone(scale * shifted)
+    for n in (3, 10):
+        assert sc.in_cone(scale * random_cone_element(sc.spin_factor(n), rng))
 
 
 def test_eigensolver_failure_on_nan():
@@ -448,8 +450,10 @@ def test_power_roundtrip(small_algebra):
 
 
 def test_orthant_power_keeps_the_frame_loop_bits():
-    # The reduction over the permutation rows against the ordered loop over
-    # the same frame, on cone points and on finite points outside the cone.
+    # The reduction over the frame's rows against the ordered loop over the
+    # same frame, on every family: on cone points, on finite points outside
+    # the cone and on signed zeros.  Ranks above 8 would show a pairwise
+    # reordering of the sum.
     o6 = sc.orthant(6)
     rng = SplitMix64(43)
     points = [random_cone_element(o6, rng) for _ in range(40)]
@@ -457,9 +461,25 @@ def test_orthant_power_keeps_the_frame_loop_bits():
     outside = (el(o6, [-2.0, 0.0, 3.0, -0.0, 1.5, -1.0]),
                el(o6, [-0.0, -1.0, -0.0, -2.0, -3.0, -0.5]))
     cases += [(x, p) for x in outside for p in (2.0, 3.0)]
+    for r in (2, 6, 12):
+        s = sc.sym_matrix(r)
+        points = [random_cone_element(s, rng) for _ in range(8)]
+        cases += [(x, p) for x in points for p in (-3.0, -0.5, 2.0 / 3.0, 2.0, 0.3)]
+        m = rng.normal_matrix(r, r)
+        zeros = np.full((r, r), -0.0)
+        np.fill_diagonal(zeros, np.resize([-0.0, 2.0, 0.0, -1.0], r))
+        outside = (el(s, (m + m.T) / 2.0), el(s, zeros))
+        cases += [(x, p) for x in outside for p in (2.0, 3.0)]
+    for n in (3, 10):
+        q = sc.spin_factor(n)
+        points = [random_cone_element(q, rng) for _ in range(8)]
+        cases += [(x, p) for x in points for p in (-3.0, -0.5, 2.0 / 3.0, 2.0, 0.3)]
+        outside = (el(q, rng.normals(n)), el(q, np.resize([-0.0, 0.0, -0.0, 1.5], n)),
+                   el(q, np.resize([-0.0, 0.0], n)))
+        cases += [(x, p) for x in outside for p in (2.0, 3.0)]
     for x, p in cases:
-        eigs, frame = algebra._orthant_decompose(x.coords)
-        want = _frame_power(eigs, list(frame), p)
+        dec = sc.spectral_decompose(x)
+        want = frame_loop_power(dec.eigenvalues, dec.frame_coords, p)
         assert sc.power(x, p).coords.tobytes() == want.tobytes()
 
 

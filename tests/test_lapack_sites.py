@@ -28,9 +28,6 @@ ALLOWED = {
     ("algebra", "_sym_rayleigh_ratios", "@"): "Rayleigh quotients v^T x v of the sym oracle",
     ("algebra", "_spin_product", "np.dot"): "head <x, y> of the spin product",
     ("algebra", "_spin_quad", "np.dot"): "<a, x> of the closed-form spin P(a)x",
-    ("algebra", "_spin_decompose", "np.linalg.norm"): "norm of the spin vector part",
-    ("algebra", "_spin_eigenvalues", "np.linalg.norm"): "norm of the spin vector part",
-    ("algebra", "_spin_det", "np.dot"): "squared norm of the spin vector part",
     ("algebra", "_spin_rayleigh_ratios", "np.dot"): "<xbar, u> of the spin Rayleigh oracle",
     ("rng", "SplitMix64.unit_vector", "np.linalg.norm"): "norm of a normal draw",
     ("rng", "SplitMix64.rotation", "np.linalg.qr"): "random rotation from the QR of a normal matrix",

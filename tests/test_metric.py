@@ -366,18 +366,22 @@ def test_projectivity(small_algebra):
                 assert abs(sc.distance(alpha * x, beta * y).distance - d) <= 1e-10
 
 
-@pytest.mark.parametrize("scale", [1e-300, 1e-17, 1e17, 1e300])
-@pytest.mark.parametrize("descriptor", [sc.sym_matrix(2), sc.sym_matrix(6)],
-                         ids=["sym2", "sym6"])
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e-17, 1e17, 1e170, 1e300])
+@pytest.mark.parametrize(
+    "descriptor",
+    [sc.sym_matrix(2), sc.sym_matrix(6), sc.spin_factor(3), sc.spin_factor(10)],
+    ids=["sym2", "sym6", "spin3", "spin10"])
 def test_sym_distance_is_projective_at_extreme_scales(descriptor, scale):
-    # The relative spectrum of scale * x is that of x times scale, however
-    # far below or above norm 1 it lies.
+    # The relative spectrum of scale * x is that of x times scale, and that
+    # of x over scale * y is that of x over y divided by scale, however far
+    # below or above norm 1 they lie.
     rng = SplitMix64(21)
     for _ in range(10):
         x = random_cone_element(descriptor, rng)
         y = random_cone_element(descriptor, rng)
         d = sc.distance(x, y).distance
         assert abs(sc.distance(scale * x, y).distance - d) <= 1e-12 * d
+        assert abs(sc.distance(x, scale * y).distance - d) <= 1e-12 * d
 
 
 def test_definiteness_on_rays(small_algebra):
