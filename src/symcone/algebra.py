@@ -41,6 +41,7 @@ to call concurrently.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -165,7 +166,7 @@ class _Kernel(NamedTuple):
 
 def _descending_order(values):
     """Indices sorting values descending, ties in index order and NaN last."""
-    return np.argsort(-values, kind="stable")
+    return (-values).argsort(kind="stable")
 
 
 def _power_sum(eigenvalues, frame, p):
@@ -182,9 +183,17 @@ def _orthant_relative_eigenvalues(x, y):
     return ratios[_descending_order(ratios)]
 
 
+@functools.lru_cache(maxsize=8)
+def _unit_rows(n):
+    """The rows of the n x n identity, read-only: the orthant's Jordan frame."""
+    rows = np.eye(n)
+    rows.flags.writeable = False
+    return rows
+
+
 def _orthant_decompose(x):
     order = _descending_order(x)
-    return x[order], np.eye(x.shape[0])[order]
+    return x[order], _unit_rows(x.shape[0])[order]
 
 
 _ORTHANT_KERNEL = _Kernel(
@@ -341,7 +350,9 @@ def _spin_decompose(x):
     x0 = float(x[0])
     nrm = math.hypot(*x[1:].tolist())
     u = x[1:] / nrm if nrm != 0.0 else np.eye(x.shape[0] - 1)[0]
-    frame = 0.5 * np.array([np.concatenate(([1.0], u)), np.concatenate(([1.0], -u))])
+    frame = np.empty((2, x.shape[0]))
+    frame[:, 0], frame[0, 1:], frame[1, 1:] = 1.0, u, -u
+    frame *= 0.5
     return np.array([x0 + nrm, x0 - nrm]), frame
 
 
@@ -488,6 +499,16 @@ def _is_nonneg_integer(p: float) -> bool:
     return p >= 0 and float(p).is_integer()
 
 
+def _require_power_domain(eigenvalues: np.ndarray, p: float) -> None:
+    """NotInCone unless x^p is defined on these descending eigenvalues: any
+    for non-negative integer p (polynomial calculus), else positive ones."""
+    if not _is_nonneg_integer(p) and eigenvalues[-1] <= 0.0:
+        raise NotInCone(
+            f"x^({p:g}) needs x in the open cone; least eigenvalue is "
+            f"{eigenvalues[-1]:.6g}"
+        )
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues (descending) with a Jordan frame realizing x = sum l_j c_j.
@@ -502,16 +523,8 @@ class SpectralDecomposition:
     frame_coords: np.ndarray = field(repr=False)
 
     def power(self, p: float) -> Element:
-        """sum_j l_j^p c_j.
-
-        Any eigenvalues are accepted for non-negative integer p (polynomial
-        calculus); otherwise they must be positive.
-        """
-        if not _is_nonneg_integer(p) and self.eigenvalues[-1] <= 0.0:
-            raise NotInCone(
-                f"x^({p:g}) needs x in the open cone; least eigenvalue is "
-                f"{self.eigenvalues[-1]:.6g}"
-            )
+        """sum_j l_j^p c_j, where _require_power_domain allows it."""
+        _require_power_domain(self.eigenvalues, p)
         return Element(self.algebra, _power_sum(self.eigenvalues, self.frame_coords, p))
 
 

@@ -7,9 +7,16 @@ it by |1/p| (for p < -1 the power factors through the inversion isometry,
 so the factor is the same), F is a contraction with ratio 1/|p| and has a
 unique fixed direction u.  The solution is recovered as a = beta * u with
 the closed-form scale beta = (|g(u)| / |u^p|)^(1/(p-1)), which solves
-g(beta u) = (beta u)^p on the ray because g is linear.  The residual of a
-is always computed and reported; one above 100 * tol raises
-NonConvergence.
+g(beta u) = (beta u)^p on the ray because g is linear.  A beta that
+over- or underflows (|u^p| is not finite for a huge p) raises
+NonConvergence, as does a residual of a above 100 * tol; the residual is
+always computed and reported.
+
+The loop runs on raw coordinate arrays through the family's kernel, with
+the bits of the same loop on Elements: each factor's output is ingested as
+an Element's coords would be.  Elements are built for the initial point,
+the fixed direction u and the solution, and to name an iterate that
+leaves the cone.
 
 Stopping rule: the a-posteriori Banach bound with q = 1/|p| - iteration
 halts once d(x_k, x_{k+1}) <= tol * (1 - q), which puts the fixed
@@ -27,6 +34,10 @@ from . import algebra, metric, transforms
 from .algebra import Element
 from .errors import AlgebraMismatch, NonConvergence, NotInCone, SingularMatrix
 from .transforms import AutomorphismWord, Congruence
+
+
+# The largest k with 2^k below the float overflow.
+_MAX_BUSHELL_K = 1023
 
 
 @dataclass(frozen=True)
@@ -89,7 +100,17 @@ def _rescale_to_solution(
     """
     dec = algebra.spectral_decompose(u)
     gu_norm = algebra.spectral_norm(transforms.apply(g, u))
-    beta = (gu_norm / _power_norm(dec.eigenvalues, p)) ** (1.0 / (p - 1.0))
+    with np.errstate(over="ignore"):  # an infinite |u^p| is refused below
+        up_norm = _power_norm(dec.eigenvalues, p)
+    try:
+        beta = (gu_norm / up_norm) ** (1.0 / (p - 1.0))
+    except (OverflowError, ZeroDivisionError):
+        beta = math.nan
+    if not 0.0 < beta < math.inf:
+        raise NonConvergence(
+            f"the scale of the solution, (|g(u)| / |u^p|)^(1/(p-1)) with "
+            f"|g(u)| = {gu_norm:.3e} and |u^p| = {up_norm:.3e}, over- or "
+            f"underflows at p = {p:g}")
     a = beta * u
     a_dec = replace(dec, eigenvalues=beta * dec.eigenvalues)
     target = a_dec.power(p)
@@ -111,7 +132,8 @@ def solve(g: AutomorphismWord, cfg: SolveConfig) -> SolveReport:
         raise AlgebraMismatch("initial point lives in a different algebra")
     if not algebra.in_cone(x):
         raise NotInCone("initial point is not in the open cone")
-    x = algebra.normalize(x)
+    kernel = g.algebra.kernel
+    x = algebra.normalize(x).coords
     threshold = cfg.tol * (1.0 - 1.0 / abs(p))
     trace: list[float] = []
     converged = False
@@ -119,23 +141,28 @@ def solve(g: AutomorphismWord, cfg: SolveConfig) -> SolveReport:
         # For p < -1 the exponent 1/p is negative: the step is the inversion
         # isometry composed with the |1/p| power, so the contraction factor
         # is 1/|p| in both regimes.
-        dec = algebra.spectral_decompose(transforms.apply(g, x))
+        eigs, frame = kernel.decompose(transforms._apply_coords(g, x))
         try:
-            root = dec.power(1.0 / p)
+            algebra._require_power_domain(eigs, 1.0 / p)
         except NotInCone as exc:
             raise NotInCone(
                 "an iterate left the open cone: the supplied map does not "
                 "preserve it") from exc
         # The eigenvalues of g(x)^{1/p} are l_j^{1/p}, all positive, so its
-        # spectral norm needs no eigensolve of root.
-        x_next = root * (1.0 / _power_norm(dec.eigenvalues, 1.0 / p))
-        step = metric.distance(x, x_next).distance
+        # spectral norm needs no eigensolve.
+        x_next = algebra._power_sum(eigs, frame, 1.0 / p) * (
+            1.0 / _power_norm(eigs, 1.0 / p))
+        rel = kernel.relative_eigenvalues(x, x_next)
+        if rel is None or not rel[-1] > 0.0:
+            # Raises the NotInCone that names the iterate at fault.
+            metric.lambda_extremes(Element(g.algebra, x), Element(g.algebra, x_next))
+        step = math.log(float(rel[0]) / float(rel[-1]))
         trace.append(step)
         x = x_next
         if step <= threshold:
             converged = True
             break
-    a, res = _rescale_to_solution(g, x, p)
+    a, res = _rescale_to_solution(g, Element(g.algebra, x), p)
     report = SolveReport(
         solution=a,
         iterations=len(trace),
@@ -172,8 +199,10 @@ def solve_bushell(
         raise SingularMatrix("t must be a square matrix")
     if transforms.numerically_singular(t):
         raise SingularMatrix("t is numerically singular")
-    if int(k) != k or k < 1:
-        raise ValueError("k must be a positive integer")
+    if int(k) != k or not 1 <= k <= _MAX_BUSHELL_K:
+        raise ValueError(
+            f"k must be an integer from 1 to {_MAX_BUSHELL_K}, so that 2^k is a "
+            f"finite float")
     descriptor = algebra.sym_matrix(t.shape[0])
     word = AutomorphismWord(descriptor, (Congruence(t),))
     cfg = SolveConfig(p=float(2 ** int(k)), tol=tol, max_iter=max_iter, initial=initial)

@@ -64,6 +64,13 @@ class SuiteResult:
     seed: int
     checks: list[CheckResult] = field(default_factory=list)
 
+    def __post_init__(self):
+        # Every suite builds its result before it draws a sample, so this
+        # refuses an empty run before any work; with no sample a suite
+        # would pass with nothing checked.
+        if self.samples < 1:
+            raise ValueError(f"samples must be >= 1, got {self.samples}")
+
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)

@@ -140,21 +140,29 @@ class AutomorphismWord:
         return "*".join(type(f).__name__.lower() for f in self.factors) or "identity"
 
 
+def _apply_coords(word: AutomorphismWord, coords: np.ndarray) -> np.ndarray:
+    """The word applied to raw coords; each factor's output passes the
+    kernel's ingestion (on sym the symmetry check), as an Element's would."""
+    kernel = word.algebra.kernel
+    out = coords
+    for f in word.factors:
+        if isinstance(f, Scalar):
+            out = out * float(f.mu)
+        elif isinstance(f, Quad):
+            out = kernel.quad(f.a.coords, out)
+        elif isinstance(f, Congruence):
+            out = f.t.T @ out @ f.t
+        else:
+            out = out[list(f.sigma)]
+        out = kernel.ingest(out)
+    return out
+
+
 def apply(word: AutomorphismWord, x: Element) -> Element:
     """Apply the word's generators to x, left to right."""
     if x.algebra != word.algebra:
         raise AlgebraMismatch("element does not live in the word's algebra")
-    out = x
-    for f in word.factors:
-        if isinstance(f, Scalar):
-            out = out * f.mu
-        elif isinstance(f, Quad):
-            out = algebra.quad(f.a, out)
-        elif isinstance(f, Congruence):
-            out = Element(word.algebra, f.t.T @ out.coords @ f.t)
-        else:
-            out = Element(word.algebra, out.coords[list(f.sigma)])
-    return out
+    return Element(word.algebra, _apply_coords(word, x.coords))
 
 
 @dataclass(frozen=True)

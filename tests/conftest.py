@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import symcone as sc
-from symcone import algebra
+from symcone import algebra, metric, solver
+from symcone.errors import NonConvergence, NotInCone
 from symcone.transforms import random_word
 
 
@@ -36,6 +37,60 @@ def frame_loop_power(eigenvalues, frame, p):
     for lam, c in zip(np.power(eigenvalues, p), frame):
         coords += lam * c
     return coords
+
+
+def element_apply(word, x):
+    """Reference word action: one Element per factor, left to right."""
+    out = x
+    for f in word.factors:
+        if isinstance(f, sc.Scalar):
+            out = out * f.mu
+        elif isinstance(f, sc.Quad):
+            out = algebra.quad(f.a, out)
+        elif isinstance(f, sc.Congruence):
+            out = sc.Element(word.algebra, f.t.T @ out.coords @ f.t)
+        else:
+            out = sc.Element(word.algebra, out.coords[list(f.sigma)])
+    return out
+
+
+def element_loop_solve(g, cfg):
+    """Reference solve: the Banach loop on Elements, through the public
+    decomposition, power and distance, with the word applied by
+    ``element_apply``; the rescaling after the loop is the solver's own."""
+    p = cfg.p
+    x = cfg.initial if cfg.initial is not None else g.algebra.identity()
+    x = algebra.normalize(x)
+    threshold = cfg.tol * (1.0 - 1.0 / abs(p))
+    trace = []
+    converged = False
+    for _ in range(cfg.max_iter):
+        dec = algebra.spectral_decompose(element_apply(g, x))
+        try:
+            root = dec.power(1.0 / p)
+        except NotInCone as exc:
+            raise NotInCone(
+                "an iterate left the open cone: the supplied map does not "
+                "preserve it") from exc
+        x_next = root * (1.0 / solver._power_norm(dec.eigenvalues, 1.0 / p))
+        step = metric.distance(x, x_next).distance
+        trace.append(step)
+        x = x_next
+        if step <= threshold:
+            converged = True
+            break
+    a, res = solver._rescale_to_solution(g, x, p)
+    report = solver.SolveReport(
+        solution=a,
+        iterations=len(trace),
+        distance_trace=tuple(trace),
+        residual=res,
+        contraction_estimate=solver._fit_geometric_ratio(trace),
+        converged=converged and res <= 1e2 * cfg.tol,
+    )
+    if not report.converged:
+        raise NonConvergence("reference solve did not converge", report=report)
+    return report
 
 
 def mild_word(descriptor, rng, sigma=0.5):

@@ -483,6 +483,30 @@ def test_orthant_power_keeps_the_frame_loop_bits():
         assert sc.power(x, p).coords.tobytes() == want.tobytes()
 
 
+def test_orthant_and_spin_frames_keep_the_bits_of_their_first_construction():
+    # The orthant frame indexes a cached identity and the spin frame is
+    # written into one array; both against the np.eye and concatenate
+    # constructions they replaced, with ties, signed zeros and NaN.
+    rng = SplitMix64(45)
+    for x in ([3.0, 1.0, 3.0, -0.0, 0.0, 2.0], [math.nan, 1.0, -1.0, 1.0],
+              rng.normals(9)):
+        x = np.asarray(x, dtype=float)
+        order = np.argsort(-x, kind="stable")
+        assert algebra._descending_order(x).tobytes() == order.tobytes()
+        eigs, frame = algebra._ORTHANT_KERNEL.decompose(x)
+        assert eigs.tobytes() == x[order].tobytes()
+        assert frame.tobytes() == np.eye(x.shape[0])[order].tobytes()
+        assert frame.flags.writeable
+    assert not algebra._unit_rows(9).flags.writeable
+    for x in ([2.0, 0.0, -0.0, 0.0], [1.0, math.nan, 0.5], [-0.0, 0.0],
+              rng.normals(10), 1e-300 * rng.normals(5)):
+        x = np.asarray(x, dtype=float)
+        nrm = math.hypot(*x[1:].tolist())
+        u = x[1:] / nrm if nrm != 0.0 else np.eye(x.shape[0] - 1)[0]
+        want = 0.5 * np.array([np.concatenate(([1.0], u)), np.concatenate(([1.0], -u))])
+        assert algebra._SPIN_KERNEL.decompose(x)[1].tobytes() == want.tobytes()
+
+
 def test_sym_power_vs_eigh_functional_calculus():
     s4 = sc.sym_matrix(4)
     rng = SplitMix64(37)

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -171,6 +173,21 @@ def test_bushell_singularity_exit_codes(capsys, tmp_path, payload, code):
         assert out == "" and "singular" in err
 
 
+@pytest.mark.parametrize("k, code, message", [
+    ("200", 4, "over- or underflows"), ("1024", 2, "2^k")])
+def test_bushell_huge_k_exit_codes(capsys, tmp_path, k, code, message):
+    # Both gave no documented failure: k = 200 exited 0 with the zero
+    # matrix as its solution, k = 1024 ended in an OverflowError traceback.
+    path = tmp_path / "bushell.json"
+    path.write_text(json.dumps({
+        "algebra": {"kind": "sym", "param": 2},
+        "maps": {"t": [{"type": "congruence", "payload": [[1.2, 0.1], [0.0, 0.9]]}]}}))
+    got, out, err = run(capsys, "bushell", str(path), "t", "--k", k)
+    assert got == code
+    assert out == ""
+    assert message in err
+
+
 def test_bushell_requires_single_congruence(capsys, sym_instance):
     code, _, err = run(capsys, "bushell", sym_instance, "w")
     assert code == 2
@@ -326,6 +343,19 @@ def test_check_isometry_sym6_regressions(capsys, seed):
     assert json.loads(out)["passed"] is True
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+@pytest.mark.parametrize("suite", sorted(suites.SUITES))
+def test_check_without_samples_exit_2(capsys, suite, samples):
+    # axioms, bounds and oracle passed with nothing checked.
+    with pytest.raises(ValueError, match="samples"):
+        suites.SUITES[suite](sc.orthant(3), samples, 1)
+    code, out, err = run(capsys, "check", suite, "--algebra", "orthant:3",
+                         "--samples", str(samples), "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert "samples must be >= 1" in err
+
+
 def test_check_failure_exit_6(capsys, monkeypatch):
     def failing_suite(descriptor, samples, seed):
         res = suites.SuiteResult("bounds", descriptor, samples, seed)
@@ -428,10 +458,15 @@ def test_gen_output_feeds_other_commands(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_console_script_runs():
+    # The child imports the package this process imported, which pytest may
+    # have found through its own pythonpath setting rather than PYTHONPATH.
+    src = str(pathlib.Path(sc.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "symcone.cli", "gen", "--algebra", "orthant:2",
          "--what", "element", "--seed", "4"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "elements" in json.loads(proc.stdout)
 

@@ -32,7 +32,7 @@ ALLOWED = {
     ("rng", "SplitMix64.unit_vector", "np.linalg.norm"): "norm of a normal draw",
     ("rng", "SplitMix64.rotation", "np.linalg.qr"): "random rotation from the QR of a normal matrix",
     ("transforms", "numerically_singular", "np.linalg.slogdet"): "log |det t| of the singularity test",
-    ("transforms", "apply", "@"): "congruence t^T x t",
+    ("transforms", "_apply_coords", "@"): "congruence t^T x t",
     ("transforms", "random_word", "@"): "random congruence factor q1 diag(s) q2",
 }
 

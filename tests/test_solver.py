@@ -9,7 +9,14 @@ from symcone.errors import NonConvergence, NotInCone, SingularMatrix
 from symcone.rng import SplitMix64
 from symcone.transforms import random_cone_element
 
-from conftest import banach_iteration_bound, count_jacobi, el, inverse_word, mild_word
+from conftest import (
+    banach_iteration_bound,
+    count_jacobi,
+    el,
+    element_loop_solve,
+    inverse_word,
+    mild_word,
+)
 
 O2 = sc.orthant(2)
 
@@ -90,8 +97,66 @@ def test_iteration_runs_two_eigensolves(monkeypatch):
     assert calls.count(True) == rep.iterations + 1
 
 
+def _outcome(solve, g, cfg):
+    """(kind, report fields as bytes) of one solve, a NonConvergence's
+    partial report included."""
+    try:
+        rep, kind = solve(g, cfg), "solved"
+    except NonConvergence as exc:
+        rep, kind = exc.report, "stalled"
+    return (kind, rep.solution.coords.tobytes(), rep.iterations,
+            np.array(rep.distance_trace).tobytes(),
+            np.float64(rep.residual).tobytes(),
+            np.float64(rep.contraction_estimate).tobytes(), rep.converged)
+
+
+@pytest.mark.parametrize("sigma", [0.5, 2.0])
+@pytest.mark.parametrize("descriptor", [sc.orthant(8), sc.sym_matrix(6), sc.spin_factor(10)],
+                         ids=["orthant8", "sym6", "spin10"])
+def test_solve_matches_the_element_loop(descriptor, sigma):
+    # The raw-coordinate loop reproduces the Element loop bit for bit, on
+    # solves that converge, that stall at the noise floor (sym:6 at
+    # sigma = 2, p = 1.5) and that run out of iterations.
+    rng = SplitMix64(61 + int(4 * sigma))
+    for p in (-3.0, -2.0, 1.5, 2.0, 3.0):
+        g = mild_word(descriptor, rng, sigma)
+        # Scalars and permutations alone are solved in one step.
+        while not any(isinstance(f, (sc.Quad, sc.Congruence)) for f in g.factors):
+            g = mild_word(descriptor, rng, sigma)
+        for cfg in (sc.SolveConfig(p=p), sc.SolveConfig(p=p, max_iter=3)):
+            assert _outcome(sc.solve, g, cfg) == _outcome(element_loop_solve, g, cfg)
+
+
+def test_bushell_matches_the_element_loop():
+    t = SplitMix64(63).normal_matrix(3, 3)
+    word = sc.AutomorphismWord(sc.sym_matrix(3), (sc.Congruence(t),))
+    cfg = sc.SolveConfig(p=2.0)
+    assert _outcome(lambda g, c: sc.solve_bushell(t, 1), word, cfg) == _outcome(
+        element_loop_solve, word, cfg)
+
+
+def test_element_constructions_do_not_grow_with_iterations(monkeypatch):
+    counts = []
+    post_init = sc.Element.__post_init__
+
+    def counted(self):
+        counts[-1] += 1
+        post_init(self)
+
+    word = mild_word(sc.sym_matrix(4), SplitMix64(65))
+    monkeypatch.setattr(sc.Element, "__post_init__", counted)
+    iterations = []
+    for tol in (1e-3, 1e-8, 1e-12):
+        counts.append(0)
+        iterations.append(sc.solve(word, sc.SolveConfig(p=2.0, tol=tol)).iterations)
+    assert iterations[0] < iterations[1] < iterations[2]
+    # The identity, its normalisation and u; then g(u), a, a^p, g(a) and
+    # g(a) - a^p in the rescaling.
+    assert counts == [8, 8, 8]
+
+
 def test_iterate_leaving_the_cone_is_named(monkeypatch):
-    monkeypatch.setattr(transforms, "apply", lambda g, x: -1.0 * x)
+    monkeypatch.setattr(transforms, "_apply_coords", lambda g, x: -1.0 * x)
     with pytest.raises(NotInCone, match="an iterate left the open cone") as info:
         sc.solve(sc.AutomorphismWord(O2, ()), sc.SolveConfig(p=2.0))
     assert isinstance(info.value.__cause__, NotInCone)
@@ -307,6 +372,31 @@ def test_bushell_accepts_well_conditioned_t(t):
 def test_power_norm_keeps_a_nan_at_the_low_end():
     assert math.isnan(solver._power_norm(np.array([2.0, math.nan]), 2.0))
     assert solver._power_norm(np.array([2.0, 0.5]), -1.0) == 2.0
+
+
+@pytest.mark.parametrize("k", [62, 200, 1023])
+def test_bushell_scale_overflow_is_not_a_solution(k):
+    # lambda_max(u) = 1 + eps, so |u^p| overflows for p = 2^k above about
+    # 3e18, and the scale beta = (|g(u)| / |u^p|)^(1/(p-1)) came out 0: the
+    # zero matrix was returned with residual 0 as a converged solution.
+    with pytest.raises(NonConvergence, match="over- or underflows") as info:
+        sc.solve_bushell([[1.2, 0.1], [0.0, 0.9]], k)
+    assert info.value.report is None
+
+
+def test_solution_scale_overflow_is_not_a_raw_error():
+    # a = 4^(1/(p-1)) e overflows; the power raised OverflowError.
+    g = sc.AutomorphismWord(O2, (sc.Scalar(4.0),))
+    with pytest.raises(NonConvergence, match="over- or underflows"):
+        sc.solve(g, sc.SolveConfig(p=1.0001))
+
+
+def test_bushell_refuses_k_beyond_the_float_range():
+    # 2^1024 is not a float: float(2 ** k) raised OverflowError.
+    with pytest.raises(ValueError, match="2\\^k"):
+        sc.solve_bushell(np.eye(2), 1024)
+    with pytest.raises(ValueError):
+        sc.solve_bushell(np.eye(2), 10**6)
 
 
 def test_bushell_rejects_singular():
