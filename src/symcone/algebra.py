@@ -208,8 +208,7 @@ _ORTHANT_KERNEL = _Kernel(
     eigenvalues=lambda x: x[_descending_order(x)],
     tr=lambda x: float(np.sum(x)),
     relative_eigenvalues=_orthant_relative_eigenvalues,
-    random_point=lambda n, rng, lo, hi: np.array(
-        [rng.log_uniform(lo, hi) for _ in range(n)]),
+    random_point=lambda n, rng, lo, hi: rng.log_uniforms(n, lo, hi),
     # Exhaustive over the standard basis, so the bounds are exact.
     rayleigh_ratios=lambda x, y, samples, rng: x / y,
 )
@@ -290,7 +289,7 @@ def _sym_relative_eigenvalues(x, y):
 
 
 def _sym_random_point(r, rng, lo, hi):
-    lams = np.array([rng.log_uniform(lo, hi) for _ in range(r)])
+    lams = rng.log_uniforms(r, lo, hi)
     q = rng.rotation(r)
     return (q * lams) @ q.T
 

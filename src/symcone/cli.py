@@ -15,6 +15,7 @@ serialized in the report).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -324,7 +325,11 @@ def cmd_gen(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every call
+    of ``main`` in the process; parsing leaves no state in it.  The
+    ``check`` suite names are those of ``suites.SUITES`` at that time."""
     parser = argparse.ArgumentParser(
         prog="symcone",
         description="Hilbert metric and fixed-point solvers on symmetric cones")

@@ -1,10 +1,22 @@
 """Seeded randomness for sampling and instance generation.
 
-Every random draw in the package flows through :class:`SplitMix64`, a
-64-bit counter-based generator (splitmix64) independent of numpy's
-generator versioning.  A suite or generated instance is reproducible bit
-for bit from its seed on the same numpy and BLAS build: ``rotation`` takes
-a LAPACK QR and ``unit_vector`` a BLAS norm, whose bits may differ on others.
+Every random draw in the package flows through :class:`SplitMix64`, the
+splitmix64 generator of Steele, Lea & Flood ("Fast splittable
+pseudorandom number generators", OOPSLA 2014), independent of numpy's
+generator versioning.  The stream is computed in blocks of ``_BLOCK``
+words: from the state s the block holds the mixes of s + k*0x9E3779B97F4A7C15
+for k = 1..``_BLOCK``, all in numpy ``uint64`` array arithmetic, which
+wraps like the scalar recurrence.  ``next_u64`` reads the block's words
+and ``uniform`` its doubles (word >> 11)*2^-53, so the stream and every
+float are those of the one-word-at-a-time generator; the bulk calls take
+consecutive draws straight from the block.  A generator computes no block
+before its first draw, so one that is never drawn from costs nothing.
+
+Box-Muller normals use the scalar libm calls of ``math``, whose bits do
+not depend on numpy's SIMD paths.  A suite or generated instance is
+reproducible bit for bit from its seed on the same numpy and BLAS build:
+``rotation`` takes a LAPACK QR and ``unit_vector`` a BLAS norm, whose bits
+may differ on others.
 """
 
 from __future__ import annotations
@@ -15,25 +27,67 @@ import numpy as np
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# Words per block.  A block of up to a few hundred words costs about as
+# much as 10 to 20 scalar draws, and the first draw of a generator pays
+# for a whole block; the property suites draw 30 to 1,300 words from
+# each generator.
+_BLOCK = 256
+# np.uint64 constants, since numpy 1.x turns uint64 mixed with a Python
+# int into float64.  The wrapping products run on arrays only: an
+# overflowing scalar uint64 product warns.
+_STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_SHIFTS = tuple(np.uint64(k) for k in (30, 27, 31, 11))
 
 
 class SplitMix64:
     """splitmix64 stream with float/vector helpers."""
 
     def __init__(self, seed: int):
+        # The state after the words of the current block.
         self._state = int(seed) & _MASK
+        self._words = None
+        self._floats = []
+        self._pos = 0
         self._spare_normal = None
 
+    def _next_block(self) -> None:
+        z = _STEPS + np.uint64(self._state)
+        self._state = (self._state + _BLOCK * _GOLDEN) & _MASK
+        s30, s27, s31, s11 = _SHIFTS
+        z ^= z >> s30
+        z *= _MIX1
+        z ^= z >> s27
+        z *= _MIX2
+        z ^= z >> s31
+        self._words = z
+        self._floats = ((z >> s11) * 2.0 ** -53).tolist()
+        self._pos = 0
+
+    def _take(self, n: int) -> list[float]:
+        """The next n uniforms as a list (none for n <= 0)."""
+        pos = self._pos
+        out = self._floats[pos:pos + max(n, 0)]
+        self._pos = pos + len(out)
+        while len(out) < n:
+            self._next_block()
+            more = self._floats[:n - len(out)]
+            self._pos = len(more)
+            out += more
+        return out
+
     def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return z ^ (z >> 31)
+        self._take(1)
+        return int(self._words[self._pos - 1])
 
     def uniform(self) -> float:
         """Uniform double in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 2.0 ** -53
+        return self._take(1)[0]
+
+    def uniforms(self, n: int) -> np.ndarray:
+        """The next n uniforms, as n calls of ``uniform`` would give them."""
+        return np.array(self._take(n))
 
     def uniform_in(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.uniform()
@@ -42,26 +96,39 @@ class SplitMix64:
         """Log-uniform draw from [lo, hi], lo > 0."""
         return math.exp(self.uniform_in(math.log(lo), math.log(hi)))
 
+    def log_uniforms(self, n: int, lo: float, hi: float) -> np.ndarray:
+        """The next n log-uniform draws, as n calls of ``log_uniform``."""
+        a, b = math.log(lo), math.log(hi)
+        exp = math.exp
+        return np.array([exp(a + (b - a) * u) for u in self._take(n)])
+
     def normal(self) -> float:
-        # Box-Muller, caching the second deviate.
-        if self._spare_normal is not None:
-            z = self._spare_normal
-            self._spare_normal = None
-            return z
-        u1 = 1.0 - self.uniform()  # (0, 1]
-        u2 = self.uniform()
-        radius = math.sqrt(-2.0 * math.log(u1))
-        theta = 2.0 * math.pi * u2
-        self._spare_normal = radius * math.sin(theta)
-        return radius * math.cos(theta)
+        return float(self.normals(1)[0])
 
     def normals(self, n: int) -> np.ndarray:
-        return np.array([self.normal() for _ in range(n)])
+        """The next n standard normals by Box-Muller; each pair of uniforms
+        gives two, and an odd one out is kept for the next call."""
+        out = []
+        if n > 0 and self._spare_normal is not None:
+            out.append(self._spare_normal)
+            self._spare_normal = None
+        u = self._take(2 * ((n - len(out) + 1) // 2))
+        log, sqrt, cos, sin = math.log, math.sqrt, math.cos, math.sin
+        for u1, u2 in zip(u[::2], u[1::2]):
+            radius = sqrt(-2.0 * log(1.0 - u1))  # 1 - u1 in (0, 1]
+            theta = 2.0 * math.pi * u2
+            out.append(radius * cos(theta))
+            out.append(radius * sin(theta))
+        if len(out) > max(n, 0):
+            self._spare_normal = out.pop()
+        return np.array(out)
 
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
         return self.normals(rows * cols).reshape(rows, cols)
 
     def unit_vector(self, n: int) -> np.ndarray:
+        if n < 1:
+            raise ValueError(f"unit_vector needs n >= 1, got n={n}")
         while True:
             v = self.normals(n)
             norm = float(np.linalg.norm(v))
@@ -76,7 +143,9 @@ class SplitMix64:
         return q * signs
 
     def integer(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection (n <= 2**32)."""
+        """Uniform integer in [0, n) by rejection, 1 <= n < 2**64."""
+        if not 1 <= n <= _MASK:
+            raise ValueError(f"integer needs 1 <= n < 2**64, got n={n}")
         limit = _MASK - (_MASK % n)
         while True:
             u = self.next_u64()

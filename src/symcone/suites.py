@@ -118,9 +118,10 @@ def axioms_suite(descriptor: AlgebraDescriptor, samples: int, seed: int) -> Suit
         inputs = lambda: {"x": _coords(x), "y": _coords(y), "z": _coords(z)}
 
         # algebra axioms on ambient points (shifted off the cone)
-        ax = x - rng.uniform_in(0.0, 2.0) * e
-        ay = y - rng.uniform_in(0.0, 2.0) * e
-        az = z - rng.uniform_in(0.0, 2.0) * e
+        sx, sy, sz = (2.0 * rng.uniforms(3)).tolist()
+        ax = x - sx * e
+        ay = y - sy * e
+        az = z - sz * e
         ainputs = lambda: {"x": _coords(ax), "y": _coords(ay), "z": _coords(az)}
         scale = (1 + algebra.spectral_norm(ax)) * (1 + algebra.spectral_norm(ay)) * (
             1 + algebra.spectral_norm(az))

@@ -206,7 +206,7 @@ def random_word(
             factors.append(Quad(random_cone_element(descriptor, rng, lo, hi)))
         elif gen == "congruence":
             r = descriptor.param
-            svals = np.array([rng.log_uniform(lo, hi) for _ in range(r)])
+            svals = rng.log_uniforms(r, lo, hi)
             t = rng.rotation(r) @ np.diag(svals) @ rng.rotation(r)
             factors.append(Congruence(t))
         else:

@@ -471,6 +471,30 @@ def test_console_script_runs():
     assert "elements" in json.loads(proc.stdout)
 
 
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    # main builds its parser once per process; each call must still act as
+    # the same call in a fresh process.  COLUMNS fixes the help width.
+    monkeypatch.setenv("COLUMNS", "80")
+    src = str(pathlib.Path(sc.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    check = ["check", "bounds", "--algebra", "orthant:3", "--samples", "5", "--seed", "3"]
+    calls = [
+        (check, 0),
+        (["gen", "--algebra", "spin:4", "--what", "map", "--seed", "2"], 0),
+        (["check", "axioms", "--algebra", "cube:3", "--samples", "5"], 2),
+        (["check", "axioms", "--algebra", "orthant:3", "--samples", "0"], 2),
+        (["frobnicate", "--algebra", "orthant:3"], 2),
+        (["check", "--help"], 0),
+        (check, 0),
+    ]
+    for argv, code in calls:
+        got = run(capsys, *argv)
+        proc = subprocess.run([sys.executable, "-m", "symcone.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        assert got == (code, proc.stdout, proc.stderr), argv
+
+
 def test_missing_subcommand_exit_2(capsys):
     assert main([]) == 2
     capsys.readouterr()

@@ -1,0 +1,118 @@
+import random
+
+import numpy as np
+import pytest
+
+import symcone as sc
+from symcone import metric, rng
+from symcone.rng import SplitMix64
+
+import splitmix_reference
+
+BLOCK = rng._BLOCK
+_seeder = random.Random(2014)
+SEEDS = [0, 1, 1 << 63, (1 << 64) - 1] + [_seeder.getrandbits(64) for _ in range(4)]
+
+
+def assert_same(got, want):
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert type(got) is type(want)
+        assert got == want
+
+
+@pytest.mark.parametrize("seed, words", [
+    (0, [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]),
+    (1234567, [6457827717110365317, 3203168211198807973, 9817491932198370423]),
+])
+def test_splitmix64_reference_vectors(seed, words):
+    for gen in (SplitMix64(seed), splitmix_reference.SplitMix64(seed)):
+        assert [gen.next_u64() for _ in words] == words
+
+
+def _random_call(chooser: random.Random):
+    """A public method and arguments; sizes reach past a block."""
+    size = lambda: chooser.choice([0, 1, 2, 3, BLOCK - 1, BLOCK, BLOCK + 1,
+                                   chooser.randint(0, 3 * BLOCK)])
+    return chooser.choice([
+        ("next_u64", ()),
+        ("uniform", ()),
+        ("uniform_in", (-1.5, 3.0)),
+        ("log_uniform", (0.1, 10.0)),
+        ("normal", ()),
+        ("normals", (size(),)),
+        ("normal_matrix", (chooser.randint(0, 9), chooser.randint(0, 9))),
+        ("unit_vector", (chooser.randint(1, 2 * BLOCK),)),
+        ("rotation", (chooser.randint(1, 12),)),
+        ("integer", (chooser.choice([1, 2, 7, 1 << 31, (1 << 64) - 1,
+                                     chooser.getrandbits(64) | 1]),)),
+        ("permutation", (chooser.randint(0, 20),)),
+        ("choice", (tuple(range(chooser.randint(1, 9))),)),
+    ])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_every_method_matches_the_reference(seed):
+    chooser = random.Random(seed)
+    gen, ref = SplitMix64(seed), splitmix_reference.SplitMix64(seed)
+    for _ in range(300):
+        name, args = _random_call(chooser)
+        assert_same(getattr(gen, name)(*args), getattr(ref, name)(*args))
+    # With none pending, an odd count leaves a spare deviate, on both.
+    if ref._spare_normal is not None:
+        assert_same(gen.normal(), ref.normal())
+    assert_same(gen.normals(2 * BLOCK + 1), ref.normals(2 * BLOCK + 1))
+    assert ref._spare_normal is not None
+    assert_same(gen.normal(), ref.normal())
+    assert_same(gen.next_u64(), ref.next_u64())
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_bulk_draws_match_single_draws(seed):
+    chooser = random.Random(seed)
+    gen, ref = SplitMix64(seed), splitmix_reference.SplitMix64(seed)
+    for n in (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5, -2):
+        skip = chooser.randint(0, BLOCK)
+        assert [gen.uniform() for _ in range(skip)] == [ref.uniform() for _ in range(skip)]
+        assert_same(gen.uniforms(n), np.array([ref.uniform() for _ in range(n)]))
+        assert_same(gen.log_uniforms(n, 0.2, 5.0),
+                    np.array([ref.log_uniform(0.2, 5.0) for _ in range(n)]))
+        assert_same(gen.normals(n), ref.normals(n))
+
+
+def test_unit_vector_needs_a_positive_size():
+    # unit_vector(0) looped for ever: an empty vector has norm 0.
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"n={n}"):
+            SplitMix64(1).unit_vector(n)
+
+
+def test_integer_and_choice_name_an_empty_or_oversized_range():
+    gen = SplitMix64(1)
+    for n in (0, -3, 1 << 64):
+        with pytest.raises(ValueError, match=f"n={n}"):
+            gen.integer(n)
+    with pytest.raises(ValueError, match="n=0"):
+        gen.choice([])
+    # The refusals drew nothing.
+    assert gen.next_u64() == SplitMix64(1).next_u64()
+
+
+def test_no_block_before_the_first_draw(monkeypatch):
+    blocks = []
+    next_block = SplitMix64._next_block
+    monkeypatch.setattr(SplitMix64, "_next_block",
+                        lambda self: blocks.append(1) or next_block(self))
+    # The orthant oracle builds a generator and draws nothing from it.
+    x, y = sc.Element(sc.orthant(3), [1.0, 2.0, 3.0]), sc.Element(sc.orthant(3), [3.0, 2.0, 1.0])
+    metric.rayleigh_oracle(x, y, 5, 1)
+    gen = SplitMix64(7)
+    assert blocks == []
+    for _ in range(BLOCK):
+        gen.uniform()
+    assert len(blocks) == 1
+    gen.next_u64()
+    assert len(blocks) == 2
