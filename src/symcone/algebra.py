@@ -81,14 +81,20 @@ def _jacobi(matrix: np.ndarray, accumulate: bool):
     """
     r = matrix.shape[0]
     a = matrix.tolist()
-    frobenius_sq = sum(x * x for row in a for x in row)
+    # math.fsum is correctly rounded, so the threshold has the same bits on
+    # every Python version (the builtin sum compensates from 3.12 on).
+    try:
+        frobenius_sq = math.fsum(x * x for row in a for x in row)
+    except OverflowError:  # finite squares whose sum overflows
+        frobenius_sq = math.inf
     if _TINY <= frobenius_sq < math.inf:
         frobenius = math.sqrt(frobenius_sq)
     elif all(math.isfinite(x) for row in a for x in row):
         # Finite entries whose squares overflow or underflow: scale by the
         # largest one (1 on a zero matrix, whose norm stays 0).
         scale = max(abs(x) for row in a for x in row) or 1.0
-        frobenius = scale * math.sqrt(sum((x / scale) ** 2 for row in a for x in row))
+        frobenius = scale * math.sqrt(
+            math.fsum((x / scale) ** 2 for row in a for x in row))
     else:
         raise EigensolverFailure(
             f"Jacobi needs finite entries; the {r}x{r} matrix has NaN or "
@@ -169,11 +175,16 @@ def _descending_order(values):
     return (-values).argsort(kind="stable")
 
 
-def _power_sum(eigenvalues, frame, p):
-    """sum_j l_j^p c_j, the frame's rows added in order to +0.0 (signed
+def _frame_sum(weights, frame):
+    """sum_j w_j c_j, the frame's rows added in order to +0.0 (signed
     zeros and all, as a loop over the rows would)."""
-    weights = np.power(eigenvalues, p).reshape((-1,) + (1,) * (frame.ndim - 1))
+    weights = weights.reshape((-1,) + (1,) * (frame.ndim - 1))
     return (weights * frame).sum(axis=0, initial=0.0)
+
+
+def _power_sum(eigenvalues, frame, p):
+    """sum_j l_j^p c_j."""
+    return _frame_sum(np.power(eigenvalues, p), frame)
 
 
 def _orthant_relative_eigenvalues(x, y):

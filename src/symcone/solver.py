@@ -18,6 +18,17 @@ an Element's coords would be.  Elements are built for the initial point,
 the fixed direction u and the solution, and to name an iterate that
 leaves the cone.
 
+The step d(x_k, x_{k+1}) comes from the decomposition the iteration
+already holds.  With g(x_k) = sum_j l_j c_j, the next iterate is
+x_{k+1} = sum_j mu_j c_j with mu_j = l_j^{1/p} / |g(x_k)^{1/p}|, so
+x_{k+1}^{-1/2} = sum_j mu_j^{-1/2} c_j is built on the same frame, and
+the step is log(l_max / l_min) of P(x_{k+1}^{-1/2}) x_k, one eigensolve
+of the kernel's closed-form quad: x_{k+1} is never factored again.  When
+x_{k+1} equals x_k byte for byte the step is exactly 0.0, since
+d(x, x) = 0, and no eigensolve runs.  A step spectrum whose least
+eigenvalue is not positive raises NotInCone, naming the iterate outside
+the cone if one is, else the step.
+
 Stopping rule: the a-posteriori Banach bound with q = 1/|p| - iteration
 halts once d(x_k, x_{k+1}) <= tol * (1 - q), which puts the fixed
 direction within tol in the Hilbert metric.
@@ -53,8 +64,9 @@ class SolveConfig:
                 f"the equation g(x) = x^p needs a finite p with |p| > 1, got p={self.p}")
         if not (self.tol > 0.0 and math.isfinite(self.tol)):
             raise ValueError("tol must be positive and finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
+        if not (isinstance(self.max_iter, int) and not isinstance(self.max_iter, bool)
+                and self.max_iter >= 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -67,11 +79,12 @@ class SolveReport:
     converged: bool
 
 
-def _power_norm(eigenvalues: np.ndarray, p: float) -> float:
-    """Spectral norm of x^p from x's positive eigenvalues: no eigensolve."""
-    # The least eigenvalue goes first: max() keeps a NaN only as its first
-    # argument, and a NaN eigenvalue sorts last.
-    return float(max(np.power(eigenvalues[[-1, 0]], p)))
+def _power_norm(powers: np.ndarray) -> float:
+    """Spectral norm of x^p from the powers l_j^p of x's positive, descending
+    eigenvalues, which are monotone in j: no eigensolve."""
+    # The least eigenvalue's power goes first: max() keeps a NaN only as its
+    # first argument, and a NaN eigenvalue sorts last.
+    return float(max(powers[-1], powers[0]))
 
 
 def _fit_geometric_ratio(trace) -> float:
@@ -101,7 +114,7 @@ def _rescale_to_solution(
     dec = algebra.spectral_decompose(u)
     gu_norm = algebra.spectral_norm(transforms.apply(g, u))
     with np.errstate(over="ignore"):  # an infinite |u^p| is refused below
-        up_norm = _power_norm(dec.eigenvalues, p)
+        up_norm = _power_norm(np.power(dec.eigenvalues, p))
     try:
         beta = (gu_norm / up_norm) ** (1.0 / (p - 1.0))
     except (OverflowError, ZeroDivisionError):
@@ -115,7 +128,7 @@ def _rescale_to_solution(
     a_dec = replace(dec, eigenvalues=beta * dec.eigenvalues)
     target = a_dec.power(p)
     residual = algebra.spectral_norm(transforms.apply(g, a) - target) / (
-        1.0 + _power_norm(a_dec.eigenvalues, p))
+        1.0 + _power_norm(np.power(a_dec.eigenvalues, p)))
     return a, residual
 
 
@@ -124,7 +137,8 @@ def solve(g: AutomorphismWord, cfg: SolveConfig) -> SolveReport:
 
     Raises NonConvergence (with the partial report attached) if the
     iteration budget runs out, and NotInCone if an iterate escapes the
-    cone, which signals that g does not actually preserve it.
+    cone, which signals that g does not actually preserve it, or if the
+    spectrum of a step is not positive although both iterates are in it.
     """
     p = cfg.p
     x = cfg.initial if cfg.initial is not None else g.algebra.identity()
@@ -150,13 +164,25 @@ def solve(g: AutomorphismWord, cfg: SolveConfig) -> SolveReport:
                 "preserve it") from exc
         # The eigenvalues of g(x)^{1/p} are l_j^{1/p}, all positive, so its
         # spectral norm needs no eigensolve.
-        x_next = algebra._power_sum(eigs, frame, 1.0 / p) * (
-            1.0 / _power_norm(eigs, 1.0 / p))
-        rel = kernel.relative_eigenvalues(x, x_next)
-        if rel is None or not rel[-1] > 0.0:
-            # Raises the NotInCone that names the iterate at fault.
-            metric.lambda_extremes(Element(g.algebra, x), Element(g.algebra, x_next))
-        step = math.log(float(rel[0]) / float(rel[-1]))
+        roots = np.power(eigs, 1.0 / p)
+        scale = 1.0 / _power_norm(roots)
+        x_next = algebra._frame_sum(roots, frame) * scale
+        if x_next.tobytes() == x.tobytes():
+            step = 0.0  # d(x, x) = 0, with no eigensolve
+        else:
+            # x_next^{-1/2} on g(x)'s frame, from x_next's eigenvalues mu_j
+            # (module docstring): no second factorisation.
+            root = algebra._power_sum(roots * scale, frame, -0.5)
+            rel = kernel.eigenvalues(kernel.quad(root, x))
+            if not rel[-1] > 0.0:
+                # Raises the NotInCone that names an iterate at fault.
+                metric.lambda_extremes(
+                    Element(g.algebra, x), Element(g.algebra, x_next))
+                raise NotInCone(
+                    f"step {len(trace) + 1}: P(x_next^(-1/2)) x has least "
+                    f"eigenvalue {float(rel[-1]):.6g}, although both iterates "
+                    f"are in the open cone")
+            step = math.log(float(rel[0]) / float(rel[-1]))
         trace.append(step)
         x = x_next
         if step <= threshold:

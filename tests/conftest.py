@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,8 +57,12 @@ def element_apply(word, x):
 
 def element_loop_solve(g, cfg):
     """Reference solve: the Banach loop on Elements, through the public
-    decomposition, power and distance, with the word applied by
-    ``element_apply``; the rescaling after the loop is the solver's own."""
+    decomposition, power, quad and eigenvalues, with the word applied by
+    ``element_apply``; the rescaling after the loop is the solver's own.
+
+    The step is log(l_max / l_min) of P(x_next^(-1/2)) x, with x_next^(-1/2)
+    built on the frame of g(x) from x_next's eigenvalues mu_j; it is exactly
+    0.0, with no eigensolve, when x_next equals x byte for byte."""
     p = cfg.p
     x = cfg.initial if cfg.initial is not None else g.algebra.identity()
     x = algebra.normalize(x)
@@ -72,8 +77,18 @@ def element_loop_solve(g, cfg):
             raise NotInCone(
                 "an iterate left the open cone: the supplied map does not "
                 "preserve it") from exc
-        x_next = root * (1.0 / solver._power_norm(dec.eigenvalues, 1.0 / p))
-        step = metric.distance(x, x_next).distance
+        scale = 1.0 / solver._power_norm(np.power(dec.eigenvalues, 1.0 / p))
+        x_next = root * scale
+        if x_next.coords.tobytes() == x.coords.tobytes():
+            step = 0.0
+        else:
+            mu = np.power(dec.eigenvalues, 1.0 / p) * scale
+            x_next_root = replace(dec, eigenvalues=mu).power(-0.5)
+            rel = algebra.eigenvalues(algebra.quad(x_next_root, x))
+            if not rel[-1] > 0.0:
+                metric.lambda_extremes(x, x_next)
+                raise NotInCone("reference step left the open cone")
+            step = math.log(float(rel[0]) / float(rel[-1]))
         trace.append(step)
         x = x_next
         if step <= threshold:

@@ -28,14 +28,20 @@ def _jacobi(matrix: np.ndarray, accumulate: bool):
     """
     r = matrix.shape[0]
     a = [[float(matrix[i, j]) for j in range(r)] for i in range(r)]
-    frobenius_sq = sum(x * x for row in a for x in row)
+    # math.fsum is correctly rounded, so the threshold has the same bits on
+    # every Python version (the builtin sum compensates from 3.12 on).
+    try:
+        frobenius_sq = math.fsum(x * x for row in a for x in row)
+    except OverflowError:  # finite squares whose sum overflows
+        frobenius_sq = math.inf
     if _TINY <= frobenius_sq < math.inf:
         frobenius = math.sqrt(frobenius_sq)
     elif all(math.isfinite(x) for row in a for x in row):
         # Finite entries whose squares overflow or underflow: scale by the
         # largest one (1 on a zero matrix).
         scale = max(abs(x) for row in a for x in row) or 1.0
-        frobenius = scale * math.sqrt(sum((x / scale) ** 2 for row in a for x in row))
+        frobenius = scale * math.sqrt(
+            math.fsum((x / scale) ** 2 for row in a for x in row))
     else:
         raise EigensolverFailure(
             f"Jacobi needs finite entries; the {r}x{r} matrix has NaN or "

@@ -253,6 +253,9 @@ def test_jacobi_scales_an_overflowing_norm():
     # The squared Frobenius sum overflows, the entries do not.
     x = el(S2, [[1e160, 1e160], [1e160, 1e160]])
     assert sc.eigenvalues(x).tolist() == [2e160, 0.0]
+    # Finite squares whose sum overflows: math.fsum raises OverflowError.
+    x = el(S2, [[1e154, 1e154], [1e154, 1e154]])
+    assert sc.eigenvalues(x).tolist() == [2e154, 0.0]
     m = np.full((3, 3), 1e200)
     m[2, 2] = math.nan
     with pytest.raises(EigensolverFailure, match="finite"):

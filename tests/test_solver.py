@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import symcone as sc
-from symcone import solver, transforms
+from symcone import algebra, metric, solver, transforms
 from symcone.errors import NonConvergence, NotInCone, SingularMatrix
 from symcone.rng import SplitMix64
 from symcone.transforms import random_cone_element
@@ -30,8 +30,9 @@ def test_config_validation():
         sc.SolveConfig(p=-1.0)
     with pytest.raises(ValueError):
         sc.SolveConfig(p=2.0, tol=0.0)
-    with pytest.raises(ValueError):
-        sc.SolveConfig(p=2.0, max_iter=0)
+    for max_iter in (0, -1, 2.5, 3.0, True, "3", None):
+        with pytest.raises(ValueError, match="max_iter"):
+            sc.SolveConfig(p=2.0, max_iter=max_iter)
     for p in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError):
             sc.SolveConfig(p=p)
@@ -85,16 +86,85 @@ def test_initial_point_must_be_interior():
 
 
 def test_iteration_runs_two_eigensolves(monkeypatch):
-    # g(x)'s decomposition and the distance; the norm of g(x)^{1/p} comes
-    # from the decomposition.
-    word = mild_word(sc.sym_matrix(4), SplitMix64(31))
+    # g(x)'s decomposition and the spectrum of the step; the norm of
+    # g(x)^{1/p} comes from the decomposition, and a step of exactly 0.0
+    # (x_next equal to x byte for byte, as for the scalar word) needs no
+    # eigensolve.
     calls = count_jacobi(monkeypatch)
-    rep = sc.solve(word, sc.SolveConfig(p=2.0, tol=1e-10))
-    # Outside the loop: the initial point's cone test, then u's
-    # decomposition, |g(u)| and the residual's |g(a) - a^p|; |u^p|, a^p
-    # and |a^p| come from u's decomposition.
-    assert len(calls) == 2 * rep.iterations + 4
-    assert calls.count(True) == rep.iterations + 1
+    s4 = sc.sym_matrix(4)
+    for word in (mild_word(s4, SplitMix64(31)), sc.AutomorphismWord(s4, (sc.Scalar(4.0),))):
+        calls.clear()
+        rep = sc.solve(word, sc.SolveConfig(p=2.0, tol=1e-10))
+        # Outside the loop: the initial point's cone test, then u's
+        # decomposition, |g(u)| and the residual's |g(a) - a^p|; |u^p|, a^p
+        # and |a^p| come from u's decomposition.
+        zero_steps = rep.distance_trace.count(0.0)
+        assert len(calls) == 2 * rep.iterations + 4 - zero_steps
+        assert calls.count(True) == rep.iterations + 1
+    assert zero_steps == 1
+
+
+def test_exact_fixed_point_records_a_zero_step(small_algebra):
+    # g(e) = 4e, and 4^(1/2) = 2 is exact: the first iterate is e again,
+    # byte for byte, so the step is d(e, e) = 0 exactly.
+    for word in (sc.AutomorphismWord(small_algebra, ()),
+                 sc.AutomorphismWord(small_algebra, (sc.Scalar(4.0),))):
+        rep = sc.solve(word, sc.SolveConfig(p=2.0))
+        assert rep.distance_trace == (0.0,)
+        assert rep.contraction_estimate == 0.0
+
+
+def test_zero_step_from_a_fixed_point_off_the_identity():
+    # P(a)x = x^2 at x = a^2; with powers of two every operation is exact,
+    # so the iterate started at a^2 / |a^2| comes back byte for byte.
+    a = [1.0, 0.5, 0.25]
+    for d, coords in ((sc.orthant(3), lambda v: v), (sc.sym_matrix(3), np.diag)):
+        g = sc.AutomorphismWord(d, (sc.Quad(el(d, coords(a))),))
+        start = el(d, coords(np.square(a)))
+        rep = sc.solve(g, sc.SolveConfig(p=2.0, initial=start))
+        assert rep.distance_trace == (0.0,)
+        assert rep.solution.coords.tobytes() == start.coords.tobytes()
+
+
+@pytest.mark.parametrize("descriptor", [sc.orthant(8), sc.sym_matrix(6), sc.spin_factor(10)],
+                         ids=["orthant8", "sym6", "spin10"])
+def test_steps_match_the_distance(monkeypatch, descriptor):
+    # Each step, read from the decomposition of g(x_k), is the Hilbert
+    # distance d(x_k, x_{k+1}) that metric.distance computes with its own
+    # factorisation, to within 1e-13.  The iterates are the arguments of
+    # the word's applications: x_0 .. x_{n-1} in the loop, then u = x_n
+    # and the solution in the rescaling.
+    apply_coords = transforms._apply_coords
+    iterates = []
+
+    def recorded(g, x):
+        iterates.append(x)
+        return apply_coords(g, x)
+
+    monkeypatch.setattr(transforms, "_apply_coords", recorded)
+    rng = SplitMix64(67)
+    for p in (-3.0, -2.0, 1.5, 2.0, 3.0):
+        g = mild_word(descriptor, rng)
+        iterates.clear()
+        rep = sc.solve(g, sc.SolveConfig(p=p))
+        assert len(iterates) == rep.iterations + 2
+        for k, step in enumerate(rep.distance_trace):
+            x, x_next = (sc.Element(descriptor, c) for c in iterates[k:k + 2])
+            assert abs(step - metric.distance(x, x_next).distance) <= 1e-13
+
+
+def test_step_breakdown_is_not_in_cone(monkeypatch):
+    # A step spectrum with a non-positive least eigenvalue, between two
+    # iterates that are in the cone, raises NotInCone naming the step, not
+    # the ValueError of math.log.  A quad with one entry negated forces it.
+    kernel = algebra._KERNELS["orthant"]
+    flip = np.array([1.0, 1.0, -1.0])
+    monkeypatch.setitem(algebra._KERNELS, "orthant",
+                        kernel._replace(quad=lambda a, x: flip * kernel.quad(a, x)))
+    o3 = sc.orthant(3)
+    g = sc.AutomorphismWord(o3, (sc.Scalar(2.0),))
+    with pytest.raises(NotInCone, match="step 1: .* both iterates"):
+        sc.solve(g, sc.SolveConfig(p=2.0, initial=el(o3, [1.0, 2.0, 3.0])))
 
 
 def _outcome(solve, g, cfg):
@@ -370,8 +440,8 @@ def test_bushell_accepts_well_conditioned_t(t):
 
 
 def test_power_norm_keeps_a_nan_at_the_low_end():
-    assert math.isnan(solver._power_norm(np.array([2.0, math.nan]), 2.0))
-    assert solver._power_norm(np.array([2.0, 0.5]), -1.0) == 2.0
+    assert math.isnan(solver._power_norm(np.power([2.0, math.nan], 2.0)))
+    assert solver._power_norm(np.power([2.0, 0.5], -1.0)) == 2.0
 
 
 @pytest.mark.parametrize("k", [62, 200, 1023])
