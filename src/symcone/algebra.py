@@ -25,18 +25,10 @@ has a closed form in each kernel (x y x on sym, 2<x, y> x - det(x) y* on
 spin), and the spectrum of P(y^{-1/2})x is computed by each kernel in its
 own way and read directly by ``metric``.
 
-Each element computes its spectrum at most once.  The first call of
-``eigenvalues``, ``lambda_min``, ``spectral_norm``, ``det`` or
-``spectral_decompose`` on an element stores its descending eigenvalues on
-it as a read-only array, and later calls read them back; on ``sym`` this
-saves a Jacobi eigensolve per call.  Only the eigenvalues are kept (O(rank)
-memory), never the Jordan frame.
-
-All operations are pure functions of immutable values: element coordinate
-arrays are frozen at construction, and the eigenvalue cache is a function
-of them alone, so filling it is idempotent.  Two threads that fill it at
-once store equal arrays, and either one may win; everything here is safe
-to call concurrently.
+An element holds only its algebra and its coordinates, frozen at
+construction, and every spectrum is computed where it is read: all
+operations are pure functions of immutable values, safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -471,9 +463,6 @@ class Element:
 
     algebra: AlgebraDescriptor
     coords: np.ndarray
-    # Descending eigenvalues, read-only, filled on first use (module docstring).
-    _eigenvalues: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coords = np.asarray(self.coords, dtype=float)
@@ -488,7 +477,7 @@ class Element:
 
     def __reduce__(self):
         # Unpickled arrays are writable; rebuild so the coordinates are
-        # frozen again and the eigenvalue cache starts empty.
+        # frozen again.
         return Element, (self.algebra, self.coords)
 
     def __add__(self, other: Element) -> Element:
@@ -575,31 +564,21 @@ def trace_inner(x: Element, y: Element) -> float:
 # Spectral decomposition and functional calculus
 # ---------------------------------------------------------------------------
 
-def _store_eigenvalues(x: Element, eigs: np.ndarray) -> np.ndarray:
-    eigs.flags.writeable = False
-    object.__setattr__(x, "_eigenvalues", eigs)
-    return eigs
-
-
 def spectral_decompose(x: Element) -> SpectralDecomposition:
     """Eigenvalues sorted descending with a Jordan frame for x.
 
-    Also stores the eigenvalues on x, so its later spectral reductions
-    need no eigensolve.
+    One eigensolve with eigenvectors on ``sym``; nothing is stored on x.
     """
     eigs, frame = x.algebra.kernel.decompose(x.coords)
-    return SpectralDecomposition(x.algebra, _store_eigenvalues(x, eigs), frame)
+    return SpectralDecomposition(x.algebra, eigs, frame)
 
 
 def eigenvalues(x: Element) -> np.ndarray:
-    """Eigenvalues sorted descending (no frame construction), read-only.
+    """Eigenvalues sorted descending, without the frame.
 
-    Computed on the first call for x and stored on it.
+    Computed at each call: one eigensolve without eigenvectors on ``sym``.
     """
-    eigs = x._eigenvalues
-    if eigs is None:
-        eigs = _store_eigenvalues(x, x.algebra.kernel.eigenvalues(x.coords))
-    return eigs
+    return x.algebra.kernel.eigenvalues(x.coords)
 
 
 def lambda_min(x: Element) -> float:

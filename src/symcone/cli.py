@@ -288,16 +288,20 @@ def cmd_check(args) -> int:
     descriptor = parse_algebra_flag(args.algebra)
     extra = {}
     raw = None
-    if args.suite == "isometry" and args.instance:
+    if (args.instance is None) != (args.map is None):
+        return _fail(2, "--instance and --map are given together or not at all")
+    if args.instance is not None:
+        if args.suite != "isometry":
+            return _fail(2, f"--instance and --map apply to the isometry suite "
+                            f"only, not to {args.suite}")
         inst = load_instance(args.instance)
         raw = inst.raw
         if inst.descriptor != descriptor:
             return _fail(2, "instance algebra does not match --algebra")
-        if args.map:
-            rng = SplitMix64(args.seed)
-            words = [transforms.random_word(descriptor, rng) for _ in range(4)]
-            words.append(inst.map(args.map))
-            extra["words"] = words
+        rng = SplitMix64(args.seed)
+        words = [transforms.random_word(descriptor, rng) for _ in range(4)]
+        words.append(inst.map(args.map))
+        extra["words"] = words
     suite_fn = suites.SUITES[args.suite]
     result = suite_fn(descriptor, args.samples, args.seed, **extra)
     echo = {"suite": args.suite, "algebra": args.algebra,
@@ -365,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--instance", default=None,
-                   help="optional instance file (isometry suite)")
+                   help="instance file holding --map (isometry suite only)")
     p.add_argument("--map", default=None,
                    help="named map from --instance to include in the isometry suite")
     p.set_defaults(fn=cmd_check)

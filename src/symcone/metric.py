@@ -14,8 +14,8 @@ in one pass:
 * spin: y's closed-form eigenvalues, then y^{-1/2} and the closed form
   P(a)x = 2<a, x> a - det(a) x*, whose closed-form eigenvalues finish it.
 
-The equivalent cross form log(l_max(x,y) * l_max(y,x)) is kept for tests
-only.
+The equivalent cross form log(l_max(x,y) * l_max(y,x)) is not computed
+here; ``test_metric::test_distance_cross_form`` checks it.
 
 Two independent oracles cross-check the eigenvalue route: a bisection on
 the order relation x <= lambda * y, and a Rayleigh-quotient sampler over

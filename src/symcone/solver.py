@@ -37,6 +37,7 @@ direction within tol in the Hilbert metric.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,6 +52,12 @@ from .transforms import AutomorphismWord, Congruence
 _MAX_BUSHELL_K = 1023
 
 
+def _is_number(value, kind: type) -> bool:
+    """An instance of ``numbers.Real`` or ``numbers.Integral`` (numpy's
+    scalars included), but not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SolveConfig:
     p: float
@@ -59,14 +66,17 @@ class SolveConfig:
     initial: Element | None = None
 
     def __post_init__(self):
-        if not (abs(self.p) > 1.0 and math.isfinite(self.p)):
+        if not (_is_number(self.p, numbers.Real)
+                and abs(self.p) > 1.0 and math.isfinite(self.p)):
             raise ValueError(
-                f"the equation g(x) = x^p needs a finite p with |p| > 1, got p={self.p}")
-        if not (self.tol > 0.0 and math.isfinite(self.tol)):
-            raise ValueError("tol must be positive and finite")
-        if not (isinstance(self.max_iter, int) and not isinstance(self.max_iter, bool)
-                and self.max_iter >= 1):
+                f"the equation g(x) = x^p needs a finite p with |p| > 1, got p={self.p!r}")
+        if not (_is_number(self.tol, numbers.Real)
+                and self.tol > 0.0 and math.isfinite(self.tol)):
+            raise ValueError(f"tol must be a positive finite number, got {self.tol!r}")
+        if not (_is_number(self.max_iter, numbers.Integral) and self.max_iter >= 1):
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        if not (self.initial is None or isinstance(self.initial, Element)):
+            raise ValueError(f"initial must be None or an Element, got {self.initial!r}")
 
 
 @dataclass(frozen=True)
@@ -144,10 +154,13 @@ def solve(g: AutomorphismWord, cfg: SolveConfig) -> SolveReport:
     x = cfg.initial if cfg.initial is not None else g.algebra.identity()
     if x.algebra != g.algebra:
         raise AlgebraMismatch("initial point lives in a different algebra")
-    if not algebra.in_cone(x):
+    # One eigensolve serves the cone test and the scaling: on positive
+    # eigenvalues _power_norm is normalize's max(|l_min|, |l_max|).
+    eigs = algebra.eigenvalues(x)
+    if not eigs[-1] > 0.0:
         raise NotInCone("initial point is not in the open cone")
     kernel = g.algebra.kernel
-    x = algebra.normalize(x).coords
+    x = (x * (1.0 / _power_norm(eigs))).coords
     threshold = cfg.tol * (1.0 - 1.0 / abs(p))
     trace: list[float] = []
     converged = False

@@ -331,6 +331,22 @@ def test_check_isometry_with_user_word(capsys, sym_instance):
     assert any("congruence" in c["name"] for c in rep["checks"])
 
 
+@pytest.mark.parametrize("extra, message", [
+    # Each was ignored, exit 0, with the unused flags echoed in the report.
+    (("isometry", "--map", "t"), "together"),
+    (("isometry", "--instance", "{path}"), "together"),
+    (("oracle", "--instance", "{path}", "--map", "nosuch"), "isometry suite only"),
+])
+def test_check_instance_and_map_only_together_on_isometry(capsys, sym_instance,
+                                                          extra, message):
+    argv = [a.format(path=sym_instance) for a in extra]
+    code, out, err = run(capsys, "check", *argv, "--algebra", "sym:2",
+                         "--samples", "5", "--seed", "5")
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 @pytest.mark.parametrize("seed", ["1736065177", "1811472829"])
 def test_check_isometry_sym6_regressions(capsys, seed):
     # Both exited 6 while a sym distance went through y^{-1/2} and P(a)x:

@@ -39,6 +39,18 @@ def test_config_validation():
     for tol in (math.inf, math.nan):
         with pytest.raises(ValueError):
             sc.SolveConfig(p=2.0, tol=tol)
+    # Only real numbers, never a bool, a string or None.
+    for p in ("3", True, None):
+        with pytest.raises(ValueError, match="p="):
+            sc.SolveConfig(p=p)
+    for tol in ("1e-12", None, True):
+        with pytest.raises(ValueError, match="tol"):
+            sc.SolveConfig(p=2.0, tol=tol)
+    for initial in ("x", [1.0, 1.0], np.ones(2)):
+        with pytest.raises(ValueError, match="initial"):
+            sc.SolveConfig(p=2.0, initial=initial)
+    assert sc.SolveConfig(p=3, tol=1).tol == 1
+    assert sc.SolveConfig(p=np.float64(2.0), max_iter=np.int64(5)).max_iter == 5
 
 
 def test_identity_map_p2():
