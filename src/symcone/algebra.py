@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -54,22 +55,46 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
 
+def _is_number(value, kind: type) -> bool:
+    """An instance of ``numbers.Real`` or ``numbers.Integral`` (numpy's
+    scalars included), but not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _is_integral(value) -> bool:
+    """An integer, or a finite real number with no fractional part."""
+    if _is_number(value, numbers.Integral):
+        return True
+    return _is_number(value, numbers.Real) and math.isfinite(value) and int(value) == value
+
+
 # ---------------------------------------------------------------------------
 # Cyclic Jacobi eigensolver (sym only)
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=8)
+def _other_rows(r):
+    """Table whose [p][q] entry holds 0..r-1 without p and q, ascending."""
+    return tuple(
+        tuple(tuple(k for k in range(r) if k != p and k != q) for q in range(r))
+        for p in range(r)
+    )
+
+
 def _jacobi(matrix: np.ndarray, accumulate: bool):
     """Cyclic Jacobi on a symmetric matrix; returns (diag, columns or None).
 
-    The float matrix must equal its transpose bit for bit, as every caller's
-    does: each rotation computes an off-diagonal pair once and writes it to
-    both triangles.  Rotations run in fixed row-major pair order, so the
-    result is deterministic for a fixed input.  The annihilated entry is set
-    to an exact zero each rotation; a sweep performing no rotation means
-    every off-diagonal entry is at most eps * ||A||_F and we are done.  The
-    threshold is relative at every scale, so c * A is rotated as A is, up
-    to rounding, however small c is.  A NaN or infinite entry is refused up
-    front: no rotation can clear it.
+    Rotations run in fixed row-major pair order, so the result is
+    deterministic for a fixed input.  The float matrix must equal its
+    transpose bit for bit, as every caller's does: a rotation of the pair
+    (p, q) visits every row k other than p and q, computes the pair
+    (a_kp, a_kq) once and writes it to both triangles, then writes the 2x2
+    block of rows p and q from a_pp, a_qq and a_pq, with the annihilated
+    entry an exact zero.  The eigenvector columns rotate over every row.  A
+    sweep performing no rotation means every off-diagonal entry is at most
+    eps * ||A||_F and we are done.  The threshold is relative at every
+    scale, so c * A is rotated as A is, up to rounding, however small c is.
+    A NaN or infinite entry is refused up front: no rotation can clear it.
     """
     r = matrix.shape[0]
     a = matrix.tolist()
@@ -94,6 +119,7 @@ def _jacobi(matrix: np.ndarray, accumulate: bool):
         )
     v = [[1.0 if i == j else 0.0 for j in range(r)] for i in range(r)] if accumulate else None
     thresh = _EPS * frobenius
+    others = _other_rows(r)
     max_sweeps = 30 * r * r
     for _ in range(max_sweeps):
         rotated = False
@@ -111,8 +137,9 @@ def _jacobi(matrix: np.ndarray, accumulate: bool):
                 s = t * c
                 app = ap[p]
                 aqq = aq[q]
-                # Rows p and q pass too; their 2x2 block is overwritten below.
-                for k, ak in enumerate(a):
+                # Every row but p and q; their 2x2 block is written below.
+                for k in others[p][q]:
+                    ak = a[k]
                     akp = ak[p]
                     akq = ak[q]
                     ap[k] = ak[p] = c * akp - s * akq
@@ -431,8 +458,10 @@ class AlgebraDescriptor:
         if not isinstance(self.kind, str) or self.kind not in _KERNELS:
             raise ValueError(f"unknown algebra kind {self.kind!r}")
         kernel = _KERNELS[self.kind]
-        if int(self.param) != self.param or self.param < kernel.min_param:
-            raise ValueError(f"{self.kind} param must be an integer >= {kernel.min_param}")
+        if not (_is_integral(self.param) and self.param >= kernel.min_param):
+            raise ValueError(
+                f"{self.kind} param must be an integer >= {kernel.min_param}, "
+                f"got {self.param!r}")
         object.__setattr__(self, "param", int(self.param))
         object.__setattr__(self, "kernel", kernel)
         object.__setattr__(self, "coord_shape", kernel.identity(self.param).shape)

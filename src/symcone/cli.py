@@ -55,7 +55,7 @@ def parse_algebra_obj(obj) -> AlgebraDescriptor:
         raise ParseError("algebra must be an object")
     _require_keys(obj, {"kind", "param"}, {"kind", "param"}, "algebra")
     try:
-        return AlgebraDescriptor(obj["kind"], int(obj["param"]))
+        return AlgebraDescriptor(obj["kind"], obj["param"])
     except (TypeError, ValueError) as exc:
         raise ParseError(str(exc)) from exc
 

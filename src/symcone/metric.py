@@ -25,6 +25,7 @@ random primitive idempotents which brackets the extremes from inside.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,8 +78,8 @@ def upper_bound_oracle(x: Element, y: Element, tol: float) -> float:
     stops early once lo and hi are adjacent floats, where a tol below
     their spacing could not be met.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (algebra._is_number(tol, numbers.Real) and tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     _require_interior(x, "x")
     _require_interior(y, "y")
     lo = 0.0
@@ -105,8 +106,8 @@ def rayleigh_oracle(
     exceeds l_max and the minimum never falls below l_min.
     """
     algebra._require_same_algebra(x, y)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if not (algebra._is_number(samples, numbers.Integral) and samples >= 1):
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     _require_interior(x, "x")
     _require_interior(y, "y")
     rng = SplitMix64(seed)

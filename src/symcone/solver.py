@@ -43,19 +43,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import algebra, metric, transforms
-from .algebra import Element
+from .algebra import Element, _is_number
 from .errors import AlgebraMismatch, NonConvergence, NotInCone, SingularMatrix
 from .transforms import AutomorphismWord, Congruence
 
 
 # The largest k with 2^k below the float overflow.
 _MAX_BUSHELL_K = 1023
-
-
-def _is_number(value, kind: type) -> bool:
-    """An instance of ``numbers.Real`` or ``numbers.Integral`` (numpy's
-    scalars included), but not a bool."""
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,17 @@
 import math
 import pickle
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import symcone as sc
-from symcone import algebra
+from symcone import algebra, solver
 from symcone.algebra import _jacobi
-from symcone.errors import AlgebraMismatch, EigensolverFailure, NotInCone
+from symcone.errors import AlgebraMismatch, EigensolverFailure, NonConvergence, NotInCone
 from symcone.rng import SplitMix64
-from symcone.transforms import random_cone_element, random_word
+from symcone.transforms import AutomorphismWord, Quad, random_cone_element, random_word
 
 from conftest import count_jacobi, el, frame_loop_power, mild_word, three_product_quad
 from jacobi_reference import _jacobi as reference_jacobi
@@ -43,6 +44,13 @@ def test_descriptor_validation():
         sc.orthant(0)
     with pytest.raises(ValueError):
         sc.spin_factor(1)
+    # Each was coerced or raised a raw TypeError or OverflowError.
+    for param in (2.5, True, None, math.inf, math.nan, "3"):
+        with pytest.raises(ValueError, match="param must be an integer"):
+            sc.AlgebraDescriptor("sym", param)
+    for param in (3, 3.0, np.int64(3), np.float64(3.0)):
+        descriptor = sc.AlgebraDescriptor("sym", param)
+        assert descriptor == sc.sym_matrix(3) and type(descriptor.param) is int
 
 
 def test_element_symmetrizes_on_ingestion():
@@ -681,6 +689,40 @@ def _jacobi_inputs(r, rng):
     signed[0, 0] = -0.0
     yield signed
     yield np.full((r, r), 1e160)
+    # The solver's last steps: P(x_{k+1}^{-1/2}) x_k next to the identity.
+    yield np.eye(r) + 1e-10 * (m + m.T) / 2.0
+    yield from _solver_jacobi_inputs(s, rng)
+
+
+def _solver_jacobi_inputs(s, rng):
+    """Every matrix the first iterations of a solve on an e^{+-2} word pass
+    to the eigensolver, as solver.solve builds them: the images g(x_k),
+    decomposed, and the step matrices P(x_{k+1}^{-1/2}) x_k.  The quad
+    keeps the identity from being a fixed point of a diagonal word."""
+    word = random_word(s, rng)
+    word = AutomorphismWord(s, word.factors + (Quad(random_cone_element(s, rng)),))
+    seen = []
+
+    def recorded(matrix, accumulate):
+        seen.append(matrix.copy())
+        return _jacobi(matrix, accumulate)
+
+    with mock.patch.object(algebra, "_jacobi", recorded):
+        try:
+            solver.solve(word, solver.SolveConfig(p=2.0, max_iter=3))
+        except NonConvergence:
+            pass
+    return seen
+
+
+def test_other_rows_leaves_out_the_pivot_rows():
+    for r in range(1, 21):
+        table = algebra._other_rows(r)
+        assert len(table) == r
+        for p in range(r):
+            assert len(table[p]) == r
+            for q in range(r):
+                assert table[p][q] == tuple(k for k in range(r) if k not in (p, q))
 
 
 def test_jacobi_bits_match_the_reference_loop():

@@ -282,6 +282,19 @@ def test_non_string_algebra_kind_exit_2(capsys, tmp_path):
     assert "unknown algebra kind" in err
 
 
+@pytest.mark.parametrize("param", ["2.5", "true", "1e999", "null", '"3"'])
+def test_non_integer_algebra_param_exit_2(capsys, tmp_path, param):
+    # 2.5 ran as orthant:2, true as orthant:1 and "3" as orthant:3, and
+    # 1e999 (infinity) ended in an OverflowError traceback.
+    path = tmp_path / "bad.json"
+    path.write_text('{"algebra": {"kind": "orthant", "param": %s}, '
+                    '"elements": {"x": [1, 2]}}' % param)
+    code, out, err = run(capsys, "metric", str(path), "x", "x")
+    assert code == 2
+    assert out == ""
+    assert "param must be an integer" in err
+
+
 @pytest.mark.parametrize("command, payload", [
     (("metric", "x", "x"), {"elements": {"x": [[math.nan, 0], [0, 1]]}}),
     (("bushell", "t"),

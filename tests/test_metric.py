@@ -219,8 +219,21 @@ def test_upper_bound_oracle_examples():
     assert abs(sc.upper_bound_oracle(x, y, 1e-8) - 2.0) <= 1e-8
     assert abs(sc.upper_bound_oracle(x, x, 1e-8) - 1.0) <= 1e-8
     assert abs(sc.upper_bound_oracle(el(O2, [3, 3]), y, 1e-8) - 3.0) <= 1e-8
-    with pytest.raises(ValueError):
-        sc.upper_bound_oracle(x, y, 0.0)
+    # A NaN or infinite tol ran no bisection and returned the midpoint of
+    # the initial bracket; a fractional samples count failed in range().
+    for tol in (0.0, -1e-8, math.nan, math.inf, True, "1e-8", None):
+        with pytest.raises(ValueError, match="tol"):
+            sc.upper_bound_oracle(x, y, tol)
+    s3 = sc.sym_matrix(3)
+    rng = SplitMix64(3)
+    u, v = random_cone_element(s3, rng), random_cone_element(s3, rng)
+    for tol in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            sc.upper_bound_oracle(u, v, tol)
+    for samples in (0, -3, 2.5, 2.0, True, math.nan, "4", None):
+        with pytest.raises(ValueError, match="samples"):
+            sc.rayleigh_oracle(u, v, samples, 1)
+    assert sc.rayleigh_oracle(u, v, np.int64(4), 1) == sc.rayleigh_oracle(u, v, 4, 1)
 
 
 def test_upper_bound_oracle_stops_at_adjacent_floats():
