@@ -23,7 +23,9 @@ array, row j the coords of c_j; x^p (one reduction over the rows), det,
 the cone test and the spectral norm are written once on top of it.  P(x)y
 has a closed form in each kernel (x y x on sym, 2<x, y> x - det(x) y* on
 spin), and the spectrum of P(y^{-1/2})x is computed by each kernel in its
-own way and read directly by ``metric``.
+own way and read directly by ``metric``.  On sym the decomposition also
+returns its eigenvector columns, from which the decomposition of a nearby
+matrix can start, and with which the solver's step spectrum is computed.
 
 An element holds only its algebra and its coordinates, frozen at
 construction, and every spectrum is computed where it is read: all
@@ -81,7 +83,7 @@ def _other_rows(r):
     )
 
 
-def _jacobi(matrix: np.ndarray, accumulate: bool):
+def _jacobi(matrix: np.ndarray, accumulate: bool, start: np.ndarray | None = None):
     """Cyclic Jacobi on a symmetric matrix; returns (diag, columns or None).
 
     Rotations run in fixed row-major pair order, so the result is
@@ -90,11 +92,14 @@ def _jacobi(matrix: np.ndarray, accumulate: bool):
     (p, q) visits every row k other than p and q, computes the pair
     (a_kp, a_kq) once and writes it to both triangles, then writes the 2x2
     block of rows p and q from a_pp, a_qq and a_pq, with the annihilated
-    entry an exact zero.  The eigenvector columns rotate over every row.  A
-    sweep performing no rotation means every off-diagonal entry is at most
-    eps * ||A||_F and we are done.  The threshold is relative at every
-    scale, so c * A is rotated as A is, up to rounding, however small c is.
-    A NaN or infinite entry is refused up front: no rotation can clear it.
+    entry an exact zero.  The eigenvector columns rotate over every row,
+    starting from the identity, or from the columns of ``start`` when it is
+    given: for A = S^T M S they end as the eigenvectors S W of M, with no
+    separate product.  A sweep performing no rotation means every
+    off-diagonal entry is at most eps * ||A||_F and we are done.  The
+    threshold is relative at every scale, so c * A is rotated as A is, up
+    to rounding, however small c is.  A NaN or infinite entry is refused up
+    front: no rotation can clear it.
     """
     r = matrix.shape[0]
     a = matrix.tolist()
@@ -117,7 +122,12 @@ def _jacobi(matrix: np.ndarray, accumulate: bool):
             f"Jacobi needs finite entries; the {r}x{r} matrix has NaN or "
             f"infinite entries"
         )
-    v = [[1.0 if i == j else 0.0 for j in range(r)] for i in range(r)] if accumulate else None
+    if not accumulate:
+        v = None
+    elif start is None:
+        v = [[1.0 if i == j else 0.0 for j in range(r)] for i in range(r)]
+    else:
+        v = start.tolist()
     thresh = _EPS * frobenius
     others = _other_rows(r)
     max_sweeps = 30 * r * r
@@ -177,13 +187,19 @@ class _Kernel(NamedTuple):
     product: Callable
     quad: Callable  # (a, x) -> P(a)x
     trace_inner: Callable
-    decompose: Callable  # coords -> (eigenvalues descending, frame array)
+    # (coords, basis=None) -> (eigenvalues descending, frame array, basis).
+    # The basis is sym's eigenvector columns, in the eigenvalues' order; a
+    # call given one starts from it (None on the other families).
+    decompose: Callable
     eigenvalues: Callable  # coords -> eigenvalues descending
     tr: Callable
     # (x, y) -> eigenvalues of P(y^{-1/2})x descending, or None when y is
     # not in the open cone or an entry of x (on sym also of y) is not
     # finite; x is in the cone iff the least eigenvalue is > 0.
     relative_eigenvalues: Callable
+    # (x, mu, frame, basis) -> eigenvalues of P(y^{-1/2})x descending, where
+    # y = sum_j mu_j c_j on a frame and basis from decompose.
+    relative_on_frame: Callable
     random_point: Callable  # (param, rng, lo, hi) -> interior coords
     # (x, y, samples, rng) -> ratios (x|c)/(y|c) over primitive idempotents c
     rayleigh_ratios: Callable
@@ -206,6 +222,12 @@ def _power_sum(eigenvalues, frame, p):
     return _frame_sum(np.power(eigenvalues, p), frame)
 
 
+def _quad_relative_on_frame(quad, eigenvalues):
+    """relative_on_frame from a closed-form quad: the spectrum of P(a)x,
+    with a = y^{-1/2} = sum_j mu_j^{-1/2} c_j built on the frame."""
+    return lambda x, mu, frame, basis: eigenvalues(quad(_power_sum(mu, frame, -0.5), x))
+
+
 def _orthant_relative_eigenvalues(x, y):
     if not (y.min() > 0.0 and np.isfinite(x).all()):
         return None
@@ -221,9 +243,17 @@ def _unit_rows(n):
     return rows
 
 
-def _orthant_decompose(x):
+def _orthant_decompose(x, basis=None):
     order = _descending_order(x)
-    return x[order], _unit_rows(x.shape[0])[order]
+    return x[order], _unit_rows(x.shape[0])[order], None
+
+
+def _orthant_eigenvalues(x):
+    return x[_descending_order(x)]
+
+
+def _orthant_quad(a, x):
+    return a * a * x
 
 
 _ORTHANT_KERNEL = _Kernel(
@@ -232,12 +262,13 @@ _ORTHANT_KERNEL = _Kernel(
     identity=np.ones,
     ingest=lambda x: x.copy(),
     product=lambda x, y: x * y,
-    quad=lambda a, x: a * a * x,
+    quad=_orthant_quad,
     trace_inner=lambda x, y: float(np.dot(x, y)),
     decompose=_orthant_decompose,
-    eigenvalues=lambda x: x[_descending_order(x)],
+    eigenvalues=_orthant_eigenvalues,
     tr=lambda x: float(np.sum(x)),
     relative_eigenvalues=_orthant_relative_eigenvalues,
+    relative_on_frame=_quad_relative_on_frame(_orthant_quad, _orthant_eigenvalues),
     random_point=lambda n, rng, lo, hi: rng.log_uniforms(n, lo, hi),
     # Exhaustive over the standard basis, so the bounds are exact.
     rayleigh_ratios=lambda x, y, samples, rng: x / y,
@@ -262,16 +293,36 @@ def _sym_quad(a, x):
     return (m + m.T) / 2.0
 
 
-def _sym_decompose(x):
-    diag, vmat = _jacobi(x, accumulate=True)
+def _sym_congruence(v, x):
+    """v^T x v, averaged with its transpose so that it is bitwise symmetric."""
+    m = v.T @ x @ v
+    return (m + m.T) / 2.0
+
+
+def _sym_decompose(x, basis=None):
+    """Given the columns V of a decomposition of a nearby matrix, Jacobi runs
+    on the nearly diagonal V^T x V, rotating V's columns into x's
+    eigenvectors, and converges in fewer sweeps than from the identity."""
+    m = x if basis is None else _sym_congruence(basis, x)
+    diag, vmat = _jacobi(m, True, basis)
     order = _descending_order(diag)
-    cols = vmat.T[order]  # the eigenvector columns, descending
-    return diag[order], cols[:, :, None] * cols[:, None, :]
+    basis = vmat[:, order]  # the eigenvector columns, descending
+    cols = basis.T
+    return diag[order], cols[:, :, None] * cols[:, None, :], basis
 
 
 def _sym_eigenvalues(x):
     diag, _ = _jacobi(x, accumulate=False)
     return diag[_descending_order(diag)]
+
+
+def _sym_relative_on_frame(x, mu, frame, basis):
+    """The spectrum of D^{-1/2} (V^T x V) D^{-1/2}, with D = diag(mu) and V
+    the basis, to which P(y^{-1/2})x = V D^{-1/2} V^T x V D^{-1/2} V^T is
+    orthogonally similar.  The scaling multiplies each entry by the
+    product d_i d_j, so that the matrix stays bitwise symmetric."""
+    d = np.power(mu, -0.5)
+    return _sym_eigenvalues(_sym_congruence(basis, x) * (d[:, None] * d[None, :]))
 
 
 def _sym_cholesky(y):
@@ -344,6 +395,7 @@ _SYM_KERNEL = _Kernel(
     eigenvalues=_sym_eigenvalues,
     tr=lambda x: float(np.trace(x)),
     relative_eigenvalues=_sym_relative_eigenvalues,
+    relative_on_frame=_sym_relative_on_frame,
     random_point=_sym_random_point,
     rayleigh_ratios=_sym_rayleigh_ratios,
 )
@@ -375,14 +427,14 @@ def _spin_quad(a, x):
     return out
 
 
-def _spin_decompose(x):
+def _spin_decompose(x, basis=None):
     x0 = float(x[0])
     nrm = math.hypot(*x[1:].tolist())
     u = x[1:] / nrm if nrm != 0.0 else np.eye(x.shape[0] - 1)[0]
     frame = np.empty((2, x.shape[0]))
     frame[:, 0], frame[0, 1:], frame[1, 1:] = 1.0, u, -u
     frame *= 0.5
-    return np.array([x0 + nrm, x0 - nrm]), frame
+    return np.array([x0 + nrm, x0 - nrm]), frame, None
 
 
 def _spin_eigenvalues(x):
@@ -399,7 +451,8 @@ def _spin_relative_eigenvalues(x, y):
     # match theirs.
     if not (_spin_eigenvalues(y)[-1] > 0.0 and np.isfinite(x).all()):
         return None
-    a = _power_sum(*_spin_decompose(y), -0.5)
+    eigs, frame, _ = _spin_decompose(y)
+    a = _power_sum(eigs, frame, -0.5)
     return _spin_eigenvalues(_spin_quad(a, x))
 
 
@@ -432,6 +485,7 @@ _SPIN_KERNEL = _Kernel(
     eigenvalues=_spin_eigenvalues,
     tr=lambda x: 2.0 * float(x[0]),
     relative_eigenvalues=_spin_relative_eigenvalues,
+    relative_on_frame=_quad_relative_on_frame(_spin_quad, _spin_eigenvalues),
     random_point=_spin_random_point,
     rayleigh_ratios=_spin_rayleigh_ratios,
 )
@@ -598,7 +652,7 @@ def spectral_decompose(x: Element) -> SpectralDecomposition:
 
     One eigensolve with eigenvectors on ``sym``; nothing is stored on x.
     """
-    eigs, frame = x.algebra.kernel.decompose(x.coords)
+    eigs, frame, _ = x.algebra.kernel.decompose(x.coords)
     return SpectralDecomposition(x.algebra, eigs, frame)
 
 

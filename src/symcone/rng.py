@@ -25,6 +25,8 @@ import math
 
 import numpy as np
 
+from .algebra import _is_integral
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 # Words per block.  A block of up to a few hundred words costs about as
@@ -42,9 +44,15 @@ _SHIFTS = tuple(np.uint64(k) for k in (30, 27, 31, 11))
 
 
 class SplitMix64:
-    """splitmix64 stream with float/vector helpers."""
+    """splitmix64 stream with float/vector helpers.
+
+    The seed is an integer, taken mod 2^64 (so -1 seeds the stream of
+    2^64 - 1); a bool or a non-integral seed raises ValueError.
+    """
 
     def __init__(self, seed: int):
+        if not _is_integral(seed):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
         # The state after the words of the current block.
         self._state = int(seed) & _MASK
         self._words = None

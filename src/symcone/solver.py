@@ -22,12 +22,23 @@ The step d(x_k, x_{k+1}) comes from the decomposition the iteration
 already holds.  With g(x_k) = sum_j l_j c_j, the next iterate is
 x_{k+1} = sum_j mu_j c_j with mu_j = l_j^{1/p} / |g(x_k)^{1/p}|, so
 x_{k+1}^{-1/2} = sum_j mu_j^{-1/2} c_j is built on the same frame, and
-the step is log(l_max / l_min) of P(x_{k+1}^{-1/2}) x_k, one eigensolve
-of the kernel's closed-form quad: x_{k+1} is never factored again.  When
-x_{k+1} equals x_k byte for byte the step is exactly 0.0, since
-d(x, x) = 0, and no eigensolve runs.  A step spectrum whose least
+the step is log(l_max / l_min) of P(x_{k+1}^{-1/2}) x_k, from one
+eigensolve (the kernel's relative_on_frame): x_{k+1} is never factored
+again.  When x_{k+1} equals x_k byte for byte the step is exactly 0.0,
+since d(x, x) = 0, and no eigensolve runs.  A step spectrum whose least
 eigenvalue is not positive raises NotInCone, naming the iterate outside
 the cone if one is, else the step.
+
+The decomposition may return a basis, which the loop hands to the next
+one.  On sym it is the eigenvector matrix V_k of g(x_k): since the
+iterates converge, so do their frames, and the cyclic Jacobi of
+g(x_{k+1}) runs on the nearly diagonal V_k^T g(x_{k+1}) V_k with its
+rotations applied to V_k, which takes far fewer sweeps than a cold start
+from the identity (the first iteration's).  The step is then the
+spectrum of D^{-1/2} (V_{k+1}^T x_k V_{k+1}) D^{-1/2} with D = diag(mu_j),
+which is orthogonally similar to P(x_{k+1}^{-1/2}) x_k.  The orthant and
+spin kernels have no basis to carry and compute the step with their
+closed-form quad.
 
 Stopping rule: the a-posteriori Banach bound with q = 1/|p| - iteration
 halts once d(x_k, x_{k+1}) <= tol * (1 - q), which puts the fixed
@@ -158,11 +169,12 @@ def solve(g: AutomorphismWord, cfg: SolveConfig) -> SolveReport:
     threshold = cfg.tol * (1.0 - 1.0 / abs(p))
     trace: list[float] = []
     converged = False
+    basis = None
     for _ in range(cfg.max_iter):
         # For p < -1 the exponent 1/p is negative: the step is the inversion
         # isometry composed with the |1/p| power, so the contraction factor
         # is 1/|p| in both regimes.
-        eigs, frame = kernel.decompose(transforms._apply_coords(g, x))
+        eigs, frame, basis = kernel.decompose(transforms._apply_coords(g, x), basis)
         try:
             algebra._require_power_domain(eigs, 1.0 / p)
         except NotInCone as exc:
@@ -177,10 +189,9 @@ def solve(g: AutomorphismWord, cfg: SolveConfig) -> SolveReport:
         if x_next.tobytes() == x.tobytes():
             step = 0.0  # d(x, x) = 0, with no eigensolve
         else:
-            # x_next^{-1/2} on g(x)'s frame, from x_next's eigenvalues mu_j
-            # (module docstring): no second factorisation.
-            root = algebra._power_sum(roots * scale, frame, -0.5)
-            rel = kernel.eigenvalues(kernel.quad(root, x))
+            # On g(x)'s frame, from x_next's eigenvalues mu_j (module
+            # docstring): no second factorisation.
+            rel = kernel.relative_on_frame(x, roots * scale, frame, basis)
             if not rel[-1] > 0.0:
                 # Raises the NotInCone that names an iterate at fault.
                 metric.lambda_extremes(
@@ -226,13 +237,16 @@ def solve_bushell(
     max_iter: int = 500,
     initial: Element | None = None,
 ) -> SolveReport:
-    """Unique positive definite A with t' A t = A^(2^k)."""
+    """Unique positive definite A with t' A t = A^(2^k).
+
+    k is an integer from 1 to 1023 (a bool is not), else ValueError.
+    """
     t = np.asarray(t, dtype=float)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise SingularMatrix("t must be a square matrix")
     if transforms.numerically_singular(t):
         raise SingularMatrix("t is numerically singular")
-    if int(k) != k or not 1 <= k <= _MAX_BUSHELL_K:
+    if not (algebra._is_integral(k) and 1 <= k <= _MAX_BUSHELL_K):
         raise ValueError(
             f"k must be an integer from 1 to {_MAX_BUSHELL_K}, so that 2^k is a "
             f"finite float")

@@ -19,9 +19,9 @@ def count_jacobi(monkeypatch):
     calls = []
     jacobi = algebra._jacobi
 
-    def counted(matrix, accumulate):
+    def counted(matrix, accumulate, start=None):
         calls.append(accumulate)
-        return jacobi(matrix, accumulate)
+        return jacobi(matrix, accumulate, start)
 
     monkeypatch.setattr(algebra, "_jacobi", counted)
     return calls
@@ -55,22 +55,50 @@ def element_apply(word, x):
     return out
 
 
+def sym_congruence(v, x):
+    """v^T x v, averaged with its transpose."""
+    m = v.T @ x @ v
+    return (m + m.T) / 2.0
+
+
+def warm_decompose(x, basis):
+    """Reference sym decomposition of x started from the eigenvector columns
+    ``basis`` of a previous one (cold when None): Jacobi on basis^T x basis,
+    with its rotations applied to basis.  Returns the decomposition and its
+    columns, both in descending eigenvalue order."""
+    m = x.coords if basis is None else sym_congruence(basis, x.coords)
+    diag, vecs = algebra._jacobi(m, True, basis)
+    order = np.argsort(-diag, kind="stable")
+    basis = vecs[:, order]
+    frame = np.array([np.outer(v, v) for v in basis.T])
+    return algebra.SpectralDecomposition(x.algebra, diag[order], frame), basis
+
+
 def element_loop_solve(g, cfg):
     """Reference solve: the Banach loop on Elements, through the public
     decomposition, power, quad and eigenvalues, with the word applied by
     ``element_apply``; the rescaling after the loop is the solver's own.
 
-    The step is log(l_max / l_min) of P(x_next^(-1/2)) x, with x_next^(-1/2)
-    built on the frame of g(x) from x_next's eigenvalues mu_j; it is exactly
-    0.0, with no eigensolve, when x_next equals x byte for byte."""
+    On orthant and spin, the step is log(l_max / l_min) of
+    P(x_next^(-1/2)) x, with x_next^(-1/2) built on the frame of g(x) from
+    x_next's eigenvalues mu_j.  On sym, g(x) is decomposed by
+    ``warm_decompose`` from the previous iteration's columns V, and the step
+    is log(l_max / l_min) of D^(-1/2) (V^T x V) D^(-1/2) with D = diag(mu_j),
+    which is similar to P(x_next^(-1/2)) x.  The step is exactly 0.0, with
+    no eigensolve, when x_next equals x byte for byte."""
     p = cfg.p
+    sym = g.algebra.kind == algebra.SYM
     x = cfg.initial if cfg.initial is not None else g.algebra.identity()
     x = algebra.normalize(x)
     threshold = cfg.tol * (1.0 - 1.0 / abs(p))
     trace = []
     converged = False
+    basis = None
     for _ in range(cfg.max_iter):
-        dec = algebra.spectral_decompose(element_apply(g, x))
+        if sym:
+            dec, basis = warm_decompose(element_apply(g, x), basis)
+        else:
+            dec = algebra.spectral_decompose(element_apply(g, x))
         try:
             root = dec.power(1.0 / p)
         except NotInCone as exc:
@@ -83,8 +111,13 @@ def element_loop_solve(g, cfg):
             step = 0.0
         else:
             mu = np.power(dec.eigenvalues, 1.0 / p) * scale
-            x_next_root = replace(dec, eigenvalues=mu).power(-0.5)
-            rel = algebra.eigenvalues(algebra.quad(x_next_root, x))
+            if sym:
+                d = np.power(mu, -0.5)
+                rel = algebra.eigenvalues(sc.Element(
+                    g.algebra, sym_congruence(basis, x.coords) * np.outer(d, d)))
+            else:
+                x_next_root = replace(dec, eigenvalues=mu).power(-0.5)
+                rel = algebra.eigenvalues(algebra.quad(x_next_root, x))
             if not rel[-1] > 0.0:
                 metric.lambda_extremes(x, x_next)
                 raise NotInCone("reference step left the open cone")

@@ -17,12 +17,13 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
 
-def _jacobi(matrix: np.ndarray, accumulate: bool):
+def _jacobi(matrix: np.ndarray, accumulate: bool, start: np.ndarray | None = None):
     """Cyclic Jacobi on a symmetric matrix; returns (diag, columns or None).
 
     Rotations run in fixed row-major pair order, so the result is
-    deterministic for a fixed input.  The annihilated entry is set to an
-    exact zero each rotation; a sweep performing no rotation means every
+    deterministic for a fixed input.  The eigenvector columns start from
+    the identity, or from the columns of ``start``.  The annihilated entry
+    is set to an exact zero each rotation; a sweep performing no rotation means every
     off-diagonal entry is at most eps * ||A||_F and we are done.  A NaN or
     infinite entry is refused up front: no rotation would ever clear it.
     """
@@ -47,7 +48,12 @@ def _jacobi(matrix: np.ndarray, accumulate: bool):
             f"Jacobi needs finite entries; the {r}x{r} matrix has NaN or "
             f"infinite entries"
         )
-    v = [[1.0 if i == j else 0.0 for j in range(r)] for i in range(r)] if accumulate else None
+    if not accumulate:
+        v = None
+    elif start is None:
+        v = [[1.0 if i == j else 0.0 for j in range(r)] for i in range(r)]
+    else:
+        v = [[float(start[i, j]) for j in range(r)] for i in range(r)]
     thresh = _EPS * frobenius
     max_sweeps = 30 * r * r
     for _ in range(max_sweeps):

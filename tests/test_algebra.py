@@ -495,7 +495,8 @@ def test_orthant_and_spin_frames_keep_the_bits_of_their_first_construction():
         x = np.asarray(x, dtype=float)
         order = np.argsort(-x, kind="stable")
         assert algebra._descending_order(x).tobytes() == order.tobytes()
-        eigs, frame = algebra._ORTHANT_KERNEL.decompose(x)
+        eigs, frame, basis = algebra._ORTHANT_KERNEL.decompose(x)
+        assert basis is None
         assert eigs.tobytes() == x[order].tobytes()
         assert frame.tobytes() == np.eye(x.shape[0])[order].tobytes()
         assert frame.flags.writeable
@@ -660,52 +661,49 @@ def test_jacobi_against_numpy_eigh():
 
 def _jacobi_inputs(r, rng):
     """Exactly symmetric matrices of the kinds the kernels and tests feed
-    the eigensolver, plus the corner cases of its loop."""
+    the eigensolver, plus the corner cases of its loop, each with the start
+    basis of its eigenvectors (None for the identity)."""
     s = sc.sym_matrix(r)
     x = random_cone_element(s, rng).coords
     y = random_cone_element(s, rng).coords
-    yield x
     # The distance's Cholesky congruence L^-1 x L^-T, where y = L L^T.
     upper = algebra._sym_cholesky(y)
     z = algebra._lower_solve(upper, algebra._lower_solve(upper, x).T)
-    yield (z + z.T) / 2.0
     m = rng.normal_matrix(r, r)
-    yield (m + m.T) / 2.0
     grade = np.logspace(-4.0, 4.0, r)
-    yield np.diag(grade * grade)
-    yield (m + m.T) / 2.0 * np.outer(grade, grade)
-    yield np.eye(r)
     k = r // 2
-    yield np.diag([2.0] * k + [1.0] * (r - k))
     q = rng.rotation(r)
     w = (q * ([2.0] * k + [1.0] * (r - k))) @ q.T
-    yield (w + w.T) / 2.0
     # Exact zeros off the diagonal, then signed zeros in both triangles.
     sparse = (m + m.T) / 2.0
     sparse[np.add.outer(np.arange(r), np.arange(r)) % 3 == 1] = 0.0
-    yield sparse
     signed = np.diag(np.arange(1.0, r + 1.0))
     signed[~np.eye(r, dtype=bool)] = -0.0
     signed[0, 0] = -0.0
-    yield signed
-    yield np.full((r, r), 1e160)
-    # The solver's last steps: P(x_{k+1}^{-1/2}) x_k next to the identity.
-    yield np.eye(r) + 1e-10 * (m + m.T) / 2.0
+    for matrix in (x, (z + z.T) / 2.0, (m + m.T) / 2.0, np.diag(grade * grade),
+                   (m + m.T) / 2.0 * np.outer(grade, grade), np.eye(r),
+                   np.diag([2.0] * k + [1.0] * (r - k)), (w + w.T) / 2.0,
+                   sparse, signed, np.full((r, r), 1e160),
+                   # The solver's last steps, next to the identity.
+                   np.eye(r) + 1e-10 * (m + m.T) / 2.0):
+        yield matrix, None
     yield from _solver_jacobi_inputs(s, rng)
 
 
 def _solver_jacobi_inputs(s, rng):
     """Every matrix the first iterations of a solve on an e^{+-2} word pass
-    to the eigensolver, as solver.solve builds them: the images g(x_k),
-    decomposed, and the step matrices P(x_{k+1}^{-1/2}) x_k.  The quad
-    keeps the identity from being a fixed point of a diagonal word."""
+    to the eigensolver, with its start basis, as solver.solve builds them:
+    the images g(x_k) and, from the second iteration on, their congruences
+    V^T g(x_k) V by the previous eigenvectors V, decomposed, and the step
+    matrices.  The quad keeps the identity from being a fixed point of a
+    diagonal word."""
     word = random_word(s, rng)
     word = AutomorphismWord(s, word.factors + (Quad(random_cone_element(s, rng)),))
     seen = []
 
-    def recorded(matrix, accumulate):
-        seen.append(matrix.copy())
-        return _jacobi(matrix, accumulate)
+    def recorded(matrix, accumulate, start=None):
+        seen.append((matrix.copy(), start))
+        return _jacobi(matrix, accumulate, start)
 
     with mock.patch.object(algebra, "_jacobi", recorded):
         try:
@@ -725,32 +723,42 @@ def test_other_rows_leaves_out_the_pivot_rows():
                 assert table[p][q] == tuple(k for k in range(r) if k not in (p, q))
 
 
+def _jacobi_modes(start):
+    """(accumulate, start) of each call to compare: no eigenvectors, the
+    eigenvectors from the identity, and from the start basis if any."""
+    return [(False, None), (True, None)] + ([(True, start)] if start is not None else [])
+
+
 def test_jacobi_bits_match_the_reference_loop():
     # The rotation writes each off-diagonal pair once; on an exactly
     # symmetric input it must give the separate row and column passes'
-    # bits, eigenvectors included.
+    # bits, eigenvectors included, from either start.
     rng = SplitMix64(17)
+    warm = 0
     for r in range(1, 21):
-        for m in _jacobi_inputs(r, rng):
+        for m, start in _jacobi_inputs(r, rng):
             assert m.tobytes() == m.T.tobytes()
-            for accumulate in (False, True):
-                diag, vecs = _jacobi(m, accumulate)
-                ref_diag, ref_vecs = reference_jacobi(m, accumulate)
+            for accumulate, basis in _jacobi_modes(start):
+                diag, vecs = _jacobi(m, accumulate, basis)
+                ref_diag, ref_vecs = reference_jacobi(m, accumulate, basis)
                 assert diag.tobytes() == ref_diag.tobytes()
                 if accumulate:
                     assert vecs.tobytes() == ref_vecs.tobytes()
                 else:
                     assert vecs is None and ref_vecs is None
+            warm += start is not None
+    # Two warm-started decompositions per size from r = 2 on.
+    assert warm == 2 * 19
 
 
 def test_jacobi_bits_match_the_reference_loop_at_extreme_scales():
     rng = SplitMix64(19)
     for r in (2, 6):
-        for m in _jacobi_inputs(r, rng):
+        for m, start in _jacobi_inputs(r, rng):
             for scale in (1e-300, 1e-170, 1e-17, 1e17):
-                for accumulate in (False, True):
-                    diag, vecs = _jacobi(scale * m, accumulate)
-                    ref_diag, ref_vecs = reference_jacobi(scale * m, accumulate)
+                for accumulate, basis in _jacobi_modes(start):
+                    diag, vecs = _jacobi(scale * m, accumulate, basis)
+                    ref_diag, ref_vecs = reference_jacobi(scale * m, accumulate, basis)
                     assert diag.tobytes() == ref_diag.tobytes()
                     if accumulate:
                         assert vecs.tobytes() == ref_vecs.tobytes()

@@ -24,6 +24,7 @@ ALLOWED = {
     ("algebra", "_SPIN_KERNEL", "np.dot"): "spin trace form 2 <x, y>",
     ("algebra", "_lower_solve", "@"): "forward substitution: row of L times the solved prefix",
     ("algebra", "_sym_quad", "@"): "closed-form P(a)x = a x a on sym",
+    ("algebra", "_sym_congruence", "@"): "V^T x V onto the solver's carried eigenvector basis V",
     ("algebra", "_sym_random_point", "@"): "random sym point q diag(l) q^T",
     ("algebra", "_sym_rayleigh_ratios", "@"): "Rayleigh quotients v^T x v of the sym oracle",
     ("algebra", "_spin_product", "np.dot"): "head <x, y> of the spin product",

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -81,6 +82,22 @@ def test_bulk_draws_match_single_draws(seed):
         assert_same(gen.log_uniforms(n, 0.2, 5.0),
                     np.array([ref.log_uniform(0.2, 5.0) for _ in range(n)]))
         assert_same(gen.normals(n), ref.normals(n))
+
+
+def test_seed_is_an_integer_taken_mod_2_64():
+    # int(seed) ran a seed of 2.5 as 2.
+    for seed in (2.5, math.inf, math.nan, True, False, None, "3", 1j):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            SplitMix64(seed)
+    x = sc.Element(sc.sym_matrix(2), np.eye(2))
+    with pytest.raises(ValueError, match="seed"):
+        metric.rayleigh_oracle(x, x, 3, 2.5)
+    ref = SplitMix64(3)
+    want = [ref.next_u64() for _ in range(2)]
+    for seed in (3.0, np.int64(3), np.uint64(3), 3 + (5 << 64)):
+        gen = SplitMix64(seed)
+        assert [gen.next_u64() for _ in range(2)] == want
+    assert SplitMix64(-1).next_u64() == SplitMix64((1 << 64) - 1).next_u64()
 
 
 def test_unit_vector_needs_a_positive_size():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -168,11 +169,12 @@ def test_steps_match_the_distance(monkeypatch, descriptor):
 def test_step_breakdown_is_not_in_cone(monkeypatch):
     # A step spectrum with a non-positive least eigenvalue, between two
     # iterates that are in the cone, raises NotInCone naming the step, not
-    # the ValueError of math.log.  A quad with one entry negated forces it.
+    # the ValueError of math.log.  A step spectrum with its least entry
+    # negated forces it.
     kernel = algebra._KERNELS["orthant"]
     flip = np.array([1.0, 1.0, -1.0])
-    monkeypatch.setitem(algebra._KERNELS, "orthant",
-                        kernel._replace(quad=lambda a, x: flip * kernel.quad(a, x)))
+    monkeypatch.setitem(algebra._KERNELS, "orthant", kernel._replace(
+        relative_on_frame=lambda *args: flip * kernel.relative_on_frame(*args)))
     o3 = sc.orthant(3)
     g = sc.AutomorphismWord(o3, (sc.Scalar(2.0),))
     with pytest.raises(NotInCone, match="step 1: .* both iterates"):
@@ -481,6 +483,17 @@ def test_bushell_refuses_k_beyond_the_float_range():
         sc.solve_bushell(np.eye(2), 10**6)
 
 
+def test_bushell_refuses_a_k_that_is_not_an_integer():
+    # int(k) raised OverflowError on inf and TypeError on None, and True
+    # ran as k = 1.
+    for k in (math.inf, -math.inf, math.nan, None, True, False, 2.5, "3", 1j):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            sc.solve_bushell(np.eye(2), k)
+    want = sc.solve_bushell(np.diag([2.0, 3.0]), 1).solution.coords
+    for k in (1.0, np.int64(1)):
+        assert sc.solve_bushell(np.diag([2.0, 3.0]), k).solution.coords.tobytes() == want.tobytes()
+
+
 def test_bushell_rejects_singular():
     with pytest.raises(SingularMatrix):
         sc.solve_bushell(np.zeros((2, 2)), 1)
@@ -488,3 +501,84 @@ def test_bushell_rejects_singular():
         sc.solve_bushell(np.ones((2, 3)), 1)
     with pytest.raises(ValueError):
         sc.solve_bushell(np.eye(2), 0)
+
+
+# ---------------------------------------------------------------------------
+# the sym eigenvector basis carried from one iteration to the next
+# ---------------------------------------------------------------------------
+
+def _record_sym_decompositions(monkeypatch):
+    """Patch the sym kernel so that each decompose call appends its matrix,
+    start basis and result; descriptors made after this call use it."""
+    kernel = algebra._KERNELS[algebra.SYM]
+    calls = []
+
+    def recorded(x, basis=None):
+        out = kernel.decompose(x, basis)
+        calls.append((x, basis, out))
+        return out
+
+    monkeypatch.setitem(algebra._KERNELS, algebra.SYM, kernel._replace(decompose=recorded))
+    return calls
+
+
+@pytest.mark.parametrize("sigma", [0.5, 2.0])
+def test_warm_decomposition_agrees_with_the_cold_one(monkeypatch, sigma):
+    # Each decomposition of g(x_k) that starts from the previous columns V
+    # has the eigenvalues and the matrix V diag(l) V^T of a cold Jacobi,
+    # to within 1e-13 * |g(x_k)|.
+    calls = _record_sym_decompositions(monkeypatch)
+    s6 = sc.sym_matrix(6)
+    rng = SplitMix64(83 + int(sigma))
+    for p in (-3.0, -2.0, 1.5, 2.0, 3.0):
+        g = mild_word(s6, rng, sigma)
+        try:
+            sc.solve(g, sc.SolveConfig(p=p, max_iter=60))
+        except NonConvergence:
+            pass
+    warm = [(x, eigs, basis) for x, start, (eigs, _, basis) in calls if start is not None]
+    assert len(warm) >= 100
+    for x, eigs, basis in warm:
+        diag, vecs = algebra._jacobi(x, True)
+        order = algebra._descending_order(diag)
+        bound = 1e-13 * float(np.max(np.abs(diag)))
+        assert np.max(np.abs(eigs - diag[order])) <= bound
+        assert np.max(np.abs((basis * eigs) @ basis.T - (vecs * diag) @ vecs.T)) <= bound
+
+
+def test_carried_basis_stays_orthogonal_through_a_stall(monkeypatch):
+    # A sym:6 solve whose steps stall near 5e-3 at a solution of condition
+    # number 3.7e9 runs its 500 iterations, each rotating the same basis.
+    calls = _record_sym_decompositions(monkeypatch)
+    s6 = sc.sym_matrix(6)
+    g = mild_word(s6, SplitMix64(81), 2.0)
+    with pytest.raises(NonConvergence) as info:
+        sc.solve(g, sc.SolveConfig(p=1.5))
+    assert info.value.report.iterations == 500
+    basis = calls[-2][2][2]  # the last iteration's; u's decomposition is cold
+    assert calls[-2][1] is not None and calls[-1][1] is None
+    assert np.max(np.abs(basis.T @ basis - np.eye(6))) <= 1e-12
+
+
+# sha256 of the outcomes below, recorded before the sym solver carried its
+# eigenvector basis from one iteration to the next.  The orthant and spin
+# kernels have no basis to carry, and their solves keep every bit.
+ORTHANT_SPIN_DIGESTS = {
+    "orthant": "174d30e590b14fd2fac84c4810441fdc6ee293f71b340ed6e0b12dc71a6d7419",
+    "spin": "cacf7dd42dd44bfba43b68c741dfed159fc6cd729fece98dbe5f6311b0dcfc33",
+}
+
+
+@pytest.mark.parametrize("descriptor", [sc.orthant(8), sc.spin_factor(10)],
+                         ids=["orthant8", "spin10"])
+def test_orthant_and_spin_solves_keep_their_bits(descriptor):
+    digest = hashlib.sha256()
+    rng = SplitMix64(73)
+    for sigma in (0.5, 2.0):
+        for p in (-3.0, -2.0, 1.5, 2.0, 3.0):
+            g = mild_word(descriptor, rng, sigma)
+            while not any(isinstance(f, sc.Quad) for f in g.factors):
+                g = mild_word(descriptor, rng, sigma)
+            for cfg in (sc.SolveConfig(p=p), sc.SolveConfig(p=p, max_iter=3)):
+                digest.update(repr(_outcome(sc.solve, g, cfg)).encode())
+    assert digest.hexdigest() == ORTHANT_SPIN_DIGESTS[descriptor.kind]
