@@ -210,6 +210,15 @@ def _descending_order(values):
     return (-values).argsort(kind="stable")
 
 
+def _ordered_sum(terms):
+    """terms[0] + terms[1] + ..., added in that order along the first axis:
+    a fixed-order sum, with no BLAS and no pairwise summation."""
+    total = terms[0].copy()
+    for term in terms[1:]:
+        total += term
+    return total
+
+
 def _frame_sum(weights, frame):
     """sum_j w_j c_j, the frame's rows added in order to +0.0 (signed
     zeros and all, as a loop over the rows would)."""
@@ -375,12 +384,16 @@ def _sym_random_point(r, rng, lo, hi):
     return (q * lams) @ q.T
 
 
+def _quadratic_forms(v, a):
+    """v_i^T a v_i for each row v_i of v, as fixed-order sums."""
+    va = _ordered_sum(v.T[:, :, None] * a[:, None, :])  # row i is v_i^T a
+    return _ordered_sum((va * v).T)
+
+
 def _sym_rayleigh_ratios(x, y, samples, rng):
-    ratios = []
-    for _ in range(samples):
-        v = rng.unit_vector(x.shape[0])
-        ratios.append(float(v @ x @ v) / float(v @ y @ v))
-    return ratios
+    """(x|c)/(y|c) = v^T x v / v^T y v over c = v v^T, one v per sample."""
+    v = rng.unit_vectors(samples, x.shape[0])
+    return _quadratic_forms(v, x) / _quadratic_forms(v, y)
 
 
 _SYM_KERNEL = _Kernel(
@@ -464,13 +477,10 @@ def _spin_random_point(n, rng, lo, hi):
 
 
 def _spin_rayleigh_ratios(x, y, samples, rng):
-    ratios = []
-    for _ in range(samples):
-        u = rng.unit_vector(x.shape[0] - 1)
-        num = float(x[0]) + float(np.dot(x[1:], u))
-        den = float(y[0]) + float(np.dot(y[1:], u))
-        ratios.append(num / den)
-    return ratios
+    """(x|c)/(y|c) = (x0 + <xbar, u>) / (y0 + <ybar, u>) over c = (1, u)/2,
+    one unit u per sample, the dot products as fixed-order sums."""
+    u = rng.unit_vectors(samples, x.shape[0] - 1).T
+    return (x[0] + _ordered_sum(x[1:, None] * u)) / (y[0] + _ordered_sum(y[1:, None] * u))
 
 
 _SPIN_KERNEL = _Kernel(

@@ -17,9 +17,16 @@ in one pass:
 The equivalent cross form log(l_max(x,y) * l_max(y,x)) is not computed
 here; ``test_metric::test_distance_cross_form`` checks it.
 
-Two independent oracles cross-check the eigenvalue route: a bisection on
-the order relation x <= lambda * y, and a Rayleigh-quotient sampler over
-random primitive idempotents which brackets the extremes from inside.
+Two independent oracles cross-check the eigenvalue route:
+
+* a bisection on the order relation x <= lambda * y, run on the raw
+  coordinates: each step is one least eigenvalue of lambda*y - x, with no
+  Element built, which gives the bits an Element per step would give (its
+  ingestion only copies these bitwise symmetric arrays);
+* a Rayleigh-quotient sampler over random primitive idempotents, which
+  brackets the extremes from inside.  All its unit vectors come from one
+  ``SplitMix64.unit_vectors`` block, and the kernel takes every ratio
+  (x|c)/(y|c) at once, as fixed-order sums with no BLAS.
 """
 
 from __future__ import annotations
@@ -76,23 +83,51 @@ def upper_bound_oracle(x: Element, y: Element, tol: float) -> float:
     Independent of the eigenvalue route: only the order predicate
     "least eigenvalue of lambda*y - x >= 0" is consulted.  The bisection
     stops early once lo and hi are adjacent floats, where a tol below
-    their spacing could not be met.
+    their spacing could not be met.  Where lambda*y would overflow, the
+    sign is read from y - x/lambda instead.
     """
+    algebra._require_same_algebra(x, y)
     if not (algebra._is_number(tol, numbers.Real) and tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     _require_interior(x, "x")
     _require_interior(y, "y")
+    eigenvalues = x.algebra.kernel.eigenvalues
+    xc, yc = x.coords, y.coords
+    y_max = float(np.abs(yc).max())
+
+    def dominates(lam):
+        """lam*y - x is in the closed cone."""
+        if lam * y_max < math.inf:
+            return eigenvalues(yc * lam - xc)[-1] >= 0.0
+        # lam*y would overflow (so lam > 1): test y - x/lam, which has the
+        # same sign and finite entries.
+        return eigenvalues(yc - xc / lam)[-1] >= 0.0
+
     lo = 0.0
     hi = algebra.tr(x) / algebra.lambda_min(y) + 1.0
+    if hi == math.inf:
+        # tr(x) / l_min(y) bounds l_max but overflowed: bracket l_max by
+        # doubling instead.  An l_max past the largest double reads as inf.
+        hi = 1.0
+        while hi < math.inf and not dominates(hi):
+            lo, hi = hi, 2.0 * hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if algebra.lambda_min(mid * y - x) >= 0.0:
+        if dominates(mid):
             hi = mid
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def _require_samples(samples) -> None:
+    """ValueError unless samples is an integer >= 1 (a bool is not)."""
+    if not algebra._is_number(samples, numbers.Integral):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples!r}")
 
 
 def rayleigh_oracle(
@@ -106,8 +141,7 @@ def rayleigh_oracle(
     exceeds l_max and the minimum never falls below l_min.
     """
     algebra._require_same_algebra(x, y)
-    if not (algebra._is_number(samples, numbers.Integral) and samples >= 1):
-        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
+    _require_samples(samples)
     _require_interior(x, "x")
     _require_interior(y, "y")
     rng = SplitMix64(seed)

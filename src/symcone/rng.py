@@ -16,7 +16,9 @@ Box-Muller normals use the scalar libm calls of ``math``, whose bits do
 not depend on numpy's SIMD paths.  A suite or generated instance is
 reproducible bit for bit from its seed on the same numpy and BLAS build:
 ``rotation`` takes a LAPACK QR and ``unit_vector`` a BLAS norm, whose bits
-may differ on others.
+may differ on others.  ``unit_vectors`` draws the normals of many
+``unit_vector`` calls as one block and divides each row by the root of a
+fixed-order sum of squares, added column by column with no BLAS.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 
 import numpy as np
 
-from .algebra import _is_integral
+from .algebra import _is_integral, _ordered_sum
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -41,6 +43,11 @@ _STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _SHIFTS = tuple(np.uint64(k) for k in (30, 27, 31, 11))
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, its squares added column by column."""
+    return np.sqrt(_ordered_sum((rows * rows).T))
 
 
 class SplitMix64:
@@ -142,6 +149,29 @@ class SplitMix64:
             norm = float(np.linalg.norm(v))
             if norm > 1e-12:
                 return v / norm
+
+    def unit_vectors(self, k: int, n: int) -> np.ndarray:
+        """k unit vectors of length n, the rows of a (k, n) array.
+
+        The rows are the normals that k calls of ``unit_vector(n)`` would
+        draw, taken as one block, and the generator is left as those calls
+        would leave it.  A row of norm at most 1e-12 is redrawn as
+        ``unit_vector`` redraws it: it is dropped and one more row is drawn
+        at the end.  Each row is divided by the root of its sum of squares,
+        added column by column, so a row may differ from ``unit_vector``'s
+        BLAS-normed one in its last bit or two.
+        """
+        if k < 0 or n < 1:
+            raise ValueError(f"unit_vectors needs k >= 0 and n >= 1, got k={k}, n={n}")
+        rows = self.normals(k * n).reshape(k, n)
+        norms = _row_norms(rows)
+        keep = norms > 1e-12
+        while not keep.all():
+            more = self.normals(int((~keep).sum()) * n).reshape(-1, n)
+            rows = np.concatenate((rows[keep], more))
+            norms = np.concatenate((norms[keep], _row_norms(more)))
+            keep = norms > 1e-12
+        return rows / norms[:, None]
 
     def rotation(self, n: int) -> np.ndarray:
         """Orthogonal matrix from QR of a normal matrix, sign-fixed."""

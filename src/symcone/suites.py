@@ -67,9 +67,10 @@ class SuiteResult:
     def __post_init__(self):
         # Every suite builds its result before it draws a sample, so this
         # refuses an empty run before any work; with no sample a suite
-        # would pass with nothing checked.
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
+        # would pass with nothing checked.  A numpy integer is reported as
+        # an int.
+        metric._require_samples(self.samples)
+        self.samples = int(self.samples)
 
     @property
     def passed(self) -> bool:

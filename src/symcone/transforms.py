@@ -226,8 +226,7 @@ def measure_contraction(
     Pairs closer than 1e-8 in the metric are skipped.  Raises MapLeftCone
     if the distance between the images finds one outside the open cone.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    metric._require_samples(samples)
     rng = SplitMix64(seed)
     max_ratio = 0.0
     min_ratio = math.inf

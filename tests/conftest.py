@@ -32,6 +32,58 @@ def three_product_quad(a, x):
     return 2.0 * sc.product(a, sc.product(a, x)) - sc.product(sc.product(a, a), x)
 
 
+def rayleigh_loop(x, y, samples, rng):
+    """Reference Rayleigh ratios (x|c)/(y|c): one ``unit_vector`` per
+    sample and BLAS products, v^T x v / v^T y v over c = v v^T on sym and
+    (x0 + <xbar, u>) / (y0 + <ybar, u>) over c = (1, u)/2 on spin."""
+    xc, yc = x.coords, y.coords
+    ratios = []
+    for _ in range(samples):
+        if x.algebra.kind == algebra.SYM:
+            v = rng.unit_vector(xc.shape[0])
+            ratios.append(float(v @ xc @ v) / float(v @ yc @ v))
+        else:
+            u = rng.unit_vector(xc.shape[0] - 1)
+            num = float(xc[0]) + float(np.dot(xc[1:], u))
+            den = float(yc[0]) + float(np.dot(yc[1:], u))
+            ratios.append(num / den)
+    return np.array(ratios)
+
+
+def element_bisection(x, y, tol):
+    """Reference order bisection for M(x, y): one Element for lam*y - x at
+    each step, bracketed by [0, tr(x) / l_min(y) + 1]."""
+    lo = 0.0
+    hi = sc.tr(x) / sc.lambda_min(y) + 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if sc.lambda_min(mid * y - x) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+class ZeroedNormals(sc.SplitMix64):
+    """SplitMix64 whose normals at stream positions [start, stop) read 0.0;
+    every other draw is the plain generator's."""
+
+    def __init__(self, seed, start, stop):
+        super().__init__(seed)
+        self.zeroed = range(start, stop)
+        self.drawn = 0
+
+    def normals(self, n):
+        out = super().normals(n)
+        for i in range(len(out)):
+            if self.drawn + i in self.zeroed:
+                out[i] = 0.0
+        self.drawn += len(out)
+        return out
+
+
 def frame_loop_power(eigenvalues, frame, p):
     """Reference sum_j l_j^p c_j: an ordered loop over the frame's rows."""
     coords = np.zeros(frame[0].shape)

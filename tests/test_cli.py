@@ -385,6 +385,19 @@ def test_check_without_samples_exit_2(capsys, suite, samples):
     assert "samples must be >= 1" in err
 
 
+@pytest.mark.parametrize("suite", sorted(suites.SUITES))
+def test_suites_take_only_an_integer_sample_count(suite):
+    # True ran one sample and reported "samples": true; 2.5 and
+    # np.float64(2.0) failed with a raw TypeError from range().
+    run_suite = suites.SUITES[suite]
+    for samples in (True, False, 2.5, np.float64(2.0), "3", None):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            run_suite(sc.orthant(3), samples, 1)
+    summary = run_suite(sc.orthant(3), np.int64(3), 1).summary()
+    assert summary == run_suite(sc.orthant(3), 3, 1).summary()
+    assert type(summary["samples"]) is int
+
+
 def test_check_failure_exit_6(capsys, monkeypatch):
     def failing_suite(descriptor, samples, seed):
         res = suites.SuiteResult("bounds", descriptor, samples, seed)

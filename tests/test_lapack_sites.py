@@ -26,10 +26,8 @@ ALLOWED = {
     ("algebra", "_sym_quad", "@"): "closed-form P(a)x = a x a on sym",
     ("algebra", "_sym_congruence", "@"): "V^T x V onto the solver's carried eigenvector basis V",
     ("algebra", "_sym_random_point", "@"): "random sym point q diag(l) q^T",
-    ("algebra", "_sym_rayleigh_ratios", "@"): "Rayleigh quotients v^T x v of the sym oracle",
     ("algebra", "_spin_product", "np.dot"): "head <x, y> of the spin product",
     ("algebra", "_spin_quad", "np.dot"): "<a, x> of the closed-form spin P(a)x",
-    ("algebra", "_spin_rayleigh_ratios", "np.dot"): "<xbar, u> of the spin Rayleigh oracle",
     ("rng", "SplitMix64.unit_vector", "np.linalg.norm"): "norm of a normal draw",
     ("rng", "SplitMix64.rotation", "np.linalg.qr"): "random rotation from the QR of a normal matrix",
     ("transforms", "numerically_singular", "np.linalg.slogdet"): "log |det t| of the singularity test",

@@ -11,6 +11,7 @@ from symcone.errors import AlgebraMismatch, EigensolverFailure, NotInCone
 from symcone.rng import SplitMix64
 from symcone.transforms import random_cone_element
 
+import conftest
 from conftest import el
 
 O2 = sc.orthant(2)
@@ -291,10 +292,114 @@ def test_rayleigh_oracle_checks_the_algebra():
         sc.rayleigh_oracle(x, y, 10, 1)
 
 
+def test_upper_bound_oracle_checks_the_algebra():
+    # Spin coordinates must not be read as orthant ones.
+    x = el(sc.orthant(3), [3, 1, 1])
+    y = el(sc.spin_factor(3), [3, 1, 1])
+    with pytest.raises(AlgebraMismatch):
+        sc.upper_bound_oracle(x, y, 1e-8)
+    # Coordinates of different shapes: no numpy broadcasting error.
+    with pytest.raises(AlgebraMismatch):
+        sc.upper_bound_oracle(el(sc.orthant(4), [3, 1, 1, 1]),
+                              sc.sym_matrix(2).identity(), 1e-8)
+
+
 def test_rayleigh_oracle_validates_samples():
     x = el(O2, [1, 2])
     with pytest.raises(ValueError):
         sc.rayleigh_oracle(x, x, 0, 1)
+
+
+ORACLE_ALGEBRAS = (sc.orthant(8), sc.sym_matrix(2), sc.sym_matrix(6),
+                   sc.spin_factor(3), sc.spin_factor(10))
+
+
+def _algebra_id(descriptor):
+    return f"{descriptor.kind}{descriptor.param}"
+
+
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
+@pytest.mark.parametrize("descriptor", ORACLE_ALGEBRAS, ids=_algebra_id)
+def test_upper_bound_oracle_matches_the_element_loop(descriptor):
+    rng = SplitMix64(31)
+    pairs = [(descriptor.identity(), descriptor.identity())]
+    for _ in range(8):
+        pairs.append((random_cone_element(descriptor, rng),
+                      random_cone_element(descriptor, rng)))
+    for x, y in pairs:
+        # 1e-15 ends at the adjacent-float stop.
+        for tol in (1e-8, 1e-13, 1e-15):
+            assert _bits(sc.upper_bound_oracle(x, y, tol)) == _bits(
+                conftest.element_bisection(x, y, tol))
+
+
+def _diagonal_pairs(xs, ys):
+    """The pair (x, y) on orthant:2 and as diagonal matrices on sym:2."""
+    s2 = sc.sym_matrix(2)
+    return [(el(O2, xs), el(O2, ys)),
+            (el(s2, np.diag(xs)), el(s2, np.diag(ys)))]
+
+
+def test_upper_bound_oracle_brackets_past_an_overflowing_bound():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # tr(x) / l_min(y) + 1 = 1 / 1e-310 + 1 overflows: the first
+        # midpoint was inf, the adjacent-float stop fired and the oracle
+        # returned inf where l_max is 1e10.
+        for x, y in _diagonal_pairs([1, 1e-300], [1, 1e-310]):
+            lam_max, _ = sc.lambda_extremes(x, y)
+            assert conftest.element_bisection(x, y, 1e-8) == math.inf
+            # tol is below the float spacing at 1e10: the adjacent-float stop.
+            got = sc.upper_bound_oracle(x, y, 1e-8)
+            assert abs(got - lam_max) <= 2 * np.spacing(lam_max)
+            got = sc.upper_bound_oracle(x, y, 1e-3 * lam_max)
+            assert abs(got - lam_max) <= 1e-3 * lam_max
+        # l_max is 1e10 again, but 1e300 * lam overflows from lam = 2^34
+        # on, where the doubling still runs; and with tr(x) / l_min(y) + 1
+        # = 2e10 finite, at the first midpoint.  Both read the sign from
+        # y - x/lam there.  x/lam lands on subnormals, hence the looser bound.
+        for xs, ys in [([1, 1e-299], [1e300, 1e-309]), ([1, 1], [1e300, 1e-10])]:
+            for x, y in _diagonal_pairs(xs, ys):
+                lam_max, _ = sc.lambda_extremes(x, y)
+                got = sc.upper_bound_oracle(x, y, 1e-8)
+                assert abs(got - lam_max) <= 1e-13 * lam_max
+        # An l_max past the largest double reads as inf.
+        for xs, ys in [([1, 1e300], [1, 1e-300]), ([1, 1], [2, 1e-310])]:
+            for x, y in _diagonal_pairs(xs, ys):
+                assert sc.upper_bound_oracle(x, y, 1e-8) == math.inf
+
+
+@pytest.mark.parametrize("descriptor", ORACLE_ALGEBRAS[1:], ids=_algebra_id)
+def test_block_rayleigh_ratios_match_the_reference_loop(descriptor):
+    rng = SplitMix64(33)
+    for seed in range(10):
+        x = random_cone_element(descriptor, rng)
+        y = random_cone_element(descriptor, rng)
+        gen, ref = SplitMix64(seed), SplitMix64(seed)
+        got = descriptor.kernel.rayleigh_ratios(x.coords, y.coords, 64, gen)
+        want = conftest.rayleigh_loop(x, y, 64, ref)
+        assert (np.abs(got - want) <= 1e-14 * np.abs(want)).all()
+        # The next draw is the same: the block took the loop's normals.
+        assert gen.normal() == ref.normal()
+
+
+@pytest.mark.parametrize("descriptor", [sc.sym_matrix(3), sc.spin_factor(4)], ids=_algebra_id)
+def test_rayleigh_ratios_redraw_a_zero_unit_vector(descriptor):
+    # The first unit vector's three normals are zeros: its row is redrawn,
+    # as unit_vector redraws it, where a division by its norm gave NaN.
+    rng = SplitMix64(35)
+    x = random_cone_element(descriptor, rng)
+    y = random_cone_element(descriptor, rng)
+    gen = conftest.ZeroedNormals(9, 0, 3)
+    ref = conftest.ZeroedNormals(9, 0, 3)
+    got = descriptor.kernel.rayleigh_ratios(x.coords, y.coords, 8, gen)
+    want = conftest.rayleigh_loop(x, y, 8, ref)
+    assert np.isfinite(got).all()
+    assert (np.abs(got - want) <= 1e-14 * np.abs(want)).all()
+    assert gen.drawn == ref.drawn == 27
 
 
 def test_norm_metric_bounds_examples():

@@ -8,6 +8,7 @@ import symcone as sc
 from symcone import metric, rng
 from symcone.rng import SplitMix64
 
+import conftest
 import splitmix_reference
 
 BLOCK = rng._BLOCK
@@ -133,3 +134,45 @@ def test_no_block_before_the_first_draw(monkeypatch):
     assert len(blocks) == 1
     gen.next_u64()
     assert len(blocks) == 2
+
+
+def _state(gen):
+    return gen._state, gen._pos, gen._spare_normal
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_unit_vectors_are_unit_vector_calls_in_one_block(seed):
+    chooser = random.Random(seed)
+    gen, ref = SplitMix64(seed), SplitMix64(seed)
+    for k, n in [(0, 3), (1, 1), (5, 2), (64, 5), (64, 9), (3, 2 * BLOCK + 1), (20, 12)]:
+        # Odd skips leave a spare normal pending before the block.
+        skip = chooser.randint(0, 3)
+        assert_same(gen.normals(skip), ref.normals(skip))
+        got = gen.unit_vectors(k, n)
+        want = np.array([ref.unit_vector(n) for _ in range(k)]).reshape(k, n)
+        assert got.shape == (k, n)
+        # The norms are sums of squares in different orders: within 2 ulp
+        # at the oracles' sizes; the rounding of a long sum grows with n.
+        ulps = 2 if n <= 12 else n
+        assert (np.abs(got - want) <= ulps * np.spacing(np.abs(want))).all()
+        assert _state(gen) == _state(ref)
+
+
+@pytest.mark.parametrize("start", [0, 4, 6])
+def test_unit_vectors_redraw_a_zero_row_as_unit_vector_does(start):
+    # Normals start..start+2 read 0: with n = 3 a whole row is zero at
+    # start 0 and 6, and none is at start 4, which straddles two rows.
+    gen = conftest.ZeroedNormals(4, start, start + 3)
+    ref = conftest.ZeroedNormals(4, start, start + 3)
+    got = gen.unit_vectors(5, 3)
+    want = np.array([ref.unit_vector(3) for _ in range(5)])
+    assert np.isfinite(got).all()
+    assert (np.abs(got - want) <= 2 * np.spacing(np.abs(want))).all()
+    assert _state(gen) == _state(ref) and gen.drawn == ref.drawn
+    assert gen.drawn == (18 if start % 3 == 0 else 15)
+
+
+def test_unit_vectors_need_a_size():
+    for k, n in [(1, 0), (2, -1), (-1, 3)]:
+        with pytest.raises(ValueError, match=f"k={k}, n={n}"):
+            SplitMix64(1).unit_vectors(k, n)

@@ -215,6 +215,17 @@ def test_measure_contraction_validates_samples():
         sc.measure_contraction(lambda x: x, O2, 0, 1)
 
 
+def test_measure_contraction_takes_only_an_integer_sample_count():
+    # True ran one sample; 2.5 and np.float64(2.0) failed in range().
+    for samples in (True, 2.5, np.float64(2.0), "3", None):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            sc.measure_contraction(lambda x: x, O2, samples, 1)
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            sc.isometry_check(random_word(O2, SplitMix64(1)), samples, 1)
+    assert sc.measure_contraction(sc.inverse, O2, np.int64(3), 1) == \
+        sc.measure_contraction(sc.inverse, O2, 3, 1)
+
+
 def test_contraction_of_power_maps(small_algebra):
     for p in (-1.0, -0.7, -0.5, 0.3, 0.5, 0.7, 1.0):
         rep = sc.measure_contraction(
