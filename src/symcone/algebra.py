@@ -27,6 +27,16 @@ own way and read directly by ``metric``.  On sym the decomposition also
 returns its eigenvector columns, from which the decomposition of a nearby
 matrix can start, and with which the solver's step spectrum is computed.
 
+The kernel functions that sampling, the metric and the maps of
+``transforms`` use (``ingest``, ``quad``, ``decompose``, ``eigenvalues``,
+``relative_eigenvalues`` and ``random_point``, and ``_power_sum``) take one
+point or a batch: coordinates with a leading batch axis, row i of the
+result being what the call on point i gives, bit for bit.  On orthant and
+spin one array operation serves the whole batch, with the per-point
+scalars a closed form needs (spin's <a, x> by ``np.dot`` and ||xbar|| by
+``math.hypot``) taken row by row.  The sym kernel loops over the batch,
+one matrix at a time, so its time and bits are those of single calls.
+
 An element holds only its algebra and its coordinates, frozen at
 construction, and every spectrum is computed where it is read: all
 operations are pure functions of immutable values, safe to call
@@ -193,21 +203,31 @@ class _Kernel(NamedTuple):
     decompose: Callable
     eigenvalues: Callable  # coords -> eigenvalues descending
     tr: Callable
-    # (x, y) -> eigenvalues of P(y^{-1/2})x descending, or None when y is
+    # (x, y) -> eigenvalues of P(y^{-1/2})x descending, all NaN when y is
     # not in the open cone or an entry of x (on sym also of y) is not
     # finite; x is in the cone iff the least eigenvalue is > 0.
     relative_eigenvalues: Callable
     # (x, mu, frame, basis) -> eigenvalues of P(y^{-1/2})x descending, where
     # y = sum_j mu_j c_j on a frame and basis from decompose.
     relative_on_frame: Callable
-    random_point: Callable  # (param, rng, lo, hi) -> interior coords
+    # (param, rng, lo, hi, shape=()) -> interior coords of shape
+    # shape + coord_shape, the points drawn one after another.
+    random_point: Callable
     # (x, y, samples, rng) -> ratios (x|c)/(y|c) over primitive idempotents c
     rayleigh_ratios: Callable
 
 
 def _descending_order(values):
-    """Indices sorting values descending, ties in index order and NaN last."""
+    """Indices sorting values descending along the last axis, ties in index
+    order and NaN last."""
     return (-values).argsort(kind="stable")
+
+
+def _every(flags) -> bool:
+    """Whether every flag is set: one point's flag (a bool or numpy bool),
+    or each of a batch's array of flags.  On one flag a numpy reduction
+    would cost about a microsecond, a tenth of a single-point kernel call."""
+    return bool(flags.all()) if isinstance(flags, np.ndarray) else bool(flags)
 
 
 def _ordered_sum(terms):
@@ -221,9 +241,11 @@ def _ordered_sum(terms):
 
 def _frame_sum(weights, frame):
     """sum_j w_j c_j, the frame's rows added in order to +0.0 (signed
-    zeros and all, as a loop over the rows would)."""
-    weights = weights.reshape((-1,) + (1,) * (frame.ndim - 1))
-    return (weights * frame).sum(axis=0, initial=0.0)
+    zeros and all, as a loop over the rows would); on a batch, weights
+    (N, k) and frame (N, k, *coord_shape) give one sum per point."""
+    axis = weights.ndim - 1
+    weights = weights.reshape(weights.shape + (1,) * (frame.ndim - weights.ndim))
+    return (weights * frame).sum(axis=axis, initial=0.0)
 
 
 def _power_sum(eigenvalues, frame, p):
@@ -238,10 +260,12 @@ def _quad_relative_on_frame(quad, eigenvalues):
 
 
 def _orthant_relative_eigenvalues(x, y):
-    if not (y.min() > 0.0 and np.isfinite(x).all()):
-        return None
-    ratios = x / y
-    return ratios[_descending_order(ratios)]
+    ok = (y.min(axis=-1) > 0.0) & np.isfinite(x).all(axis=-1)
+    if not _every(ok):
+        # NaN rows where a test fails, divided by 1 so that nothing warns.
+        x = np.where(ok[..., None], x, np.nan)
+        y = np.where(ok[..., None], y, 1.0)
+    return _orthant_eigenvalues(x / y)
 
 
 @functools.lru_cache(maxsize=8)
@@ -254,11 +278,19 @@ def _unit_rows(n):
 
 def _orthant_decompose(x, basis=None):
     order = _descending_order(x)
-    return x[order], _unit_rows(x.shape[0])[order], None
+    eigs = x[order] if x.ndim == 1 else np.take_along_axis(x, order, axis=-1)
+    return eigs, _unit_rows(x.shape[-1])[order], None
 
 
 def _orthant_eigenvalues(x):
-    return x[_descending_order(x)]
+    # Plain indexing takes a tenth of take_along_axis's time on one point.
+    order = _descending_order(x)
+    return x[order] if x.ndim == 1 else np.take_along_axis(x, order, axis=-1)
+
+
+def _orthant_random_point(n, rng, lo, hi, shape=()):
+    """All the points' eigenvalues as one block of log-uniform draws."""
+    return rng.log_uniforms(math.prod(shape) * n, lo, hi).reshape(shape + (n,))
 
 
 def _orthant_quad(a, x):
@@ -278,13 +310,29 @@ _ORTHANT_KERNEL = _Kernel(
     tr=lambda x: float(np.sum(x)),
     relative_eigenvalues=_orthant_relative_eigenvalues,
     relative_on_frame=_quad_relative_on_frame(_orthant_quad, _orthant_eigenvalues),
-    random_point=lambda n, rng, lo, hi: rng.log_uniforms(n, lo, hi),
+    random_point=_orthant_random_point,
     # Exhaustive over the standard basis, so the bounds are exact.
     rayleigh_ratios=lambda x, y, samples, rng: x / y,
 )
 
 
+def _each_matrix(fn, *args):
+    """fn, a sym kernel function, over a leading batch axis by a loop: an
+    argument with three axes gives its matrix i to call i, one with two
+    axes (or None) goes to every call, and the outputs are stacked (each
+    part of a tuple on its own), so each matrix gets the bits of its own
+    call."""
+    batched = [a is not None and a.ndim == 3 for a in args]
+    count = len(args[batched.index(True)])
+    outs = [fn(*(a[i] if b else a for a, b in zip(args, batched))) for i in range(count)]
+    if isinstance(outs[0], tuple):
+        return tuple(np.array(part) for part in zip(*outs))
+    return np.array(outs)
+
+
 def _sym_ingest(x):
+    if x.ndim == 3:
+        return _each_matrix(_sym_ingest, x)
     # Bitwise symmetric (signed zeros, NaN payloads): x + x^T could overflow.
     if x.tobytes() == x.T.tobytes():
         return x.copy()
@@ -296,6 +344,8 @@ def _sym_ingest(x):
 
 
 def _sym_quad(a, x):
+    if a.ndim == 3 or x.ndim == 3:
+        return _each_matrix(_sym_quad, a, x)
     # Averaged with its transpose so that it is bitwise symmetric and
     # ingestion takes its copying path.
     m = a @ x @ a
@@ -312,6 +362,8 @@ def _sym_decompose(x, basis=None):
     """Given the columns V of a decomposition of a nearby matrix, Jacobi runs
     on the nearly diagonal V^T x V, rotating V's columns into x's
     eigenvectors, and converges in fewer sweeps than from the identity."""
+    if x.ndim == 3:
+        return _each_matrix(_sym_decompose, x, basis)
     m = x if basis is None else _sym_congruence(basis, x)
     diag, vmat = _jacobi(m, True, basis)
     order = _descending_order(diag)
@@ -321,6 +373,8 @@ def _sym_decompose(x, basis=None):
 
 
 def _sym_eigenvalues(x):
+    if x.ndim == 3:
+        return _each_matrix(_sym_eigenvalues, x)
     diag, _ = _jacobi(x, accumulate=False)
     return diag[_descending_order(diag)]
 
@@ -366,22 +420,27 @@ def _sym_relative_eigenvalues(x, y):
     z is similar to y^{-1} x, so it has the spectrum of P(y^{-1/2})x =
     y^{-1/2} x y^{-1/2}; it is congruent to x, so by Sylvester's law of
     inertia it is positive definite iff x is.  One eigensolve in all.
-    Non-finite entries give None: an infinite pivot would pass the test,
+    Non-finite entries give NaN: an infinite pivot would pass the test,
     and the caller's eigensolves of x and y report such entries.
     """
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        return None
-    upper = _sym_cholesky(y)
+    if x.ndim == 3 or y.ndim == 3:
+        return _each_matrix(_sym_relative_eigenvalues, x, y)
+    upper = None
+    if np.isfinite(x).all() and np.isfinite(y).all():
+        upper = _sym_cholesky(y)
     if upper is None:
-        return None
+        return np.full(x.shape[0], np.nan)
     z = _lower_solve(upper, _lower_solve(upper, x).T)
     return _sym_eigenvalues((z + z.T) / 2.0)
 
 
-def _sym_random_point(r, rng, lo, hi):
-    lams = rng.log_uniforms(r, lo, hi)
-    q = rng.rotation(r)
-    return (q * lams) @ q.T
+def _sym_random_point(r, rng, lo, hi, shape=()):
+    points = np.empty(shape + (r, r))
+    for point in points.reshape(-1, r, r):
+        lams = rng.log_uniforms(r, lo, hi)
+        q = rng.rotation(r)
+        point[...] = (q * lams) @ q.T
+    return points
 
 
 def _quadratic_forms(v, a):
@@ -426,54 +485,106 @@ def _spin_product(x, y):
     return np.concatenate(([head], tail))
 
 
+def _spin_parts(x):
+    """(x0, ||xbar||) of one point as floats, of a batch as (N, 1) columns.
+
+    The norm is math.hypot's, point by point: it scales its arguments, so
+    no sum of squares over- or underflows.
+    """
+    if x.ndim == 1:
+        return float(x[0]), math.hypot(*x[1:].tolist())
+    return x[:, :1], np.array([math.hypot(*row[1:]) for row in x.tolist()]).reshape(-1, 1)
+
+
+@functools.lru_cache(maxsize=8)
+def _spin_conjugation(n):
+    """(1, -1, ..., -1), read-only: x * it is x* = (x0, -xbar)."""
+    signs = -np.ones(n)
+    signs[0] = 1.0
+    signs.flags.writeable = False
+    return signs
+
+
 def _spin_quad(a, x):
     """P(a)x = 2<a, x> a - det(a) x*, where x* = (x0, -xbar).
 
     Faraut & Koranyi, Analysis on Symmetric Cones, ch. II; <.,.> is the
-    plain dot product.
+    plain dot product, one np.dot per point.  a and x are each one point
+    or a batch; one a serves every row of a batch x.  Subtracting
+    det(a) * -x_j adds det(a) * x_j, bit for bit.
     """
-    out = 2.0 * float(np.dot(a, x)) * a
-    lam1, lam2 = _spin_eigenvalues(a).tolist()
-    det_a = lam1 * lam2
-    out[0] -= det_a * x[0]
-    out[1:] += det_a * x[1:]
-    return out
+    if a.ndim == x.ndim == 1:
+        dot = float(np.dot(a, x))
+    else:
+        dot = np.array([[np.dot(p, q)] for p, q in zip(*np.broadcast_arrays(a, x))])
+    a0, a_norm = _spin_parts(a)
+    det_a = (a0 + a_norm) * (a0 - a_norm)
+    return 2.0 * dot * a - det_a * (x * _spin_conjugation(x.shape[-1]))
 
 
-def _spin_decompose(x, basis=None):
-    x0 = float(x[0])
-    nrm = math.hypot(*x[1:].tolist())
-    u = x[1:] / nrm if nrm != 0.0 else np.eye(x.shape[0] - 1)[0]
-    frame = np.empty((2, x.shape[0]))
-    frame[:, 0], frame[0, 1:], frame[1, 1:] = 1.0, u, -u
-    frame *= 0.5
-    return np.array([x0 + nrm, x0 - nrm]), frame, None
+def _spin_spectrum(x):
+    """The eigenvalues x0 + ||xbar||, x0 - ||xbar||, and _spin_parts(x)'s
+    norm."""
+    x0, nrm = _spin_parts(x)
+    if x.ndim == 1:
+        return np.array([x0 + nrm, x0 - nrm]), nrm
+    # inf - inf reads NaN with no warning, as it does in one point's floats.
+    with np.errstate(invalid="ignore"):
+        return np.concatenate((x0 + nrm, x0 - nrm), axis=1), nrm
 
 
 def _spin_eigenvalues(x):
-    x0 = float(x[0])
-    # hypot scales its arguments: no sum of squares to over- or underflow.
-    nrm = math.hypot(*x[1:].tolist())
-    return np.array([x0 + nrm, x0 - nrm])
+    return _spin_spectrum(x)[0]
+
+
+def _spin_frame(x, nrm):
+    """The frame (1, u)/2, (1, -u)/2 with u = xbar / ||xbar||, from
+    _spin_parts(x)'s norm."""
+    if _every(nrm != 0.0):
+        u = x[..., 1:] / nrm
+    else:
+        # Where xbar = 0 any unit vector gives a frame: take e_1 (after
+        # dividing by 1 there, which raises no warning).
+        zero = nrm == 0.0
+        u = np.where(zero, np.eye(x.shape[-1] - 1)[0], x[..., 1:] / (nrm + zero))
+    frame = np.empty(x.shape[:-1] + (2, x.shape[-1]))
+    frame[..., 0] = 1.0
+    frame[..., 0, 1:] = u
+    frame[..., 1, 1:] = -u
+    frame *= 0.5
+    return frame
+
+
+def _spin_decompose(x, basis=None):
+    eigs, nrm = _spin_spectrum(x)
+    return eigs, _spin_frame(x, nrm), None
 
 
 def _spin_relative_eigenvalues(x, y):
     # y's eigenvalues are checked before anything divides by them, and x
-    # before a product multiplies inf by 0.  Then a = y^{-1/2} and P(a)x
-    # come from the generic power and the closed-form quad, so the bits
-    # match theirs.
-    if not (_spin_eigenvalues(y)[-1] > 0.0 and np.isfinite(x).all()):
-        return None
-    eigs, frame, _ = _spin_decompose(y)
-    a = _power_sum(eigs, frame, -0.5)
-    return _spin_eigenvalues(_spin_quad(a, x))
+    # before a product multiplies inf by 0: a row that fails either test
+    # is computed from the identity, so that nothing warns, and reads NaN.
+    # Then a = y^{-1/2} and P(a)x come from the generic power and the
+    # closed-form quad, so the bits match theirs.
+    y_eigs, y_norm = _spin_spectrum(y)
+    ok = (y_eigs.T[-1] > 0.0) & np.isfinite(x).all(axis=-1)
+    if _every(ok):
+        a = _power_sum(y_eigs, _spin_frame(y, y_norm), -0.5)
+        return _spin_eigenvalues(_spin_quad(a, x))
+    unit = _spin_identity(x.shape[-1])
+    rel = _spin_relative_eigenvalues(
+        np.where(ok[..., None], x, unit), np.where(ok[..., None], y, unit))
+    return np.where(ok[..., None], rel, np.nan)
 
 
-def _spin_random_point(n, rng, lo, hi):
-    lam1 = rng.log_uniform(lo, hi)
-    lam2 = rng.log_uniform(lo, hi)
-    u = rng.unit_vector(n - 1)
-    return np.concatenate(([0.5 * (lam1 + lam2)], 0.5 * (lam1 - lam2) * u))
+def _spin_random_point(n, rng, lo, hi, shape=()):
+    points = np.empty((math.prod(shape), n))
+    for point in points:
+        lam1 = rng.log_uniform(lo, hi)
+        lam2 = rng.log_uniform(lo, hi)
+        point[0] = 0.5 * (lam1 + lam2)
+        point[1:] = 0.5 * (lam1 - lam2) * rng.unit_vector(n - 1)
+    return points.reshape(shape + (n,))
 
 
 def _spin_rayleigh_ratios(x, y, samples, rng):
@@ -592,12 +703,21 @@ def _is_nonneg_integer(p: float) -> bool:
 
 
 def _require_power_domain(eigenvalues: np.ndarray, p: float) -> None:
-    """NotInCone unless x^p is defined on these descending eigenvalues: any
-    for non-negative integer p (polynomial calculus), else positive ones."""
-    if not _is_nonneg_integer(p) and eigenvalues[-1] <= 0.0:
+    """NotInCone unless x^p is defined on these descending eigenvalues, of
+    one point or of each point of a batch: any for non-negative integer p
+    (polynomial calculus), else positive ones."""
+    if _is_nonneg_integer(p):
+        return
+    # A NaN eigenvalue is not refused here.
+    if eigenvalues.ndim == 1:
+        outside = eigenvalues[-1] <= 0.0
+    else:
+        outside = (eigenvalues[:, -1] <= 0.0).any()
+    if outside:
+        least = eigenvalues.T[-1]  # of the point, or of each point of a batch
         raise NotInCone(
             f"x^({p:g}) needs x in the open cone; least eigenvalue is "
-            f"{eigenvalues[-1]:.6g}"
+            f"{np.extract(least <= 0.0, least)[0]:.6g}"
         )
 
 
@@ -688,9 +808,22 @@ def power(x: Element, p: float) -> Element:
     p = float(p)
     if p == 1.0:
         return x
+    return Element(x.algebra, _power_coords(x.algebra, x.coords, p))
+
+
+def _power_coords(descriptor: AlgebraDescriptor, coords: np.ndarray, p: float) -> np.ndarray:
+    """x^p on the raw coordinates of one point or a batch, as ``power``
+    computes it: x itself for p = 1 and the unit element for p = 0, with
+    no decomposition."""
+    p = float(p)
+    if p == 1.0:
+        return coords
+    kernel = descriptor.kernel
     if p == 0.0:
-        return x.algebra.identity()
-    return spectral_decompose(x).power(p)
+        return np.broadcast_to(kernel.identity(descriptor.param), coords.shape).copy()
+    eigs, frame, _ = kernel.decompose(coords)
+    _require_power_domain(eigs, p)
+    return _power_sum(eigs, frame, p)
 
 
 def inverse(x: Element) -> Element:

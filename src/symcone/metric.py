@@ -61,20 +61,37 @@ def lambda_extremes(x: Element, y: Element) -> tuple[float, float]:
     algebra._require_same_algebra(x, y)
     eigs = x.algebra.kernel.relative_eigenvalues(x.coords, y.coords)
     # P(y^{-1/2}) is an automorphism of the cone: it is in the cone iff x is.
-    if eigs is None or not eigs[-1] > 0.0:
+    if not eigs[-1] > 0.0:
         # Name the argument at fault, x first: an infinite entry can pass
         # the kernel's tests, and a sym eigensolve reports a non-finite one.
         _require_interior(x, "x")
         _require_interior(y, "y")
-        # Both pass: y's Cholesky pivots or x's relative spectrum sit at the
-        # rounding edge of the cone.
-        raise NotInCone(f"{'y' if eigs is None else 'x'} is not in the open cone")
+        # Both pass: y's Cholesky pivots (the kernel's NaN row) or x's
+        # relative spectrum sit at the rounding edge of the cone.
+        raise NotInCone(f"{'y' if np.isnan(eigs).all() else 'x'} is not in the open cone")
     return float(eigs[0]), float(eigs[-1])
 
 
 def distance(x: Element, y: Element) -> MetricReport:
     lam_max, lam_min = lambda_extremes(x, y)
     return MetricReport(lam_max, lam_min, math.log(lam_max / lam_min))
+
+
+def _row_distances(
+    descriptor: algebra.AlgebraDescriptor, xs: np.ndarray, ys: np.ndarray
+) -> list[float]:
+    """d(x_i, y_i) over the rows of two batches of raw coordinates: one
+    kernel call for every spectrum, then each log by math.log, as
+    ``distance`` takes it, so each distance has its bits.  A pair outside
+    the open cone raises the error ``distance`` raises on it."""
+    eigs = descriptor.kernel.relative_eigenvalues(xs, ys)
+    out = []
+    for i, (lam_max, lam_min) in enumerate(zip(eigs[:, 0].tolist(), eigs[:, -1].tolist())):
+        if not lam_min > 0.0:
+            lam_max, lam_min = lambda_extremes(
+                Element(descriptor, xs[i]), Element(descriptor, ys[i]))
+        out.append(math.log(lam_max / lam_min))
+    return out
 
 
 def upper_bound_oracle(x: Element, y: Element, tol: float) -> float:

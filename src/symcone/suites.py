@@ -22,7 +22,10 @@ DEFAULT_CONTRACTION_PS = (-1.0, -0.7, -0.5, 0.3, 0.5, 0.7, 1.0)
 
 @dataclass
 class CheckResult:
-    """Worst slack seen for one inequality; pass iff worst <= limit."""
+    """Worst slack seen for one inequality; pass iff worst <= limit.
+
+    A NaN slack is a violation: it becomes the worst, and stays so.
+    """
 
     name: str
     limit: float
@@ -36,9 +39,9 @@ class CheckResult:
 
     def update(self, value: float, inputs=None) -> None:
         self.count += 1
-        if value > self.worst:
+        if value > self.worst or math.isnan(value):
             self.worst = value
-        if value > self.limit and self.counterexample is None:
+        if not value <= self.limit and self.counterexample is None:
             self.counterexample = {
                 "check": self.name,
                 "value": value,
@@ -163,14 +166,19 @@ def contraction_suite(
     seed: int,
     p_values=DEFAULT_CONTRACTION_PS,
 ) -> SuiteResult:
-    """Power maps shrink d by at most |p| for every tested |p| <= 1."""
+    """Power maps shrink d by at most |p| for every tested |p| <= 1.
+
+    A check whose samples held no measured pair (on a rank-1 cone, every
+    pair) takes no update: it reports count 0 and passes.
+    """
     result = SuiteResult("contraction", descriptor, samples, seed)
     for k, p in enumerate(p_values):
         check = CheckResult(f"power_contraction_p={p:g}", 1e-9)
-        rep = transforms.measure_contraction(
-            lambda x: algebra.power(x, p),
-            descriptor, samples, seed + k, label=f"power {p:g}")
-        check.update(rep.max_ratio - abs(p), {"p": p, "seed": seed + k})
+        rep = transforms._measure_rows(
+            lambda rows: algebra._power_coords(descriptor, rows, p),
+            descriptor, samples, seed + k, f"power {p:g}")
+        if rep.measured:
+            check.update(rep.max_ratio - abs(p), {"p": p, "seed": seed + k})
         result.checks.append(check)
     return result
 
@@ -182,7 +190,11 @@ def isometry_suite(
     words: list[transforms.AutomorphismWord] | None = None,
     n_words: int = 5,
 ) -> SuiteResult:
-    """Generator words and the inversion map preserve d to 1e-8."""
+    """Generator words and the inversion map preserve d to 1e-8.
+
+    As in the contraction suite, a check with no measured pair takes no
+    update.
+    """
     result = SuiteResult("isometry", descriptor, samples, seed)
     rng = SplitMix64(seed)
     if words is None:
@@ -190,15 +202,17 @@ def isometry_suite(
     for k, word in enumerate(words):
         check = CheckResult(f"word_isometry_{k}_{word.describe()}", 1e-8)
         rep = transforms.isometry_check(word, samples, seed + k)
-        check.update(max(rep.max_ratio - 1.0, 1.0 - rep.min_ratio),
-                     {"word": word.describe(), "seed": seed + k})
+        if rep.measured:
+            check.update(max(rep.max_ratio - 1.0, 1.0 - rep.min_ratio),
+                         {"word": word.describe(), "seed": seed + k})
         result.checks.append(check)
     inv = CheckResult("inversion_isometry", 1e-8)
-    rep = transforms.measure_contraction(
-        algebra.inverse, descriptor, samples, seed + len(words),
-        label="inversion")
-    inv.update(max(rep.max_ratio - 1.0, 1.0 - rep.min_ratio),
-               {"seed": seed + len(words)})
+    rep = transforms._measure_rows(
+        lambda rows: algebra._power_coords(descriptor, rows, -1.0),
+        descriptor, samples, seed + len(words), "inversion")
+    if rep.measured:
+        inv.update(max(rep.max_ratio - 1.0, 1.0 - rep.min_ratio),
+                   {"seed": seed + len(words)})
     result.checks.append(inv)
     return result
 

@@ -84,6 +84,33 @@ class ZeroedNormals(sc.SplitMix64):
         return out
 
 
+def contraction_loop(map_fn, descriptor, samples, seed, label="map"):
+    """Reference measure_contraction: one sample at a time, two Elements,
+    two distances, two map images and their distance per sample, with the
+    running max and min; ``measured`` counts the pairs not skipped."""
+    rng = sc.SplitMix64(seed)
+    max_ratio = 0.0
+    min_ratio = math.inf
+    measured = 0
+    for _ in range(samples):
+        x = sc.random_cone_element(descriptor, rng)
+        y = sc.random_cone_element(descriptor, rng)
+        dxy = sc.distance(x, y).distance
+        if dxy < 1e-8:
+            continue
+        measured += 1
+        try:
+            dfxy = sc.distance(map_fn(x), map_fn(y)).distance
+        except NotInCone as exc:
+            raise sc.MapLeftCone(f"{label} sent a cone point out of the cone") from exc
+        ratio = dfxy / dxy
+        max_ratio = max(max_ratio, ratio)
+        min_ratio = min(min_ratio, ratio)
+    if min_ratio is math.inf:
+        min_ratio = 0.0
+    return sc.ContractionReport(samples, max_ratio, min_ratio, label, measured)
+
+
 def frame_loop_power(eigenvalues, frame, p):
     """Reference sum_j l_j^p c_j: an ordered loop over the frame's rows."""
     coords = np.zeros(frame[0].shape)

@@ -786,3 +786,96 @@ def test_sym_ingestion_keeps_symmetric_bits():
     assert not np.shares_memory(x.coords, m) and m.flags.writeable
     m[0, 0] = 5.0
     assert x.coords[0, 0] == 2.0
+
+
+# ---------------------------------------------------------------------------
+# kernel functions on a leading batch axis
+# ---------------------------------------------------------------------------
+
+def _batch_points(descriptor, rng, count):
+    """count interior points, then rows that test ties, signed zeros, a
+    zero xbar on spin, a y outside the cone and infinite entries."""
+    kernel = descriptor.kernel
+    points = list(kernel.random_point(descriptor.param, rng, 0.1, 10.0, (count,)))
+    unit = kernel.identity(descriptor.param)
+    points.append(unit.copy())
+    if descriptor.kind == algebra.SPIN:
+        signed = unit * 2.0
+        signed[1:] = -0.0
+        signed[1] = 0.0
+        points.append(signed)
+    elif descriptor.kind == algebra.ORTHANT:
+        points.append(np.array([3.0, 1.0, 3.0, -0.0, 0.0, 2.0, 1.0, 3.0]))
+    points.append(-unit)
+    bad = unit.copy()
+    bad.flat[0] = math.inf
+    points.append(bad)
+    points.append(np.full_like(unit, math.inf))
+    return np.array(points)
+
+
+def _assert_rows(batch, singles):
+    """Row i of the batch output is the single call on point i, bit for bit."""
+    if isinstance(batch, tuple):
+        for part, single_parts in zip(batch, zip(*singles)):
+            _assert_rows(part, single_parts)
+        return
+    if batch is None:
+        assert all(s is None for s in singles)
+        return
+    assert batch.shape == (len(singles),) + singles[0].shape
+    for row, single in zip(batch, singles):
+        assert row.tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("descriptor", [
+    sc.orthant(8), sc.spin_factor(10), sc.spin_factor(3), sc.sym_matrix(3)],
+    ids=lambda d: f"{d.kind}:{d.param}")
+def test_kernel_batch_rows_equal_single_calls(descriptor):
+    kernel = descriptor.kernel
+    # random_point: one block of draws, the points and the generator left
+    # as one call per point would leave them.
+    rng, ref = SplitMix64(3), SplitMix64(3)
+    batch = kernel.random_point(descriptor.param, rng, 0.1, 10.0, (5,))
+    _assert_rows(batch, [kernel.random_point(descriptor.param, ref, 0.1, 10.0)
+                         for _ in range(5)])
+    assert rng.uniform() == ref.uniform()
+
+    xs = _batch_points(descriptor, SplitMix64(5), 6)
+    ys = np.roll(_batch_points(descriptor, SplitMix64(6), 6), 1, axis=0)
+    finite = [i for i, (x, y) in enumerate(zip(xs, ys))
+              if np.isfinite(x).all() and np.isfinite(y).all()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_rows(kernel.ingest(xs), [kernel.ingest(x) for x in xs])
+        rel = kernel.relative_eigenvalues(xs, ys)
+        _assert_rows(rel, [kernel.relative_eigenvalues(x, y) for x, y in zip(xs, ys)])
+        xs, ys = xs[finite], ys[finite]
+        _assert_rows(kernel.eigenvalues(xs), [kernel.eigenvalues(x) for x in xs])
+        _assert_rows(kernel.decompose(xs), [kernel.decompose(x) for x in xs])
+        eigs, frame, _ = kernel.decompose(xs)
+        weights = np.abs(eigs) + 1.0  # some rows have a zero eigenvalue
+        for p in (3.0, 0.5, -1.0):
+            _assert_rows(algebra._power_sum(weights, frame, p),
+                         [algebra._power_sum(w, f, p) for w, f in zip(weights, frame)])
+        _assert_rows(kernel.quad(xs[0], ys), [kernel.quad(xs[0], y) for y in ys])
+        _assert_rows(kernel.quad(xs, ys), [kernel.quad(x, y) for x, y in zip(xs, ys)])
+    # The pair (x infinite, y = -e) reads NaN; the random pairs do not.
+    assert np.isnan(rel[-2]).all() and not np.isnan(rel[1:6]).any()
+
+
+def test_power_domain_is_checked_on_every_row_of_a_batch():
+    eigs = np.array([[2.0, 1.0], [3.0, -1.0], [1.0, math.nan]])
+    with pytest.raises(NotInCone, match="least eigenvalue is -1"):
+        algebra._require_power_domain(eigs, 0.5)
+    algebra._require_power_domain(eigs, 2.0)
+    algebra._require_power_domain(eigs[[0, 2]], 0.5)  # NaN is not refused here
+
+
+def test_sym_ingest_checks_each_matrix_of_a_batch():
+    good = np.array([[2.0, 1.0], [1.0, 2.0]])
+    near = np.array([[1.0, 0.1 + 1e-16], [0.1, 3.0]])
+    out = algebra._SYM_KERNEL.ingest(np.array([good, near]))
+    assert out[1].tobytes() == ((near + near.T) / 2.0).tobytes()
+    with pytest.raises(ValueError, match="not symmetric"):
+        algebra._SYM_KERNEL.ingest(np.array([good, [[1.0, 2.0], [0.0, 1.0]]]))

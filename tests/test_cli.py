@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import symcone as sc
-from symcone import cli, suites
+from symcone import cli, metric, suites
 from symcone.cli import main
 from symcone.rng import SplitMix64
 
@@ -413,6 +413,59 @@ def test_check_failure_exit_6(capsys, monkeypatch):
     rep = json.loads(out)
     assert rep["passed"] is False
     assert rep["counterexample"]["inputs"] == {"x": [1.0, 2.0]}
+
+
+@pytest.mark.parametrize("suite", ["contraction", "isometry"])
+@pytest.mark.parametrize("algebra", ["orthant:1", "sym:1"])
+def test_check_on_a_rank_one_cone_measures_no_pair_and_passes(capsys, suite, algebra):
+    # Every pair of a rank-1 cone lies on one ray, so d = 0 and every pair
+    # is skipped.  isometry exited 6 with slack 1.0 on every word, and
+    # contraction passed with slack -|p| and nothing measured.
+    code, out, _ = run(capsys, "check", suite, "--algebra", algebra,
+                       "--samples", "5", "--seed", "1")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["passed"] is True and rep["counterexample"] is None
+    assert rep["checks"] and all(
+        (c["count"], c["worst_slack"], c["passed"]) == (0, None, True)
+        for c in rep["checks"])
+
+
+def test_a_nan_slack_fails_its_check():
+    # CheckResult.update(nan) counted the sample and left the check passing;
+    # with only NaN updates its worst slack read -inf.
+    check = suites.CheckResult("c", 1e-9)
+    check.update(-1.0, {"x": 0})
+    check.update(math.nan, {"x": 1})
+    check.update(-2.0, {"x": 2})
+    assert not check.passed
+    assert math.isnan(check.worst)
+    assert check.counterexample["inputs"] == {"x": 1}
+    only = suites.CheckResult("c", 1e-9)
+    only.update(math.nan)
+    summary = json.loads(json.dumps(only.summary()))
+    assert math.isnan(summary["worst_slack"]) and summary["passed"] is False
+
+
+def test_check_with_a_nan_ratio_exits_6(capsys, monkeypatch):
+    # A NaN distance between images gives NaN ratios, which fail the check
+    # and are reported in a report that json.loads reads.
+    row_distances = metric._row_distances
+    calls = []
+
+    def nan_images(descriptor, xs, ys):
+        calls.append(None)
+        out = row_distances(descriptor, xs, ys)
+        return out if len(calls) % 2 else [math.nan] * len(out)
+
+    monkeypatch.setattr(metric, "_row_distances", nan_images)
+    code, out, _ = run(capsys, "check", "contraction", "--algebra", "orthant:2",
+                       "--samples", "5", "--seed", "1")
+    assert code == 6
+    rep = json.loads(out)
+    assert rep["passed"] is False
+    assert all(math.isnan(c["worst_slack"]) for c in rep["checks"])
+    assert rep["counterexample"]["inputs"] == {"p": -1.0, "seed": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,11 @@ from symcone.errors import (
     MapLeftCone,
     NotInCone,
 )
-from symcone import transforms
+from symcone import metric, suites, transforms
 from symcone.rng import SplitMix64
 from symcone.transforms import random_cone_element, random_word
 
-from conftest import el, inverse_word
+from conftest import contraction_loop, el, inverse_word
 
 O2 = sc.orthant(2)
 S2 = sc.sym_matrix(2)
@@ -304,3 +304,109 @@ def test_det_scaling_is_constant(small_algebra):
         rx = sc.det(sc.apply(w, x)) / sc.det(x)
         ry = sc.det(sc.apply(w, y)) / sc.det(y)
         assert abs(rx - ry) <= 1e-8 * abs(rx)
+
+
+# ---------------------------------------------------------------------------
+# batched contraction measurement against the per-sample loop
+# ---------------------------------------------------------------------------
+
+def _report_bits(rep):
+    return (rep.samples, rep.max_ratio.hex(), rep.min_ratio.hex(),
+            rep.p_or_label, rep.measured)
+
+
+@pytest.mark.parametrize("descriptor", [
+    sc.orthant(8), sc.spin_factor(10), sc.spin_factor(3), S2, sc.sym_matrix(6)],
+    ids=lambda d: f"{d.kind}:{d.param}")
+def test_batched_reports_equal_the_loop(descriptor):
+    # The suites' exponents, inversion and 5 random words, each through
+    # the public Element map and through the raw-coordinate map a suite
+    # passes, against the one-sample-at-a-time reference loop.
+    rng = SplitMix64(41)
+    words = [random_word(descriptor, rng) for _ in range(5)]
+    maps = [(f"power {p:g}", lambda x, p=p: sc.power(x, p),
+             lambda rows, p=p: sc.algebra._power_coords(descriptor, rows, p))
+            for p in suites.DEFAULT_CONTRACTION_PS]
+    maps.append(("inversion", sc.inverse,
+                 lambda rows: sc.algebra._power_coords(descriptor, rows, -1.0)))
+    maps += [(w.describe(), lambda x, w=w: sc.apply(w, x),
+              lambda rows, w=w: transforms._apply_coords(w, rows)) for w in words]
+    samples = 10
+    for seed in (1, 2, 3):
+        for label, element_map, rows_map in maps:
+            want = _report_bits(contraction_loop(element_map, descriptor, samples, seed, label))
+            assert want[-1] == samples
+            got = sc.measure_contraction(element_map, descriptor, samples, seed, label)
+            assert _report_bits(got) == want, label
+            got = transforms._measure_rows(rows_map, descriptor, samples, seed, label)
+            assert _report_bits(got) == want, label
+    for seed, word in enumerate(words):
+        assert _report_bits(sc.isometry_check(word, samples, seed)) == _report_bits(
+            contraction_loop(lambda x: sc.apply(word, x), descriptor, samples, seed,
+                             word.describe()))
+
+
+def test_element_map_is_called_on_each_pair_in_sample_order():
+    seen = []
+
+    def recording(x):
+        seen.append(x.coords.tobytes())
+        return x
+
+    sc.measure_contraction(recording, sc.orthant(3), 6, 5)
+    rng = SplitMix64(5)
+    assert seen == [random_cone_element(sc.orthant(3), rng).coords.tobytes()
+                    for _ in range(12)]
+
+
+def test_element_map_must_stay_in_its_algebra():
+    with pytest.raises(AlgebraMismatch):
+        sc.measure_contraction(lambda x: el(sc.orthant(3), [1, 2, 3]), O2, 4, 1)
+
+
+@pytest.mark.parametrize("descriptor", [sc.orthant(1), sc.sym_matrix(1)],
+                         ids=lambda d: f"{d.kind}:{d.param}")
+def test_rank_one_cones_measure_no_pair(descriptor):
+    # Every pair of a rank-1 cone lies on one ray: d = 0, and every pair
+    # is skipped.  The report says so, and the ratios read 0.0.
+    calls = []
+    rep = sc.measure_contraction(lambda x: calls.append(x) or x, descriptor, 5, 1)
+    assert (rep.measured, rep.max_ratio, rep.min_ratio) == (0, 0.0, 0.0)
+    assert calls == []
+    assert sc.isometry_check(random_word(descriptor, SplitMix64(1)), 5, 1).measured == 0
+
+
+def test_a_nan_ratio_makes_both_extremes_nan(monkeypatch):
+    # The running max(max_ratio, ratio) of the loop dropped a NaN ratio.
+    row_distances = metric._row_distances
+    layers = []
+
+    def nan_images(descriptor, xs, ys):
+        out = row_distances(descriptor, xs, ys)
+        layers.append(len(out))
+        return out if len(layers) == 1 else [math.nan] + out[1:]
+
+    monkeypatch.setattr(metric, "_row_distances", nan_images)
+    rep = sc.measure_contraction(lambda x: x, O2, 5, 1)
+    assert layers == [5, 5]
+    assert math.isnan(rep.max_ratio) and math.isnan(rep.min_ratio)
+    assert rep.measured == 5
+
+
+def test_suites_keep_the_slacks_of_the_loop():
+    # orthant:2 reports: each check's one update is the slack of the loop's
+    # report for the same map and seed, bit for bit.
+    samples, seed = 20, 7
+    res = suites.contraction_suite(O2, samples, seed)
+    for k, (p, check) in enumerate(zip(suites.DEFAULT_CONTRACTION_PS, res.checks)):
+        rep = contraction_loop(lambda x: sc.power(x, p), O2, samples, seed + k)
+        assert check.count == 1
+        assert check.worst.hex() == (rep.max_ratio - abs(p)).hex()
+    res = suites.isometry_suite(O2, samples, seed)
+    rng = SplitMix64(seed)
+    maps = [lambda x, w=random_word(O2, rng): sc.apply(w, x) for _ in range(5)]
+    maps.append(sc.inverse)
+    for k, (map_fn, check) in enumerate(zip(maps, res.checks)):
+        rep = contraction_loop(map_fn, O2, samples, seed + k)
+        assert check.count == 1
+        assert check.worst.hex() == max(rep.max_ratio - 1.0, 1.0 - rep.min_ratio).hex()
