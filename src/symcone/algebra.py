@@ -28,14 +28,18 @@ returns its eigenvector columns, from which the decomposition of a nearby
 matrix can start, and with which the solver's step spectrum is computed.
 
 The kernel functions that sampling, the metric and the maps of
-``transforms`` use (``ingest``, ``quad``, ``decompose``, ``eigenvalues``,
-``relative_eigenvalues`` and ``random_point``, and ``_power_sum``) take one
-point or a batch: coordinates with a leading batch axis, row i of the
-result being what the call on point i gives, bit for bit.  On orthant and
+``transforms`` use (``quad``, ``decompose``, ``eigenvalues``,
+``relative_eigenvalues`` and ``random_point``, and ``_power_sum`` and
+``_sym_congruence``) take one point or a batch: coordinates with a
+leading batch axis, row i of the result being what the call on point i
+gives, bit for bit.  On orthant and
 spin one array operation serves the whole batch, with the per-point
 scalars a closed form needs (spin's <a, x> by ``np.dot`` and ||xbar|| by
 ``math.hypot``) taken row by row.  The sym kernel loops over the batch,
 one matrix at a time, so its time and bits are those of single calls.
+A sym random point, quad or congruence averages its product with its
+transpose, which makes it bitwise symmetric by construction: ingestion
+runs only where coordinates enter an Element.
 
 An element holds only its algebra and its coordinates, frozen at
 construction, and every spectrum is computed where it is read: all
@@ -331,8 +335,6 @@ def _each_matrix(fn, *args):
 
 
 def _sym_ingest(x):
-    if x.ndim == 3:
-        return _each_matrix(_sym_ingest, x)
     # Bitwise symmetric (signed zeros, NaN payloads): x + x^T could overflow.
     if x.tobytes() == x.T.tobytes():
         return x.copy()
@@ -346,14 +348,14 @@ def _sym_ingest(x):
 def _sym_quad(a, x):
     if a.ndim == 3 or x.ndim == 3:
         return _each_matrix(_sym_quad, a, x)
-    # Averaged with its transpose so that it is bitwise symmetric and
-    # ingestion takes its copying path.
     m = a @ x @ a
     return (m + m.T) / 2.0
 
 
 def _sym_congruence(v, x):
     """v^T x v, averaged with its transpose so that it is bitwise symmetric."""
+    if v.ndim == 3 or x.ndim == 3:
+        return _each_matrix(_sym_congruence, v, x)
     m = v.T @ x @ v
     return (m + m.T) / 2.0
 
@@ -439,7 +441,8 @@ def _sym_random_point(r, rng, lo, hi, shape=()):
     for point in points.reshape(-1, r, r):
         lams = rng.log_uniforms(r, lo, hi)
         q = rng.rotation(r)
-        point[...] = (q * lams) @ q.T
+        m = (q * lams) @ q.T
+        point[...] = (m + m.T) / 2.0
     return points
 
 

@@ -18,17 +18,16 @@ import argparse
 import functools
 import hashlib
 import json
+import numbers
 import sys
 
 import numpy as np
 
 from . import __version__, algebra, metric, solver, suites, transforms
-from .algebra import AlgebraDescriptor, Element
+from .algebra import AlgebraDescriptor, Element, _is_number
 from .errors import (
-    InvalidGenerator,
     NonConvergence,
     NotInCone,
-    SingularMatrix,
     SymConeError,
 )
 from .rng import SplitMix64
@@ -71,11 +70,20 @@ def parse_algebra_flag(text: str) -> AlgebraDescriptor:
         raise ParseError(f"cannot parse algebra {text!r}: expected kind:param") from exc
 
 
-def element_from_json(descriptor: AlgebraDescriptor, data, where: str) -> Element:
+def _float_array(data, where: str) -> np.ndarray:
+    """JSON numbers, in nested lists, as a float array.  A string, bool or
+    null (which numpy reads as a number) is refused, as are ragged lists."""
     try:
-        coords = np.array(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: coordinates are not numeric") from exc
+        items = np.array(data, dtype=object)
+        if not all(_is_number(item, numbers.Real) for item in items.flat):
+            raise ParseError(f"{where}: coordinates must be JSON numbers")
+        return items.astype(float)
+    except (ValueError, OverflowError) as exc:
+        raise ParseError(f"{where}: coordinates are not numeric ({exc})") from exc
+
+
+def element_from_json(descriptor: AlgebraDescriptor, data, where: str) -> Element:
+    coords = _float_array(data, where)
     if not np.all(np.isfinite(coords)):
         raise ParseError(f"{where}: coordinates must be finite")
     if coords.shape != descriptor.coord_shape:
@@ -94,15 +102,14 @@ def generator_from_json(descriptor: AlgebraDescriptor, obj, where: str):
     gtype, payload = obj["type"], obj["payload"]
     try:
         if gtype == "scalar":
-            return transforms.Scalar(float(payload))
+            return transforms.Scalar(payload)
         if gtype == "quad":
             return transforms.Quad(element_from_json(descriptor, payload, where))
         if gtype == "congruence":
-            t = np.array(payload, dtype=float)
-            return transforms.Congruence(t)
+            return transforms.Congruence(_float_array(payload, where))
         if gtype == "permutation":
-            return transforms.Permutation(tuple(int(i) for i in payload))
-    except (TypeError, ValueError) as exc:
+            return transforms.Permutation(tuple(payload))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: bad payload ({exc})") from exc
     raise ParseError(f"{where}: unknown generator type {gtype!r}")
 
@@ -162,12 +169,10 @@ def load_instance(path: str) -> Instance:
         raise ParseError(f"{path}: top level must be an object")
     _require_keys(data, {"algebra", "elements", "maps"}, {"algebra"}, path)
     descriptor = parse_algebra_obj(data["algebra"])
-    elements = {}
-    for name, coords in (data.get("elements") or {}).items():
-        elements[name] = element_from_json(descriptor, coords, f"elements[{name}]")
-    maps = {}
-    for name, word in (data.get("maps") or {}).items():
-        maps[name] = word_from_json(descriptor, word, f"maps[{name}]")
+    elements = {name: element_from_json(descriptor, coords, f"elements[{name}]")
+                for name, coords in (data.get("elements") or {}).items()}
+    maps = {name: word_from_json(descriptor, word, f"maps[{name}]")
+            for name, word in (data.get("maps") or {}).items()}
     return Instance(descriptor, elements, maps, raw)
 
 
@@ -183,15 +188,14 @@ def _inputs_hash(raw: bytes | None, params: dict) -> str:
 
 
 def _report(command: str, args_echo: dict, raw: bytes | None, seed, fields: dict) -> dict:
-    out = {
+    return {
         "command": command,
         "args": args_echo,
         "version": __version__,
         "inputs_hash": _inputs_hash(raw, args_echo),
         "seed": seed,
+        **fields,
     }
-    out.update(fields)
-    return out
 
 
 def _emit(report: dict) -> None:
@@ -227,15 +231,28 @@ def cmd_metric(args) -> int:
     return 0
 
 
-def _solve_fields(rep: solver.SolveReport) -> dict:
-    return {
-        "solution": rep.solution.coords.tolist(),
-        "iterations": rep.iterations,
-        "distance_trace": list(rep.distance_trace),
-        "residual": rep.residual,
-        "contraction_estimate": rep.contraction_estimate,
-        "converged": rep.converged,
-    }
+def _run_solve(args, inst: Instance, echo: dict, solve, fields=dict) -> int:
+    """Run ``solve(initial)`` and emit its report, or a NonConvergence's
+    partial report and exit 4; ``fields()``, called once the solve has
+    checked its arguments, adds entries to either."""
+    initial = inst.element(args.initial) if args.initial else None
+    echo = {"instance": args.instance, "map": args.map, **echo, "tol": args.tol,
+            "max_iter": args.max_iter, "initial": args.initial}
+    try:
+        rep, failure = solve(initial), None
+    except NonConvergence as exc:
+        rep, failure = exc.report, exc
+    if rep is not None:
+        _emit(_report(args.cmd, echo, inst.raw, None, {
+            "solution": rep.solution.coords.tolist(),
+            "iterations": rep.iterations,
+            "distance_trace": list(rep.distance_trace),
+            "residual": rep.residual,
+            "contraction_estimate": rep.contraction_estimate,
+            "converged": rep.converged,
+            **fields(),
+        }))
+    return 0 if failure is None else _fail(4, f"{args.cmd} did not converge: {failure}")
 
 
 def cmd_solve(args) -> int:
@@ -246,19 +263,9 @@ def cmd_solve(args) -> int:
             f"g(x) = x^p requires |p| > 1")
     inst = load_instance(args.instance)
     word = inst.map(args.map)
-    initial = inst.element(args.initial) if args.initial else None
-    echo = {"instance": args.instance, "map": args.map, "p": args.p,
-            "tol": args.tol, "max_iter": args.max_iter, "initial": args.initial}
-    cfg = solver.SolveConfig(p=args.p, tol=args.tol, max_iter=args.max_iter,
-                             initial=initial)
-    try:
-        rep = solver.solve(word, cfg)
-    except NonConvergence as exc:
-        if exc.report is not None:
-            _emit(_report("solve", echo, inst.raw, None, _solve_fields(exc.report)))
-        return _fail(4, f"solve did not converge: {exc}")
-    _emit(_report("solve", echo, inst.raw, None, _solve_fields(rep)))
-    return 0
+    return _run_solve(args, inst, {"p": args.p}, lambda initial: solver.solve(
+        word, solver.SolveConfig(p=args.p, tol=args.tol, max_iter=args.max_iter,
+                                 initial=initial)))
 
 
 def cmd_bushell(args) -> int:
@@ -269,19 +276,9 @@ def cmd_bushell(args) -> int:
     if len(word.factors) != 1 or not isinstance(word.factors[0], transforms.Congruence):
         return _fail(2, f"map {args.map!r} must be a single congruence generator")
     t = word.factors[0].t
-    initial = inst.element(args.initial) if args.initial else None
-    echo = {"instance": args.instance, "map": args.map, "k": args.k,
-            "tol": args.tol, "max_iter": args.max_iter, "initial": args.initial}
-    try:
-        rep = solver.solve_bushell(t, args.k, tol=args.tol,
-                                   max_iter=args.max_iter, initial=initial)
-    except NonConvergence as exc:
-        if exc.report is not None:
-            _emit(_report("bushell", echo, inst.raw, None, _solve_fields(exc.report)))
-        return _fail(4, f"bushell solve did not converge: {exc}")
-    _emit(_report("bushell", echo, inst.raw, None,
-                  {**_solve_fields(rep), "k": args.k, "p": float(2 ** args.k)}))
-    return 0
+    return _run_solve(args, inst, {"k": args.k}, lambda initial: solver.solve_bushell(
+        t, args.k, tol=args.tol, max_iter=args.max_iter, initial=initial),
+        lambda: {"k": args.k, "p": float(2 ** args.k)})
 
 
 def cmd_check(args) -> int:
@@ -329,6 +326,13 @@ def cmd_gen(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _add_solve_options(p: argparse.ArgumentParser) -> None:
+    """The options solve and bushell share."""
+    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--max-iter", type=int, default=500)
+    p.add_argument("--initial", default=None)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every call
@@ -349,18 +353,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("map")
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--initial", default=None)
+    _add_solve_options(p)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("bushell", help="solve t' A t = A^(2^k) for a congruence map")
     p.add_argument("instance")
     p.add_argument("map")
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--initial", default=None)
+    _add_solve_options(p)
     p.set_defaults(fn=cmd_bushell)
 
     p = sub.add_parser("check", help="run a property suite")
@@ -391,7 +391,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (ParseError, InvalidGenerator, SingularMatrix, ValueError) as exc:
+    except (ParseError, ValueError) as exc:
         return _fail(2, f"error: {exc}")
     except NotInCone as exc:
         return _fail(3, f"error: {exc}")

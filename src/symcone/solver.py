@@ -13,10 +13,10 @@ NonConvergence, as does a residual of a above 100 * tol; the residual is
 always computed and reported.
 
 The loop runs on raw coordinate arrays through the family's kernel, with
-the bits of the same loop on Elements: each factor's output is ingested as
-an Element's coords would be.  Elements are built for the initial point,
-the fixed direction u and the solution, and to name an iterate that
-leaves the cone.
+the bits of the same loop on Elements: on sym each factor's output is
+bitwise symmetric by construction, which ingestion would only copy.
+Elements are built for the initial point, the fixed direction u and the
+solution, and to name an iterate that leaves the cone.
 
 The step d(x_k, x_{k+1}) comes from the decomposition the iteration
 already holds.  With g(x_k) = sum_j l_j c_j, the next iterate is

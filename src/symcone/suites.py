@@ -160,19 +160,14 @@ def axioms_suite(descriptor: AlgebraDescriptor, samples: int, seed: int) -> Suit
     return result
 
 
-def contraction_suite(
-    descriptor: AlgebraDescriptor,
-    samples: int,
-    seed: int,
-    p_values=DEFAULT_CONTRACTION_PS,
-) -> SuiteResult:
-    """Power maps shrink d by at most |p| for every tested |p| <= 1.
+def contraction_suite(descriptor: AlgebraDescriptor, samples: int, seed: int) -> SuiteResult:
+    """Power maps shrink d by at most |p| for each p of DEFAULT_CONTRACTION_PS.
 
     A check whose samples held no measured pair (on a rank-1 cone, every
     pair) takes no update: it reports count 0 and passes.
     """
     result = SuiteResult("contraction", descriptor, samples, seed)
-    for k, p in enumerate(p_values):
+    for k, p in enumerate(DEFAULT_CONTRACTION_PS):
         check = CheckResult(f"power_contraction_p={p:g}", 1e-9)
         rep = transforms._measure_rows(
             lambda rows: algebra._power_coords(descriptor, rows, p),
@@ -188,9 +183,9 @@ def isometry_suite(
     samples: int,
     seed: int,
     words: list[transforms.AutomorphismWord] | None = None,
-    n_words: int = 5,
 ) -> SuiteResult:
-    """Generator words and the inversion map preserve d to 1e-8.
+    """Generator words (5 random ones unless given) and the inversion map
+    preserve d to 1e-8.
 
     As in the contraction suite, a check with no measured pair takes no
     update.
@@ -198,7 +193,7 @@ def isometry_suite(
     result = SuiteResult("isometry", descriptor, samples, seed)
     rng = SplitMix64(seed)
     if words is None:
-        words = [transforms.random_word(descriptor, rng) for _ in range(n_words)]
+        words = [transforms.random_word(descriptor, rng) for _ in range(5)]
     for k, word in enumerate(words):
         check = CheckResult(f"word_isometry_{k}_{word.describe()}", 1e-8)
         rep = transforms.isometry_check(word, samples, seed + k)

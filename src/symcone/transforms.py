@@ -17,12 +17,14 @@ whole batch of raw coordinates: the distances d(x_i, y_i), the images,
 the distances between the images.  The property suites pass it maps of
 raw coordinate batches (``_apply_coords`` for a word,
 ``algebra._power_coords`` for a power); a caller's map of Elements is
-lifted over the rows, one call per point in sample order.
+lifted over the rows, one call per point in sample order.  On sym these
+arrays are bitwise symmetric by construction, and none is ingested again.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,13 +66,15 @@ def numerically_singular(t: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class Scalar:
-    """x -> mu * x, mu > 0."""
+    """x -> mu * x, mu > 0 a real number (a bool or a string is not)."""
 
     mu: float
 
     def __post_init__(self):
-        if not (self.mu > 0.0 and math.isfinite(self.mu)):
-            raise InvalidGenerator(f"scalar factor must be positive, got {self.mu!r}")
+        if not (algebra._is_number(self.mu, numbers.Real)
+                and self.mu > 0.0 and math.isfinite(self.mu)):
+            raise InvalidGenerator(
+                f"scalar factor must be a positive finite number, got {self.mu!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,11 +109,13 @@ class Congruence:
 
 @dataclass(frozen=True)
 class Permutation:
-    """Coordinate permutation on the orthant."""
+    """Coordinate permutation on the orthant, of integral entries."""
 
     sigma: tuple[int, ...]
 
     def __post_init__(self):
+        if not all(algebra._is_integral(i) for i in self.sigma):
+            raise InvalidGenerator(f"permutation entries must be integers, got {self.sigma!r}")
         sigma = tuple(int(i) for i in self.sigma)
         if sorted(sigma) != list(range(len(sigma))):
             raise InvalidGenerator(f"not a permutation of 0..{len(self.sigma) - 1}")
@@ -147,9 +153,9 @@ class AutomorphismWord:
 
 
 def _apply_coords(word: AutomorphismWord, coords: np.ndarray) -> np.ndarray:
-    """The word applied to the raw coords of one point or a batch; each
-    factor's output passes the kernel's ingestion (on sym the symmetry
-    check), as an Element's would."""
+    """The word applied to the raw coords of one point or a batch.  Each
+    factor's output is what ingestion would return, with no ingestion: on
+    sym a quad or congruence is bitwise symmetric by construction."""
     kernel = word.algebra.kernel
     out = coords
     for f in word.factors:
@@ -158,13 +164,9 @@ def _apply_coords(word: AutomorphismWord, coords: np.ndarray) -> np.ndarray:
         elif isinstance(f, Quad):
             out = kernel.quad(f.a.coords, out)
         elif isinstance(f, Congruence):
-            # One product per matrix of a batch: a stacked matmul may round
-            # differently.
-            out = (f.t.T @ out @ f.t if out.ndim == 2
-                   else np.array([f.t.T @ m @ f.t for m in out]))
+            out = algebra._sym_congruence(f.t, out)
         else:
             out = out.take(f.sigma, axis=-1)
-        out = kernel.ingest(out)
     return out
 
 
@@ -262,15 +264,14 @@ def _measure_rows(
     """measure_contraction for map_rows, a map of batches of raw coordinates
     (one point per row, rows in sample order)."""
     metric._require_samples(samples)
-    kernel = descriptor.kernel
-    points = kernel.ingest(kernel.random_point(
-        descriptor.param, SplitMix64(seed), EIG_LO, EIG_HI, (2 * samples,)))
+    points = descriptor.kernel.random_point(
+        descriptor.param, SplitMix64(seed), EIG_LO, EIG_HI, (2 * samples,))
     dxy = metric._row_distances(descriptor, points[0::2], points[1::2])
     measured = [i for i, d in enumerate(dxy) if not d < 1e-8]
     ratios = []
     if measured:
         pairs = points.reshape((samples, 2) + descriptor.coord_shape)[measured]
-        images = kernel.ingest(map_rows(pairs.reshape((-1,) + descriptor.coord_shape)))
+        images = map_rows(pairs.reshape((-1,) + descriptor.coord_shape))
         try:
             dfxy = metric._row_distances(descriptor, images[0::2], images[1::2])
         except NotInCone as exc:

@@ -847,7 +847,6 @@ def test_kernel_batch_rows_equal_single_calls(descriptor):
               if np.isfinite(x).all() and np.isfinite(y).all()]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _assert_rows(kernel.ingest(xs), [kernel.ingest(x) for x in xs])
         rel = kernel.relative_eigenvalues(xs, ys)
         _assert_rows(rel, [kernel.relative_eigenvalues(x, y) for x, y in zip(xs, ys)])
         xs, ys = xs[finite], ys[finite]
@@ -860,6 +859,10 @@ def test_kernel_batch_rows_equal_single_calls(descriptor):
                          [algebra._power_sum(w, f, p) for w, f in zip(weights, frame)])
         _assert_rows(kernel.quad(xs[0], ys), [kernel.quad(xs[0], y) for y in ys])
         _assert_rows(kernel.quad(xs, ys), [kernel.quad(x, y) for x, y in zip(xs, ys)])
+        if descriptor.kind == algebra.SYM:
+            congruence = algebra._sym_congruence
+            _assert_rows(congruence(ys[0], xs), [congruence(ys[0], x) for x in xs])
+            _assert_rows(congruence(ys, xs), [congruence(y, x) for x, y in zip(xs, ys)])
     # The pair (x infinite, y = -e) reads NaN; the random pairs do not.
     assert np.isnan(rel[-2]).all() and not np.isnan(rel[1:6]).any()
 
@@ -871,11 +874,3 @@ def test_power_domain_is_checked_on_every_row_of_a_batch():
     algebra._require_power_domain(eigs, 2.0)
     algebra._require_power_domain(eigs[[0, 2]], 0.5)  # NaN is not refused here
 
-
-def test_sym_ingest_checks_each_matrix_of_a_batch():
-    good = np.array([[2.0, 1.0], [1.0, 2.0]])
-    near = np.array([[1.0, 0.1 + 1e-16], [0.1, 3.0]])
-    out = algebra._SYM_KERNEL.ingest(np.array([good, near]))
-    assert out[1].tobytes() == ((near + near.T) / 2.0).tobytes()
-    with pytest.raises(ValueError, match="not symmetric"):
-        algebra._SYM_KERNEL.ingest(np.array([good, [[1.0, 2.0], [0.0, 1.0]]]))

@@ -188,6 +188,29 @@ def test_bushell_huge_k_exit_codes(capsys, tmp_path, k, code, message):
     assert message in err
 
 
+def test_bushell_solves_a_large_well_conditioned_t(capsys, tmp_path):
+    # Exited 2 with "matrix coordinates are not symmetric", from an
+    # iterate's t' x t, though kappa(t) = 2.4.
+    path = tmp_path / "bushell.json"
+    t = 100.0 * SplitMix64(126).normal_matrix(4, 4)
+    path.write_text(json.dumps({
+        "algebra": {"kind": "sym", "param": 4},
+        "maps": {"t": [{"type": "congruence", "payload": t.tolist()}]}}))
+    code, out, err = run(capsys, "bushell", str(path), "t")
+    assert code == 0 and err == ""
+    rep = json.loads(out)
+    assert rep["converged"] is True and rep["iterations"] == 41
+
+
+def test_bushell_partial_report_carries_k_and_p(capsys, sym_instance):
+    code, out, err = run(capsys, "bushell", sym_instance, "t", "--k", "2",
+                         "--max-iter", "1")
+    assert code == 4 and "bushell did not converge" in err
+    rep = json.loads(out)
+    assert rep["converged"] is False
+    assert (rep["k"], rep["p"]) == (2, 4.0)
+
+
 def test_bushell_requires_single_congruence(capsys, sym_instance):
     code, _, err = run(capsys, "bushell", sym_instance, "w")
     assert code == 2
@@ -235,6 +258,50 @@ def test_asymmetric_matrix_rejected(capsys, tmp_path):
     }))
     code, _, err = run(capsys, "metric", str(path), "x", "x")
     assert code == 2
+
+
+_COORDS = "coordinates must be JSON numbers"
+_SCALAR = "scalar factor must be a positive finite number"
+_PERMUTATION = "permutation entries must be integers"
+
+
+@pytest.mark.parametrize("instance_data, message", [
+    ({"elements": {"s": ["1.5", "2"]}}, _COORDS),
+    ({"elements": {"s": [True, 2.0]}}, _COORDS),
+    ({"elements": {"s": [None, 2.0]}}, _COORDS),
+    ({"maps": {"w": [{"type": "scalar", "payload": "2"}]}}, _SCALAR),
+    ({"maps": {"w": [{"type": "scalar", "payload": True}]}}, _SCALAR),
+    ({"maps": {"w": [{"type": "scalar", "payload": [2.0]}]}}, _SCALAR),
+    ({"maps": {"w": [{"type": "quad", "payload": [1.0, "2"]}]}}, _COORDS),
+    ({"maps": {"w": [{"type": "permutation", "payload": [1.7, 0.2]}]}}, _PERMUTATION),
+    ({"maps": {"w": [{"type": "permutation", "payload": [True, False]}]}}, _PERMUTATION),
+    ({"maps": {"w": [{"type": "permutation", "payload": ["1", "0"]}]}}, _PERMUTATION),
+    ({"maps": {"w": [{"type": "permutation", "payload": "10"}]}}, _PERMUTATION),
+], ids=["string-coords", "bool-coords", "null-coords", "string-scalar", "bool-scalar",
+        "list-scalar", "string-quad", "fractional-perm", "bool-perm", "string-perm",
+        "string-perm-payload"])
+def test_non_number_payloads_exit_2(capsys, tmp_path, instance_data, message):
+    # Strings and bools were read as numbers, and [1.7, 0.2] ran as the
+    # swap (1, 0); every one of these exited 0.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"algebra": {"kind": "orthant", "param": 2},
+                                **instance_data}))
+    command = ("metric", "s", "s") if "elements" in instance_data else (
+        "solve", "w", "--p", "2")
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_integral_float_permutation_entries_are_accepted(capsys, tmp_path):
+    path = tmp_path / "swap.json"
+    path.write_text(json.dumps({
+        "algebra": {"kind": "orthant", "param": 2},
+        "maps": {"w": [{"type": "permutation", "payload": [1.0, 0]}]}}))
+    code, out, _ = run(capsys, "solve", str(path), "w", "--p", "2")
+    assert code == 0
+    np.testing.assert_allclose(json.loads(out)["solution"], [1.0, 1.0])
 
 
 def test_corrupted_word_exit_2(capsys, tmp_path):

@@ -24,14 +24,13 @@ ALLOWED = {
     ("algebra", "_SPIN_KERNEL", "np.dot"): "spin trace form 2 <x, y>",
     ("algebra", "_lower_solve", "@"): "forward substitution: row of L times the solved prefix",
     ("algebra", "_sym_quad", "@"): "closed-form P(a)x = a x a on sym",
-    ("algebra", "_sym_congruence", "@"): "V^T x V onto the solver's carried eigenvector basis V",
+    ("algebra", "_sym_congruence", "@"): "congruence t^T x t, and V^T x V onto a carried basis V",
     ("algebra", "_sym_random_point", "@"): "random sym point q diag(l) q^T",
     ("algebra", "_spin_product", "np.dot"): "head <x, y> of the spin product",
     ("algebra", "_spin_quad", "np.dot"): "<a, x> of the closed-form spin P(a)x",
     ("rng", "SplitMix64.unit_vector", "np.linalg.norm"): "norm of a normal draw",
     ("rng", "SplitMix64.rotation", "np.linalg.qr"): "random rotation from the QR of a normal matrix",
     ("transforms", "numerically_singular", "np.linalg.slogdet"): "log |det t| of the singularity test",
-    ("transforms", "_apply_coords", "@"): "congruence t^T x t",
     ("transforms", "random_word", "@"): "random congruence factor q1 diag(s) q2",
 }
 

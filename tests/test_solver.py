@@ -453,6 +453,18 @@ def test_bushell_accepts_well_conditioned_t(t):
     np.testing.assert_allclose(rep.solution.coords, t @ t, rtol=1e-10)
 
 
+def test_bushell_solves_a_large_well_conditioned_t():
+    # kappa(t) = 2.4.  Each factor's output used to be re-checked as user
+    # input, and an iterate's t' x t, 1e-12 off symmetric in relative
+    # terms, was refused as "matrix coordinates are not symmetric"; t / 10
+    # solved.
+    t = 100.0 * SplitMix64(126).normal_matrix(4, 4)
+    rep = sc.solve_bushell(t, 1)
+    assert rep.converged and rep.iterations == 41
+    a = rep.solution.coords
+    assert np.max(np.abs(t.T @ a @ t - a @ a)) <= 1e-10 * np.max(np.abs(a @ a))
+
+
 def test_power_norm_keeps_a_nan_at_the_low_end():
     assert math.isnan(solver._power_norm(np.power([2.0, math.nan], 2.0)))
     assert solver._power_norm(np.power([2.0, 0.5], -1.0)) == 2.0

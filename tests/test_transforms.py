@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,9 +9,11 @@ from symcone.errors import (
     AlgebraMismatch,
     InvalidGenerator,
     MapLeftCone,
+    NonConvergence,
     NotInCone,
 )
 from symcone import metric, suites, transforms
+from symcone.cli import main
 from symcone.rng import SplitMix64
 from symcone.transforms import random_cone_element, random_word
 
@@ -26,8 +29,13 @@ S2 = sc.sym_matrix(2)
 
 def test_scalar_validation():
     sc.Scalar(2.0)
+    sc.Scalar(np.float32(0.5))
     with pytest.raises(InvalidGenerator):
         sc.Scalar(-1.0)
+    # True ran as 1.0, and a string or a list raised TypeError.
+    for bad in ("2", True, [2.0]):
+        with pytest.raises(InvalidGenerator, match="positive finite number"):
+            sc.Scalar(bad)
     with pytest.raises(InvalidGenerator):
         sc.Scalar(0.0)
     with pytest.raises(InvalidGenerator):
@@ -95,6 +103,15 @@ def test_permutation_validation():
     sc.Permutation((1, 0, 2))
     with pytest.raises(InvalidGenerator):
         sc.Permutation((0, 0, 1))
+
+
+def test_permutation_entries_must_be_integral():
+    # Each ran as a permutation: (0.0, 1.9) as (0, 1), (True, False) and
+    # ("1", "0") as (1, 0).
+    assert sc.Permutation((1.0, np.int64(0))).sigma == (1, 0)
+    for sigma in ((0.0, 1.9), (1.7, 0.2), (True, False), ("1", "0"), (1.0, math.nan)):
+        with pytest.raises(InvalidGenerator, match="must be integers"):
+            sc.Permutation(sigma)
 
 
 def test_word_kind_restrictions():
@@ -410,3 +427,62 @@ def test_suites_keep_the_slacks_of_the_loop():
         rep = contraction_loop(map_fn, O2, samples, seed + k)
         assert check.count == 1
         assert check.worst.hex() == max(rep.max_ratio - 1.0, 1.0 - rep.min_ratio).hex()
+
+
+# ---------------------------------------------------------------------------
+# sym words: symmetric by construction, bits pinned
+# ---------------------------------------------------------------------------
+
+# sha256 of the outputs below, recorded while each factor of a word was
+# still computed in transforms and its output re-ingested: applying a
+# congruence through the kernel's _sym_congruence, with no ingestion after
+# a factor, keeps every bit.
+SYM_WORD_DIGEST = "04733f97afe455d32f904483c3a260f1d7b2859183be980c6941830c5a380ce4"
+
+
+def test_sym_words_solves_and_reports_keep_their_bits(capsys):
+    s3 = sc.sym_matrix(3)
+    rng = SplitMix64(211)
+    digest = hashlib.sha256()
+    for k in range(12):
+        word = random_word(s3, rng)
+        x = random_cone_element(s3, rng)
+        batch = np.array([random_cone_element(s3, rng).coords for _ in range(4)])
+        digest.update(sc.apply(word, x).coords.tobytes())
+        digest.update(transforms._apply_coords(word, batch).tobytes())
+        if k < 4:
+            for p in (2.0, -2.0):
+                try:
+                    rep = sc.solve(word, sc.SolveConfig(p=p))
+                except NonConvergence as exc:
+                    rep = exc.report
+                digest.update(rep.solution.coords.tobytes())
+                digest.update(np.array(rep.distance_trace + (rep.residual,)).tobytes())
+    for suite in ("contraction", "isometry"):
+        assert main(["check", suite, "--algebra", "sym:3", "--samples", "20",
+                     "--seed", "5"]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == SYM_WORD_DIGEST
+
+
+def _bitwise_symmetric(m):
+    return m.tobytes() == np.swapaxes(m, -1, -2).tobytes()
+
+
+def test_sym_factor_outputs_and_samples_are_bitwise_symmetric():
+    # Nothing re-ingests these: each is symmetric by construction.  The
+    # last t is 100 times a normal matrix, whose plain t' x t can land
+    # off symmetric.
+    s4 = sc.sym_matrix(4)
+    rng = SplitMix64(23)
+    words = [random_word(s4, rng, max_len=4) for _ in range(30)]
+    words.append(sc.AutomorphismWord(s4, (
+        sc.Congruence(100.0 * SplitMix64(126).normal_matrix(4, 4)),) * 3))
+    for word in words:
+        point = s4.kernel.random_point(4, rng, transforms.EIG_LO, transforms.EIG_HI)
+        points = s4.kernel.random_point(4, rng, transforms.EIG_LO, transforms.EIG_HI, (3,))
+        assert _bitwise_symmetric(point) and _bitwise_symmetric(points)
+        for k in range(1, len(word.factors) + 1):
+            prefix = sc.AutomorphismWord(s4, word.factors[:k])
+            assert _bitwise_symmetric(transforms._apply_coords(prefix, point))
+            assert _bitwise_symmetric(transforms._apply_coords(prefix, points))
