@@ -32,12 +32,14 @@ The kernel functions that sampling, the metric and the maps of
 ``relative_eigenvalues`` and ``random_point``, and ``_power_sum`` and
 ``_sym_congruence``) take one point or a batch: coordinates with a
 leading batch axis, row i of the result being what the call on point i
-gives, bit for bit.  On orthant and
-spin one array operation serves the whole batch, with the per-point
-scalars a closed form needs (spin's <a, x> by ``np.dot`` and ||xbar|| by
-``math.hypot``) taken row by row.  The sym kernel loops over the batch,
-one matrix at a time, so its time and bits are those of single calls.
-A sym random point, quad or congruence averages its product with its
+gives, bit for bit.  On orthant and spin one array operation serves the
+whole batch.  Spin takes every row's <a, x> in one stacked matmul, which
+numpy hands row by row to the BLAS dot product that ``np.dot`` calls
+(``_row_dots``), and only ||xbar|| row by row, by ``math.hypot``; its
+random points come from one ``SplitMix64.unit_rows`` call, whose norms
+are such dot products too.  The sym kernel loops over the batch, one
+matrix at a time, so its time and bits are those of single calls.  A sym
+random point, quad or congruence averages its product with its
 transpose, which makes it bitwise symmetric by construction: ingestion
 runs only where coordinates enter an Element.
 
@@ -219,6 +221,18 @@ class _Kernel(NamedTuple):
     random_point: Callable
     # (x, y, samples, rng) -> ratios (x|c)/(y|c) over primitive idempotents c
     rayleigh_ratios: Callable
+
+
+def _row_dots(a, b):
+    """<a_i, b_i> for each row, as an (N, 1) column; a or b may be one
+    point, which serves every row of the other.
+
+    One stacked matmul, which numpy hands row by row to the BLAS dot
+    product that np.dot calls on two vectors: row i is np.dot(a_i, b_i)
+    bit for bit (tests/test_lapack_sites.py checks it), where einsum and
+    sum add in other orders.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0]
 
 
 def _descending_order(values):
@@ -512,14 +526,15 @@ def _spin_quad(a, x):
     """P(a)x = 2<a, x> a - det(a) x*, where x* = (x0, -xbar).
 
     Faraut & Koranyi, Analysis on Symmetric Cones, ch. II; <.,.> is the
-    plain dot product, one np.dot per point.  a and x are each one point
+    plain dot product: np.dot on one point, and every row's at once by
+    _row_dots on a batch, with the same bits.  a and x are each one point
     or a batch; one a serves every row of a batch x.  Subtracting
     det(a) * -x_j adds det(a) * x_j, bit for bit.
     """
     if a.ndim == x.ndim == 1:
         dot = float(np.dot(a, x))
     else:
-        dot = np.array([[np.dot(p, q)] for p, q in zip(*np.broadcast_arrays(a, x))])
+        dot = _row_dots(a, x)
     a0, a_norm = _spin_parts(a)
     det_a = (a0 + a_norm) * (a0 - a_norm)
     return 2.0 * dot * a - det_a * (x * _spin_conjugation(x.shape[-1]))
@@ -581,13 +596,7 @@ def _spin_relative_eigenvalues(x, y):
 
 
 def _spin_random_point(n, rng, lo, hi, shape=()):
-    points = np.empty((math.prod(shape), n))
-    for point in points:
-        lam1 = rng.log_uniform(lo, hi)
-        lam2 = rng.log_uniform(lo, hi)
-        point[0] = 0.5 * (lam1 + lam2)
-        point[1:] = 0.5 * (lam1 - lam2) * rng.unit_vector(n - 1)
-    return points.reshape(shape + (n,))
+    return rng.unit_rows(shape, n - 1, lo, hi)
 
 
 def _spin_rayleigh_ratios(x, y, samples, rng):

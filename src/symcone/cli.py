@@ -169,10 +169,13 @@ def load_instance(path: str) -> Instance:
         raise ParseError(f"{path}: top level must be an object")
     _require_keys(data, {"algebra", "elements", "maps"}, {"algebra"}, path)
     descriptor = parse_algebra_obj(data["algebra"])
+    for key in ("elements", "maps"):
+        if not isinstance(data.get(key, {}), dict):
+            raise ParseError(f"{path}: {key} must be an object of named entries")
     elements = {name: element_from_json(descriptor, coords, f"elements[{name}]")
-                for name, coords in (data.get("elements") or {}).items()}
+                for name, coords in data.get("elements", {}).items()}
     maps = {name: word_from_json(descriptor, word, f"maps[{name}]")
-            for name, word in (data.get("maps") or {}).items()}
+            for name, word in data.get("maps", {}).items()}
     return Instance(descriptor, elements, maps, raw)
 
 

@@ -15,10 +15,16 @@ before its first draw, so one that is never drawn from costs nothing.
 Box-Muller normals use the scalar libm calls of ``math``, whose bits do
 not depend on numpy's SIMD paths.  A suite or generated instance is
 reproducible bit for bit from its seed on the same numpy and BLAS build:
-``rotation`` takes a LAPACK QR and ``unit_vector`` a BLAS norm, whose bits
-may differ on others.  ``unit_vectors`` draws the normals of many
-``unit_vector`` calls as one block and divides each row by the root of a
-fixed-order sum of squares, added column by column with no BLAS.
+``rotation`` takes a LAPACK QR, and ``unit_rows`` BLAS dot products, whose
+bits may differ on others.  ``unit_rows`` draws unit vectors, and the spin
+factor's random points, from two log-uniforms and a unit vector each: it
+reads their draws one vector after another in a Python loop, then norms
+every vector in one stacked product, which numpy hands row by row to the
+dot product ``np.linalg.norm`` calls, so a batch has the bits of one
+``unit_vector`` call per vector; ``unit_vector`` is its one-vector case.
+``unit_vectors`` draws the normals of many ``unit_vector`` calls as one
+block and divides each row by the root of a fixed-order sum of squares,
+added column by column with no BLAS.
 """
 
 from __future__ import annotations
@@ -27,9 +33,10 @@ import math
 
 import numpy as np
 
-from .algebra import _is_integral, _ordered_sum
+from .algebra import _is_integral, _ordered_sum, _row_dots
 
 _MASK = (1 << 64) - 1
+_TWO_PI = 2.0 * math.pi
 _GOLDEN = 0x9E3779B97F4A7C15
 # Words per block.  A block of up to a few hundred words costs about as
 # much as 10 to 20 scalar draws, and the first draw of a generator pays
@@ -83,6 +90,10 @@ class SplitMix64:
     def _take(self, n: int) -> list[float]:
         """The next n uniforms as a list (none for n <= 0)."""
         pos = self._pos
+        out = self._floats[pos:pos + n]
+        if len(out) == n:
+            self._pos = pos + n
+            return out
         out = self._floats[pos:pos + max(n, 0)]
         self._pos = pos + len(out)
         while len(out) < n:
@@ -118,37 +129,88 @@ class SplitMix64:
         return np.array([exp(a + (b - a) * u) for u in self._take(n)])
 
     def normal(self) -> float:
-        return float(self.normals(1)[0])
+        return self._normal_list(1)[0]
 
     def normals(self, n: int) -> np.ndarray:
         """The next n standard normals by Box-Muller; each pair of uniforms
         gives two, and an odd one out is kept for the next call."""
+        return np.array(self._normal_list(n))
+
+    def _normal_list(self, n: int) -> list[float]:
+        """``normals(n)`` as a list of floats: every normal of the package
+        is drawn here."""
         out = []
         if n > 0 and self._spare_normal is not None:
             out.append(self._spare_normal)
             self._spare_normal = None
         u = self._take(2 * ((n - len(out) + 1) // 2))
         log, sqrt, cos, sin = math.log, math.sqrt, math.cos, math.sin
-        for u1, u2 in zip(u[::2], u[1::2]):
-            radius = sqrt(-2.0 * log(1.0 - u1))  # 1 - u1 in (0, 1]
-            theta = 2.0 * math.pi * u2
-            out.append(radius * cos(theta))
-            out.append(radius * sin(theta))
-        if len(out) > max(n, 0):
+        for i in range(0, len(u), 2):
+            radius = sqrt(-2.0 * log(1.0 - u[i]))  # 1 - u in (0, 1]
+            theta = _TWO_PI * u[i + 1]
+            out += (radius * cos(theta), radius * sin(theta))
+        if len(out) > n >= 0:
             self._spare_normal = out.pop()
-        return np.array(out)
+        return out
 
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
         return self.normals(rows * cols).reshape(rows, cols)
 
     def unit_vector(self, n: int) -> np.ndarray:
+        """A uniform unit vector of length n: n normals divided by their
+        norm, redrawn while the norm is at most 1e-12."""
         if n < 1:
             raise ValueError(f"unit_vector needs n >= 1, got n={n}")
-        while True:
-            v = self.normals(n)
-            norm = float(np.linalg.norm(v))
-            if norm > 1e-12:
-                return v / norm
+        return self.unit_rows((), n)
+
+    def unit_rows(self, shape: tuple, n: int, lo: float | None = None,
+                  hi: float | None = None) -> np.ndarray:
+        """Unit vectors of length n, drawn as ``unit_vector(n)`` draws them,
+        in an array of shape shape + (n,); or, given lo and hi, points of
+        the spin factor R x R^n, shape shape + (n + 1,).
+
+        A point draws two log-uniforms l1, l2 from [lo, hi], as two calls
+        of ``log_uniform``, then the normals of a unit vector u, and is
+        ((l1 + l2)/2, (l1 - l2)/2 * u): its eigenvalues are l1 and l2.  The
+        draws are read one vector after another, with no numpy call per
+        vector; then every norm is taken at once, by the BLAS dot product
+        of ``algebra._row_dots``.  A vector of norm at most 1e-12 is
+        redrawn at once, so the stream and every bit are those of
+        ``unit_vector`` calls, or of points drawn one at a time.  Points
+        are rows of a wider array (not C-contiguous beyond one point).
+        """
+        size = math.prod(shape)
+        if n < 1 or size < 0:
+            raise ValueError(f"unit_rows needs a shape and n >= 1, got {shape}, n={n}")
+        spin = lo is not None
+        if spin:
+            a = math.log(lo)
+            width = math.log(hi) - a
+        exp, take, normals = math.exp, self._take, self._normal_list
+        # Each vector's row, after (l1 - l2)/2 and (l1 + l2)/2 for a point.
+        flat = []
+        for _ in range(size):
+            if spin:
+                u1, u2 = take(2)
+                lam1 = exp(a + width * u1)
+                lam2 = exp(a + width * u2)
+                flat += (0.5 * (lam1 - lam2), 0.5 * (lam1 + lam2))
+            row = normals(n)
+            # An entry of 2e-12 or more puts the norm above 1e-12 in any
+            # order of summation, so only a row of tiny entries is normed
+            # here, as below, to apply the redraw rule.
+            while abs(row[0]) < 2e-12 and max(map(abs, row)) < 2e-12:
+                v = np.array(row)
+                if math.sqrt(_row_dots(v, v)[0]) > 1e-12:
+                    break
+                row = normals(n)
+            flat += row
+        rows = np.array(flat).reshape(shape + (n + 2 * spin,))
+        units = rows[..., 2 * spin:]
+        units /= np.sqrt(_row_dots(units, units))
+        if spin:
+            units *= rows[..., :1]
+        return rows[..., spin:]
 
     def unit_vectors(self, k: int, n: int) -> np.ndarray:
         """k unit vectors of length n, the rows of a (k, n) array.

@@ -116,9 +116,7 @@ def axioms_suite(descriptor: AlgebraDescriptor, samples: int, seed: int) -> Suit
                          [commut, jordan, assoc, symm, tri, proj, rays])
     e = descriptor.identity()
     for i in range(samples):
-        x = transforms.random_cone_element(descriptor, rng)
-        y = transforms.random_cone_element(descriptor, rng)
-        z = transforms.random_cone_element(descriptor, rng)
+        x, y, z = transforms._random_cone_elements(descriptor, rng, 3)
         inputs = lambda: {"x": _coords(x), "y": _coords(y), "z": _coords(z)}
 
         # algebra axioms on ambient points (shifted off the cone)
@@ -223,10 +221,10 @@ def bounds_suite(descriptor: AlgebraDescriptor, samples: int, seed: int) -> Suit
     lower = CheckResult("norm_gap_ge_tanh_bound", 1e-9)
     result = SuiteResult("bounds", descriptor, samples, seed, [upper, lower])
     for i in range(samples):
-        x = algebra.normalize(transforms.random_cone_element(descriptor, rng))
         if i % 2 == 0:
-            y = algebra.normalize(transforms.random_cone_element(descriptor, rng))
+            x, y = map(algebra.normalize, transforms._random_cone_elements(descriptor, rng, 2))
         else:
+            x = algebra.normalize(transforms.random_cone_element(descriptor, rng))
             eps = rng.log_uniform(1e-3, 0.3)
             y = algebra.normalize(
                 x + eps * transforms.random_cone_element(descriptor, rng))
@@ -253,9 +251,9 @@ def oracle_suite(descriptor: AlgebraDescriptor, samples: int, seed: int) -> Suit
         checks.append(exact)
     result = SuiteResult("oracle", descriptor, samples, seed, checks)
     bis_tol = 1e-13 if descriptor.kind == algebra.ORTHANT else 1e-8
-    for i in range(samples):
-        x = transforms.random_cone_element(descriptor, rng)
-        y = transforms.random_cone_element(descriptor, rng)
+    # The suite's stream draws nothing but the points.
+    points = iter(transforms._random_cone_elements(descriptor, rng, 2 * samples))
+    for i, (x, y) in enumerate(zip(points, points)):
         inputs = lambda: {"x": _coords(x), "y": _coords(y)}
         lam_max, lam_min = metric.lambda_extremes(x, y)
         m_bis = metric.upper_bound_oracle(x, y, bis_tol)

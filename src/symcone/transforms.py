@@ -202,6 +202,13 @@ def random_cone_element(
     return Element(descriptor, coords)
 
 
+def _random_cone_elements(descriptor: AlgebraDescriptor, rng: SplitMix64, count: int):
+    """The elements count calls of random_cone_element would draw, drawn
+    in one random_point call."""
+    points = descriptor.kernel.random_point(descriptor.param, rng, EIG_LO, EIG_HI, (count,))
+    return [Element(descriptor, point) for point in points]
+
+
 def random_word(
     descriptor: AlgebraDescriptor,
     rng: SplitMix64,

@@ -67,21 +67,42 @@ def element_bisection(x, y, tol):
 
 
 class ZeroedNormals(sc.SplitMix64):
-    """SplitMix64 whose normals at stream positions [start, stop) read 0.0;
-    every other draw is the plain generator's."""
+    """SplitMix64 whose normals at stream positions [start, stop) read 0.0,
+    or are multiplied by scale if one is given; every other draw is the
+    plain generator's.  The hook is ``_normal_list``, through which every
+    normal is drawn."""
 
-    def __init__(self, seed, start, stop):
+    def __init__(self, seed, start, stop, scale=0.0):
         super().__init__(seed)
         self.zeroed = range(start, stop)
+        self.scale = scale
         self.drawn = 0
 
-    def normals(self, n):
-        out = super().normals(n)
+    def _normal_list(self, n):
+        out = super()._normal_list(n)
         for i in range(len(out)):
             if self.drawn + i in self.zeroed:
-                out[i] = 0.0
+                out[i] = out[i] * self.scale if self.scale else 0.0
         self.drawn += len(out)
         return out
+
+
+def spin_point_loop(n, rng, lo, hi, shape=()):
+    """Reference spin random points, drawn one at a time: two
+    ``log_uniform`` draws, then n - 1 normals divided by their
+    ``np.linalg.norm``, redrawn while that norm is at most 1e-12."""
+    points = np.empty((math.prod(shape), n))
+    for point in points:
+        lam1 = rng.log_uniform(lo, hi)
+        lam2 = rng.log_uniform(lo, hi)
+        while True:
+            v = rng.normals(n - 1)
+            norm = float(np.linalg.norm(v))
+            if norm > 1e-12:
+                break
+        point[0] = 0.5 * (lam1 + lam2)
+        point[1:] = 0.5 * (lam1 - lam2) * (v / norm)
+    return points.reshape(shape + (n,))
 
 
 def contraction_loop(map_fn, descriptor, samples, seed, label="map"):

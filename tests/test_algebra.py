@@ -867,6 +867,20 @@ def test_kernel_batch_rows_equal_single_calls(descriptor):
     assert np.isnan(rel[-2]).all() and not np.isnan(rel[1:6]).any()
 
 
+@pytest.mark.parametrize("n", [2, 3, 10, 17])
+def test_spin_quad_batch_rows_equal_single_calls(n):
+    # The batch takes every <a, x> in one stacked product, the single call
+    # by np.dot: one a over all rows, a row per a, and strided rows.
+    kernel = sc.spin_factor(n).kernel
+    points = kernel.random_point(n, SplitMix64(n), 0.1, 10.0, (21,))
+    a, xs, ys = points[0], points[1::2], points[0::2][1:]
+    assert not xs.flags.c_contiguous
+    _assert_rows(kernel.quad(a, xs), [kernel.quad(a, x) for x in xs])
+    _assert_rows(kernel.quad(xs, a), [kernel.quad(x, a) for x in xs])
+    _assert_rows(kernel.quad(ys, xs), [kernel.quad(y, x) for x, y in zip(xs, ys)])
+    _assert_rows(kernel.quad(a[None], points[2:5]), [kernel.quad(a, x) for x in points[2:5]])
+
+
 def test_power_domain_is_checked_on_every_row_of_a_batch():
     eigs = np.array([[2.0, 1.0], [3.0, -1.0], [1.0, math.nan]])
     with pytest.raises(NotInCone, match="least eigenvalue is -1"):

@@ -240,6 +240,21 @@ def test_unknown_top_level_key(capsys, tmp_path):
     assert "extra" in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("elements", [[1, 2]]), ("elements", "x"), ("elements", None),
+    ("maps", [[{"type": "scalar", "payload": 2.0}]]), ("maps", 3),
+])
+def test_elements_and_maps_must_be_objects(capsys, tmp_path, key, value):
+    # A list of elements ended metric in an AttributeError traceback.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"algebra": {"kind": "orthant", "param": 2}, key: value}))
+    command = ("metric", "x", "x") if key == "elements" else ("solve", "w", "--p", "2")
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert code == 2
+    assert out == ""
+    assert f"{key} must be an object" in err
+
+
 def test_wrong_element_length(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({

@@ -11,7 +11,11 @@ list can only shrink with the code.
 import ast
 import pathlib
 
+import numpy as np
+
 import symcone
+from symcone.algebra import _row_dots
+from symcone.rng import SplitMix64
 
 SRC = pathlib.Path(symcone.__file__).parent
 
@@ -27,8 +31,8 @@ ALLOWED = {
     ("algebra", "_sym_congruence", "@"): "congruence t^T x t, and V^T x V onto a carried basis V",
     ("algebra", "_sym_random_point", "@"): "random sym point q diag(l) q^T",
     ("algebra", "_spin_product", "np.dot"): "head <x, y> of the spin product",
-    ("algebra", "_spin_quad", "np.dot"): "<a, x> of the closed-form spin P(a)x",
-    ("rng", "SplitMix64.unit_vector", "np.linalg.norm"): "norm of a normal draw",
+    ("algebra", "_spin_quad", "np.dot"): "<a, x> of one point's closed-form spin P(a)x",
+    ("algebra", "_row_dots", "@"): "row dots <a_i, b_i>: a batch's spin P(a)x, norms of spin draws",
     ("rng", "SplitMix64.rotation", "np.linalg.qr"): "random rotation from the QR of a normal matrix",
     ("transforms", "numerically_singular", "np.linalg.slogdet"): "log |det t| of the singularity test",
     ("transforms", "random_word", "@"): "random congruence factor q1 diag(s) q2",
@@ -99,3 +103,26 @@ def test_the_scan_sees_each_construct():
         ("mod", "C.m", "np.linalg.inv"),
         ("mod", "C.m", "np.matmul"),
     }
+
+
+_DOT_LENGTHS = list(range(1, 41)) + [64, 65, 128, 129, 513]
+
+
+def test_stacked_row_dots_are_np_dot_bit_for_bit():
+    # Spin random points and the batch spin P(a)x take their dot products
+    # as one stacked matmul (algebra._row_dots), and a single point takes
+    # np.dot or np.linalg.norm; their bits agree only while numpy hands
+    # each row of the stack to the same BLAS dot product.
+    rng = SplitMix64(2020)
+    for n in _DOT_LENGTHS:
+        rows = rng.normals(9 * (n + 1)).reshape(9, n + 1)
+        a = rows[0, 1:]
+        for b in (rows[:, 1:], rows[1:, :n], rows[::2, 1:]):  # strided rows too
+            want = [np.dot(x, y) for x, y in zip(b, b[::-1])]
+            got = _row_dots(b, b[::-1])
+            assert got.shape == (len(b), 1)
+            assert got[:, 0].tobytes() == np.array(want).tobytes(), n
+            assert _row_dots(a, b)[:, 0].tobytes() == np.array([np.dot(a, x) for x in b]).tobytes()
+            assert _row_dots(b, a)[:, 0].tobytes() == np.array([np.dot(x, a) for x in b]).tobytes()
+            norms = np.sqrt(_row_dots(b, b))[:, 0]
+            assert norms.tobytes() == np.array([np.linalg.norm(x) for x in b]).tobytes()

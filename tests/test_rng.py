@@ -176,3 +176,56 @@ def test_unit_vectors_need_a_size():
     for k, n in [(1, 0), (2, -1), (-1, 3)]:
         with pytest.raises(ValueError, match=f"k={k}, n={n}"):
             SplitMix64(1).unit_vectors(k, n)
+
+
+SPIN_SHAPES = [(), (1,), (7,), (2, 3)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 17])
+@pytest.mark.parametrize("seed", SEEDS[:4])
+def test_spin_points_are_the_point_loop_byte_for_byte(n, seed):
+    chooser = random.Random(seed)
+    gen, ref = SplitMix64(seed), SplitMix64(seed)
+    for shape in SPIN_SHAPES:
+        # Odd skips leave a spare normal pending before the points.
+        skip = chooser.randint(0, 3)
+        assert_same(gen.normals(skip), ref.normals(skip))
+        got = sc.spin_factor(n).kernel.random_point(n, gen, 0.1, 10.0, shape)
+        assert_same(got, conftest.spin_point_loop(n, ref, 0.1, 10.0, shape))
+        assert gen._spare_normal == ref._spare_normal
+        assert gen.uniform() == ref.uniform()
+
+
+@pytest.mark.parametrize("seed", SEEDS[:3])
+def test_unit_rows_are_unit_vector_calls(seed):
+    gen, ref = SplitMix64(seed), splitmix_reference.SplitMix64(seed)
+    for shape, n in [((), 1), ((2, 3), 9), ((0,), 4), ((5,), 64), ((2,), 2 * BLOCK + 1)]:
+        want = np.array([ref.unit_vector(n) for _ in range(math.prod(shape))])
+        assert_same(gen.unit_rows(shape, n), want.reshape(shape + (n,)))
+        assert_same(gen.normal(), ref.normal())
+
+
+@pytest.mark.parametrize("start, scale, redrawn", [
+    (0, 0.0, True),  # the first point's vector is zero
+    (27, 0.0, True),  # the fourth of seven
+    (54, 0.0, True),  # the last
+    (31, 0.0, False),  # zeros across two vectors: neither is zero
+    (27, 1e-14, True),  # tiny entries, norm below 1e-12
+    (27, 1e-12, False),  # tiny entries, norm above 1e-12
+])
+def test_spin_points_redraw_a_short_vector_as_the_loop_does(start, scale, redrawn):
+    # spin:10 points draw 9 normals each, so normals 9i..9i+8 are point i's.
+    gen = conftest.ZeroedNormals(8, start, start + 9, scale)
+    ref = conftest.ZeroedNormals(8, start, start + 9, scale)
+    got = sc.spin_factor(10).kernel.random_point(10, gen, 0.1, 10.0, (7,))
+    want = conftest.spin_point_loop(10, ref, 0.1, 10.0, (7,))
+    assert np.isfinite(got).all()
+    assert_same(got, want)
+    assert gen.drawn == ref.drawn == 9 * (7 + redrawn)
+    assert gen._spare_normal == ref._spare_normal and gen.uniform() == ref.uniform()
+
+
+def test_unit_rows_need_a_size():
+    for shape, n in [((1,), 0), ((2,), -1), ((-1,), 3), ((2, -1), 3)]:
+        with pytest.raises(ValueError, match=f"n={n}"):
+            SplitMix64(1).unit_rows(shape, n)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from symcone.cli import main
 from symcone.rng import SplitMix64
 from symcone.transforms import random_cone_element, random_word
 
-from conftest import contraction_loop, el, inverse_word
+from conftest import contraction_loop, el, inverse_word, spin_point_loop
 
 O2 = sc.orthant(2)
 S2 = sc.sym_matrix(2)
@@ -427,6 +428,30 @@ def test_suites_keep_the_slacks_of_the_loop():
         rep = contraction_loop(map_fn, O2, samples, seed + k)
         assert check.count == 1
         assert check.worst.hex() == max(rep.max_ratio - 1.0, 1.0 - rep.min_ratio).hex()
+
+
+def _drawing_one_point_at_a_time(monkeypatch, descriptor):
+    """A copy of descriptor whose spin kernel draws points with the
+    reference point loop; the suites' consecutive draws become one call
+    per point."""
+    monkeypatch.setattr(transforms, "_random_cone_elements", lambda d, rng, count: [
+        random_cone_element(d, rng) for _ in range(count)])
+    ref = sc.AlgebraDescriptor(descriptor.kind, descriptor.param)
+    if descriptor.kind == "spin":
+        kernel = ref.kernel._replace(random_point=spin_point_loop)
+        object.__setattr__(ref, "kernel", kernel)
+    return ref
+
+
+@pytest.mark.parametrize("descriptor", [sc.spin_factor(3), sc.spin_factor(10),
+                                        sc.orthant(3), sc.sym_matrix(2)],
+                         ids=lambda d: f"{d.kind}:{d.param}")
+@pytest.mark.parametrize("suite", sorted(suites.SUITES))
+def test_suite_reports_equal_one_draw_per_point(monkeypatch, descriptor, suite):
+    got = [suites.SUITES[suite](descriptor, 12, seed).summary() for seed in (1, 2)]
+    ref = _drawing_one_point_at_a_time(monkeypatch, descriptor)
+    want = [suites.SUITES[suite](ref, 12, seed).summary() for seed in (1, 2)]
+    assert json.dumps(got) == json.dumps(want)
 
 
 # ---------------------------------------------------------------------------
