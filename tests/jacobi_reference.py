@@ -1,10 +1,13 @@
-"""The cyclic Jacobi eigensolver as it was before its rotation loop wrote
-each off-diagonal pair once, kept as a reference oracle.  Its stopping
-threshold follows the production one (eps * ||A||_F, the norm scaled when
-its square over- or underflows); the rotation loop is verbatim.
+"""The cyclic Jacobi eigensolver as it was when each rotation passed over
+the rows and then the columns of a full list-of-rows matrix, writing both
+triangles, kept as a reference oracle.  Its stopping threshold follows
+the production one (eps * ||A||_F from math.fsum over every entry, the
+norm scaled when its square over- or underflows); the rotation loop is
+verbatim.
 
-The production ``algebra._jacobi`` must reproduce its diagonal and
-eigenvectors byte for byte on every exactly symmetric input.
+The production ``algebra._jacobi``, which keeps a flat row-major list and
+reads and writes only its diagonal and upper triangle, must reproduce its
+diagonal and eigenvectors byte for byte on every exactly symmetric input.
 """
 
 import math

@@ -684,6 +684,8 @@ def _jacobi_inputs(r, rng):
                    (m + m.T) / 2.0 * np.outer(grade, grade), np.eye(r),
                    np.diag([2.0] * k + [1.0] * (r - k)), (w + w.T) / 2.0,
                    sparse, signed, np.full((r, r), 1e160),
+                   # Equal diagonal and a negative pivot: tau is -0.0.
+                   np.eye(r) - np.full((r, r), 0.5),
                    # The solver's last steps, next to the identity.
                    np.eye(r) + 1e-10 * (m + m.T) / 2.0):
         yield matrix, None
@@ -713,14 +715,19 @@ def _solver_jacobi_inputs(s, rng):
     return seen
 
 
-def test_other_rows_leaves_out_the_pivot_rows():
+def test_rotation_plan_leaves_out_the_pivot_rows():
     for r in range(1, 21):
-        table = algebra._other_rows(r)
-        assert len(table) == r
-        for p in range(r):
-            assert len(table[p]) == r
-            for q in range(r):
-                assert table[p][q] == tuple(k for k in range(r) if k not in (p, q))
+        plan = algebra._rotation_plan(r)
+        assert [entry[3:5] for entry in plan] == [
+            (p, q) for p in range(r) for q in range(p + 1, r)]
+        for pq, pp, qq, p, q, others in plan:
+            assert [divmod(i, r) for i in (pq, pp, qq)] == [(p, q), (p, p), (q, q)]
+            rows = [k for k in range(r) if k not in (p, q)]
+            assert len(others) == len(rows)
+            for k, (kp, kq) in zip(rows, others):
+                # (k, p) and (k, q), each in the upper triangle.
+                assert divmod(kp, r) == (min(k, p), max(k, p))
+                assert divmod(kq, r) == (min(k, q), max(k, q))
 
 
 def _jacobi_modes(start):
@@ -753,7 +760,7 @@ def test_jacobi_bits_match_the_reference_loop():
 
 def test_jacobi_bits_match_the_reference_loop_at_extreme_scales():
     rng = SplitMix64(19)
-    for r in (2, 6):
+    for r in (2, 6, 12, 20):
         for m, start in _jacobi_inputs(r, rng):
             for scale in (1e-300, 1e-170, 1e-17, 1e17):
                 for accumulate, basis in _jacobi_modes(start):

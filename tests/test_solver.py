@@ -6,6 +6,7 @@ import pytest
 
 import symcone as sc
 from symcone import algebra, metric, solver, transforms
+from symcone.cli import main
 from symcone.errors import NonConvergence, NotInCone, SingularMatrix
 from symcone.rng import SplitMix64
 from symcone.transforms import random_cone_element
@@ -594,3 +595,45 @@ def test_orthant_and_spin_solves_keep_their_bits(descriptor):
             for cfg in (sc.SolveConfig(p=p), sc.SolveConfig(p=p, max_iter=3)):
                 digest.update(repr(_outcome(sc.solve, g, cfg)).encode())
     assert digest.hexdigest() == ORTHANT_SPIN_DIGESTS[descriptor.kind]
+
+
+# sha256 of sym outputs, recorded before the Jacobi rotation kept its
+# matrix as one flat list and read and wrote only its upper triangle: the
+# check reports of the suites whose distances take eigenvalues only, solves
+# that carry an eigenvector basis, and a Bushell solve at a large rank.
+SYM_CHECK_DIGESTS = {
+    "bounds": "a694facf44215969414f1117507155698d411840d5b671d2643b694131def482",
+    "axioms": "2a9ff7df75fafdd5061cd9b37c7dfecb05fa4fb0dfb63ba2b45829b2c59f2297",
+    "contraction": "84953d4161bbc5482966eb3e28f3af161de78331d35f684d8aa5fb349337ddd4",
+    "oracle": "3392015b8f7d1352de5e2cba2b9db9ccee209f737fa4d428f0c9cc7f4cf1e902",
+}
+SYM_SOLVE_DIGESTS = {
+    2.0: "123f967274117cf5c86502535723237de88bb7661a38860f77a47d295d08c64f",
+    -2.0: "263fd234ac1ef02d411a94bb8fc40f34526705dc0bb798c63b175f631b0b36b3",
+}
+SYM_BUSHELL_DIGEST = "acf9e91315512807eac1c83bd668e43733e0e17fe0192cc2d7c7cd96d4c16b68"
+
+
+@pytest.mark.parametrize("suite", sorted(SYM_CHECK_DIGESTS))
+def test_sym_check_reports_keep_their_bits(suite, capsys):
+    assert main(["check", suite, "--algebra", "sym:6", "--samples", "10",
+                 "--seed", "1"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == SYM_CHECK_DIGESTS[suite]
+
+
+@pytest.mark.parametrize("p", sorted(SYM_SOLVE_DIGESTS))
+def test_sym_solves_keep_their_bits(p):
+    rng = SplitMix64(83)
+    g = mild_word(sc.sym_matrix(6), rng, 2.0)
+    while not any(isinstance(f, (sc.Quad, sc.Congruence)) for f in g.factors):
+        g = mild_word(sc.sym_matrix(6), rng, 2.0)
+    outcome = _outcome(sc.solve, g, sc.SolveConfig(p=p))
+    assert hashlib.sha256(repr(outcome).encode()).hexdigest() == SYM_SOLVE_DIGESTS[p]
+
+
+def test_sym_bushell_keeps_its_bits():
+    t = SplitMix64(127).normal_matrix(12, 12)
+    outcome = _outcome(lambda g, cfg: sc.solve_bushell(t, 1), None, None)
+    assert outcome[0] == "solved"
+    assert hashlib.sha256(repr(outcome).encode()).hexdigest() == SYM_BUSHELL_DIGEST
