@@ -26,9 +26,20 @@ array, row j the coords of c_j; x^p (one reduction over the rows), det,
 the cone test and the spectral norm are written once on top of it.  P(x)y
 has a closed form in each kernel (x y x on sym, 2<x, y> x - det(x) y* on
 spin), and the spectrum of P(y^{-1/2})x is computed by each kernel in its
-own way and read directly by ``metric``.  On sym the decomposition also
-returns its eigenvector columns, from which the decomposition of a nearby
-matrix can start, and with which the solver's step spectrum is computed.
+own way and read directly by ``metric``.
+
+Each kernel also owns one step of the solver's Banach iteration,
+``fixed_point_step``: from g(x) it forms x_next = g(x)^{1/p} / |g(x)^{1/p}|
+and the extreme eigenvalues of P(x_next^{-1/2})x, whose log ratio is the
+step d(x, x_next).  The orthant step works entry by entry, with no sort
+or frame.  The spin step works in closed form from g0, ||gbar|| and gbar
+/ ||gbar||, the spectrum of the step from ``_spin_quad``.  The sym step
+decomposes g(x) starting from the eigenvector columns of the previous
+step's decomposition (Jacobi converges in fewer sweeps from them), builds
+x_next on that frame and takes the step spectrum in that basis.  Every
+power in these steps is one np.power over an array, as in the generic
+x^p, whose bits do not depend on an entry's position, so each step
+returns x_next with the bits of the sum over the frame.
 
 The kernel functions that sampling, the metric and the maps of
 ``transforms`` use (``quad``, ``decompose``, ``eigenvalues``,
@@ -229,9 +240,15 @@ class _Kernel(NamedTuple):
     # not in the open cone or an entry of x (on sym also of y) is not
     # finite; x is in the cone iff the least eigenvalue is > 0.
     relative_eigenvalues: Callable
-    # (x, mu, frame, basis) -> eigenvalues of P(y^{-1/2})x descending, where
-    # y = sum_j mu_j c_j on a frame and basis from decompose.
-    relative_on_frame: Callable
+    # (gx, x, e, basis) -> (x_next, extremes, basis): one Banach step of the
+    # solver from x, given gx = g(x).  x_next = gx^e / |gx^e|; extremes are
+    # the floats (l_max, l_min) of P(x_next^{-1/2})x, whose log ratio is
+    # d(x, x_next), or None, with no eigensolve, when x_next equals x byte
+    # for byte; basis is what the next step starts from (sym's eigenvector
+    # columns, else None).  OverflowError when gx has overflowed (an
+    # infinite or NaN entry or extreme eigenvalue), then
+    # _require_power_domain's NotInCone when gx is outside the open cone.
+    fixed_point_step: Callable
     # (param, rng, lo, hi, shape=()) -> interior coords of shape
     # shape + coord_shape, the points drawn one after another.
     random_point: Callable
@@ -287,10 +304,21 @@ def _power_sum(eigenvalues, frame, p):
     return _frame_sum(np.power(eigenvalues, p), frame)
 
 
-def _quad_relative_on_frame(quad, eigenvalues):
-    """relative_on_frame from a closed-form quad: the spectrum of P(a)x,
-    with a = y^{-1/2} = sum_j mu_j^{-1/2} c_j built on the frame."""
-    return lambda x, mu, frame, basis: eigenvalues(quad(_power_sum(mu, frame, -0.5), x))
+def _power_norm(powers) -> float:
+    """Spectral norm of x^p from the powers l_j^p of x's positive, descending
+    eigenvalues, which are monotone in j: no eigensolve."""
+    # The least eigenvalue's power goes first: max() keeps a NaN only as its
+    # first argument, and a NaN eigenvalue sorts last.
+    return float(max(powers[-1], powers[0]))
+
+
+def _require_finite_extremes(high, low) -> None:
+    """OverflowError unless the extreme eigenvalues of g(x) in a fixed-point
+    step are both finite: g(x) has overflowed, or made a NaN of an inf."""
+    if not (math.isfinite(high) and math.isfinite(low)):
+        raise OverflowError(
+            f"g(x) overflows: its extreme eigenvalues {float(high):.6g} and "
+            f"{float(low):.6g} are not both finite")
 
 
 def _orthant_relative_eigenvalues(x, y):
@@ -322,6 +350,26 @@ def _orthant_eigenvalues(x):
     return x[order] if x.ndim == 1 else np.take_along_axis(x, order, axis=-1)
 
 
+def _orthant_fixed_point_step(gx, x, e, basis=None):
+    """The step entry by entry: x_next = gx^e scaled by 1 / the larger power
+    of gx's extreme entries, as _power_norm reads it off the sorted
+    eigenvalues, and P(x_next^{-1/2})x = a a x with a = x_next^{-1/2}.
+    Each power is one np.power over the coordinates, whose bits do not
+    depend on an entry's position, so the decomposition's sort and frame
+    are never needed."""
+    low = gx.argmin()  # a NaN is both the least and the largest entry
+    high = gx.argmax()
+    _require_finite_extremes(gx[high], gx[low])
+    _require_power_domain(gx[low:low + 1], e)
+    roots = np.power(gx, e)
+    x_next = roots * (1.0 / _power_norm((roots[low], roots[high])))
+    if x_next.tobytes() == x.tobytes():
+        return x_next, None, None
+    a = np.power(x_next, -0.5)
+    rel = _orthant_quad(a, x)
+    return x_next, (float(rel[rel.argmax()]), float(rel[rel.argmin()])), None
+
+
 def _orthant_random_point(n, rng, lo, hi, shape=()):
     """All the points' eigenvalues as one block of log-uniform draws."""
     return rng.log_uniforms(math.prod(shape) * n, lo, hi).reshape(shape + (n,))
@@ -343,7 +391,7 @@ _ORTHANT_KERNEL = _Kernel(
     eigenvalues=_orthant_eigenvalues,
     tr=lambda x: float(np.sum(x)),
     relative_eigenvalues=_orthant_relative_eigenvalues,
-    relative_on_frame=_quad_relative_on_frame(_orthant_quad, _orthant_eigenvalues),
+    fixed_point_step=_orthant_fixed_point_step,
     random_point=_orthant_random_point,
     # Exhaustive over the standard basis, so the bounds are exact.
     rayleigh_ratios=lambda x, y, samples, rng: x / y,
@@ -411,13 +459,36 @@ def _sym_eigenvalues(x):
     return diag[_descending_order(diag)]
 
 
-def _sym_relative_on_frame(x, mu, frame, basis):
+def _sym_relative_on_frame(x, mu, basis):
     """The spectrum of D^{-1/2} (V^T x V) D^{-1/2}, with D = diag(mu) and V
     the basis, to which P(y^{-1/2})x = V D^{-1/2} V^T x V D^{-1/2} V^T is
     orthogonally similar.  The scaling multiplies each entry by the
     product d_i d_j, so that the matrix stays bitwise symmetric."""
     d = np.power(mu, -0.5)
     return _sym_eigenvalues(_sym_congruence(basis, x) * (d[:, None] * d[None, :]))
+
+
+def _sym_fixed_point_step(gx, x, e, basis=None):
+    """The step on g(x)'s warm decomposition gx = sum_j l_j c_j, started from
+    the basis of the step before: x_next = sum_j mu_j c_j with mu_j =
+    l_j^e / |gx^e|, and the step spectrum from _sym_relative_on_frame in
+    the same basis, so x_next is never factored again.  The Jacobi refuses
+    a gx with an infinite or NaN entry, and returns finite eigenvalues for
+    any other."""
+    try:
+        eigs, frame, basis = _sym_decompose(gx, basis)
+    except EigensolverFailure as exc:
+        if np.isfinite(gx).all():
+            raise
+        raise OverflowError("g(x) overflows: it has infinite or NaN entries") from exc
+    _require_power_domain(eigs, e)
+    roots = np.power(eigs, e)
+    scale = 1.0 / _power_norm(roots)
+    x_next = _frame_sum(roots, frame) * scale
+    if x_next.tobytes() == x.tobytes():
+        return x_next, None, basis
+    rel = _sym_relative_on_frame(x, roots * scale, basis)
+    return x_next, (float(rel[0]), float(rel[-1])), basis
 
 
 def _sym_cholesky(y):
@@ -500,7 +571,7 @@ _SYM_KERNEL = _Kernel(
     eigenvalues=_sym_eigenvalues,
     tr=lambda x: float(np.trace(x)),
     relative_eigenvalues=_sym_relative_eigenvalues,
-    relative_on_frame=_sym_relative_on_frame,
+    fixed_point_step=_sym_fixed_point_step,
     random_point=_sym_random_point,
     rayleigh_ratios=_sym_rayleigh_ratios,
 )
@@ -611,6 +682,41 @@ def _spin_relative_eigenvalues(x, y):
     return np.where(ok[..., None], rel, np.nan)
 
 
+def _spin_fixed_point_step(gx, x, e, basis=None):
+    """The step in closed form on g(x)'s frame (1, u)/2, (1, -u)/2, u =
+    gbar / ||gbar||, with the bits of _frame_sum over the frame's rows: for
+    weights w1, w2 the head is w1 / 2 + w2 / 2 and the tail w1 h + w2 (-h),
+    h = u / 2.  The weights are positive, so w1 h_i and w2 (-h_i) are never
+    both -0.0, and _frame_sum's initial +0.0 changes no sum.  x_next has the
+    weights l_j^e / |g^e| and a = x_next^{-1/2} the weights mu_j^{-1/2};
+    the step spectrum is that of _spin_quad(a, x)."""
+    g0, g_norm = _spin_parts(gx)
+    high = g0 + g_norm
+    low = g0 - g_norm
+    _require_finite_extremes(high, low)
+    eigs = np.array([high, low])
+    _require_power_domain(eigs, e)
+    if g_norm != 0.0:
+        h = 0.5 * (gx[1:] / g_norm)
+    else:
+        h = 0.5 * np.eye(gx.shape[0] - 1)[0]  # any unit vector gives a frame
+    neg_h = -h
+    roots = np.power(eigs, e)
+    scale = 1.0 / _power_norm(roots)
+    w1, w2 = roots.tolist()
+    x_next = np.empty_like(gx)
+    x_next[0] = (w1 * 0.5 + w2 * 0.5) * scale
+    x_next[1:] = (w1 * h + w2 * neg_h) * scale
+    if x_next.tobytes() == x.tobytes():
+        return x_next, None, None
+    w1, w2 = np.power(roots * scale, -0.5).tolist()
+    a = np.empty_like(gx)
+    a[0] = w1 * 0.5 + w2 * 0.5
+    a[1:] = w1 * h + w2 * neg_h
+    z0, z_norm = _spin_parts(_spin_quad(a, x))
+    return x_next, (z0 + z_norm, z0 - z_norm), None
+
+
 def _spin_random_point(n, rng, lo, hi, shape=()):
     return rng.unit_rows(shape, n - 1, lo, hi)
 
@@ -634,7 +740,7 @@ _SPIN_KERNEL = _Kernel(
     eigenvalues=_spin_eigenvalues,
     tr=lambda x: 2.0 * float(x[0]),
     relative_eigenvalues=_spin_relative_eigenvalues,
-    relative_on_frame=_quad_relative_on_frame(_spin_quad, _spin_eigenvalues),
+    fixed_point_step=_spin_fixed_point_step,
     random_point=_spin_random_point,
     rayleigh_ratios=_spin_rayleigh_ratios,
 )

@@ -12,37 +12,31 @@ over- or underflows (|u^p| is not finite for a huge p) raises
 NonConvergence, as does a residual of a above 100 * tol; the residual is
 always computed and reported.
 
-The loop runs on raw coordinate arrays through the family's kernel, with
-the bits of the same loop on Elements: on sym each factor's output is
-bitwise symmetric by construction, which ingestion would only copy.
-Elements are built for the initial point, the fixed direction u and the
-solution, and to name an iterate that leaves the cone.
-
-The step d(x_k, x_{k+1}) comes from the decomposition the iteration
-already holds.  With g(x_k) = sum_j l_j c_j, the next iterate is
-x_{k+1} = sum_j mu_j c_j with mu_j = l_j^{1/p} / |g(x_k)^{1/p}|, so
-x_{k+1}^{-1/2} = sum_j mu_j^{-1/2} c_j is built on the same frame, and
-the step is log(l_max / l_min) of P(x_{k+1}^{-1/2}) x_k, from one
-eigensolve (the kernel's relative_on_frame): x_{k+1} is never factored
-again.  When x_{k+1} equals x_k byte for byte the step is exactly 0.0,
-since d(x, x) = 0, and no eigensolve runs.  A step spectrum whose least
-eigenvalue is not positive raises NotInCone, naming the iterate outside
-the cone if one is, else the step.
-
-The decomposition may return a basis, which the loop hands to the next
-one.  On sym it is the eigenvector matrix V_k of g(x_k): since the
-iterates converge, so do their frames, and the cyclic Jacobi of
-g(x_{k+1}) runs on the nearly diagonal V_k^T g(x_{k+1}) V_k with its
-rotations applied to V_k, which takes far fewer sweeps than a cold start
-from the identity (the first iteration's).  The step is then the
-spectrum of D^{-1/2} (V_{k+1}^T x_k V_{k+1}) D^{-1/2} with D = diag(mu_j),
-which is orthogonally similar to P(x_{k+1}^{-1/2}) x_k.  The orthant and
-spin kernels have no basis to carry and compute the step with their
-closed-form quad.
+The loop runs on raw coordinate arrays, with the bits of the same loop on
+Elements, and names no family: each iteration applies the word and hands
+g(x_k) to the kernel's fixed_point_step.  The step returns x_{k+1}, the
+extreme eigenvalues of P(x_{k+1}^{-1/2}) x_k and a basis that the loop
+hands to the next step.  The step d(x_k, x_{k+1}) is the log of their
+ratio, computed from what the kernel already holds for g(x_k) (its
+decomposition, or a closed form), so x_{k+1} is never factored again;
+on sym the basis is g(x_k)'s eigenvector matrix, from which the next
+decomposition starts (algebra.py).  When x_{k+1} equals x_k byte for byte
+the step is exactly 0.0, since d(x, x) = 0, and no eigensolve runs.  A
+step spectrum whose least eigenvalue is not positive raises NotInCone,
+naming the iterate outside the cone if one is, else the step.  A g(x_k)
+with an infinite or NaN entry or extreme eigenvalue has overflowed: the
+step raises OverflowError, and the solve NonConvergence naming the
+iteration, with no partial report.  Elements are built for the initial point, the
+fixed direction u and the solution, and to name an iterate that leaves
+the cone.
 
 Stopping rule: the a-posteriori Banach bound with q = 1/|p| - iteration
 halts once d(x_k, x_{k+1}) <= tol * (1 - q), which puts the fixed
-direction within tol in the Hilbert metric.
+direction within tol in the Hilbert metric.  When the budget runs out,
+the error says whether it was short: steps shrinking at the rate q from
+the first one, d_1, meet the rule after about N = 1 + log(tol * (1 - q) /
+d_1) / log(q) iterations; if N is within the budget, the steps stopped
+shrinking at that rate.
 """
 
 from __future__ import annotations
@@ -54,7 +48,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import algebra, metric, transforms
-from .algebra import Element, _is_number
+from .algebra import Element, _is_number, _power_norm
 from .errors import AlgebraMismatch, NonConvergence, NotInCone, SingularMatrix
 from .transforms import AutomorphismWord, Congruence
 
@@ -94,14 +88,6 @@ class SolveReport:
     converged: bool
 
 
-def _power_norm(powers: np.ndarray) -> float:
-    """Spectral norm of x^p from the powers l_j^p of x's positive, descending
-    eigenvalues, which are monotone in j: no eigensolve."""
-    # The least eigenvalue's power goes first: max() keeps a NaN only as its
-    # first argument, and a NaN eigenvalue sorts last.
-    return float(max(powers[-1], powers[0]))
-
-
 def _fit_geometric_ratio(trace) -> float:
     """Least-squares geometric decay ratio of the positive trace entries.
 
@@ -116,6 +102,24 @@ def _fit_geometric_ratio(trace) -> float:
     sxy = math.fsum((k - k_mean) * (y - y_mean) for k, y in logs)
     sxx = math.fsum((k - k_mean) ** 2 for k, _ in logs)
     return math.exp(sxy / sxx)
+
+
+def _budget_note(first_step: float, p: float, threshold: float, max_iter: int) -> str:
+    """Whether the budget or the rate ran out: steps shrinking at the rate
+    q = 1/|p| from the first step d_1 reach the threshold after about
+    N = 1 + log(threshold / d_1) / log(q) iterations."""
+    q = 1.0 / abs(p)
+    if 0.0 < first_step < math.inf:
+        needed = 1.0 + math.log(threshold / first_step) / math.log(q)
+    else:
+        needed = math.inf
+    if needed > max_iter:
+        return (f"from the first step {first_step:.3e} at the rate q = 1/|p| = "
+                f"{q:.4g} the stop rule needs about {needed:.1f} iterations, "
+                f"{needed - max_iter:.1f} more than the budget")
+    return (f"the steps stopped shrinking at the rate q = 1/|p| = {q:.4g}, at "
+            f"which the first step {first_step:.3e} meets the stop rule after "
+            f"about {needed:.1f} iterations")
 
 
 def _rescale_to_solution(
@@ -151,9 +155,10 @@ def solve(g: AutomorphismWord, cfg: SolveConfig) -> SolveReport:
     """Unique a in the open cone with g(a) = a^p.
 
     Raises NonConvergence (with the partial report attached) if the
-    iteration budget runs out, and NotInCone if an iterate escapes the
-    cone, which signals that g does not actually preserve it, or if the
-    spectrum of a step is not positive although both iterates are in it.
+    iteration budget runs out, or (with none) if g(x_k) overflows, and
+    NotInCone if an iterate escapes the cone, which signals that g does not
+    actually preserve it, or if the spectrum of a step is not positive
+    although both iterates are in it.
     """
     p = cfg.p
     x = cfg.initial if cfg.initial is not None else g.algebra.identity()
@@ -164,48 +169,47 @@ def solve(g: AutomorphismWord, cfg: SolveConfig) -> SolveReport:
     eigs = algebra.eigenvalues(x)
     if not eigs[-1] > 0.0:
         raise NotInCone("initial point is not in the open cone")
-    kernel = g.algebra.kernel
+    fixed_point_step = g.algebra.kernel.fixed_point_step
     x = (x * (1.0 / _power_norm(eigs))).coords
+    # For p < -1 the exponent 1/p is negative: the step is the inversion
+    # isometry composed with the |1/p| power, so the contraction factor is
+    # 1/|p| in both regimes.
+    e = 1.0 / p
     threshold = cfg.tol * (1.0 - 1.0 / abs(p))
     trace: list[float] = []
     converged = False
     basis = None
-    for _ in range(cfg.max_iter):
-        # For p < -1 the exponent 1/p is negative: the step is the inversion
-        # isometry composed with the |1/p| power, so the contraction factor
-        # is 1/|p| in both regimes.
-        eigs, frame, basis = kernel.decompose(transforms._apply_coords(g, x), basis)
-        try:
-            algebra._require_power_domain(eigs, 1.0 / p)
-        except NotInCone as exc:
-            raise NotInCone(
-                "an iterate left the open cone: the supplied map does not "
-                "preserve it") from exc
-        # The eigenvalues of g(x)^{1/p} are l_j^{1/p}, all positive, so its
-        # spectral norm needs no eigensolve.
-        roots = np.power(eigs, 1.0 / p)
-        scale = 1.0 / _power_norm(roots)
-        x_next = algebra._frame_sum(roots, frame) * scale
-        if x_next.tobytes() == x.tobytes():
-            step = 0.0  # d(x, x) = 0, with no eigensolve
-        else:
-            # On g(x)'s frame, from x_next's eigenvalues mu_j (module
-            # docstring): no second factorisation.
-            rel = kernel.relative_on_frame(x, roots * scale, frame, basis)
-            if not rel[-1] > 0.0:
-                # Raises the NotInCone that names an iterate at fault.
-                metric.lambda_extremes(
-                    Element(g.algebra, x), Element(g.algebra, x_next))
+    # A g(x) that overflows is refused by the step, so its warnings would
+    # only repeat that error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.max_iter):
+            gx = transforms._apply_coords(g, x)
+            try:
+                x_next, extremes, basis = fixed_point_step(gx, x, e, basis)
+            except NotInCone as exc:
                 raise NotInCone(
-                    f"step {len(trace) + 1}: P(x_next^(-1/2)) x has least "
-                    f"eigenvalue {float(rel[-1]):.6g}, although both iterates "
-                    f"are in the open cone")
-            step = math.log(float(rel[0]) / float(rel[-1]))
-        trace.append(step)
-        x = x_next
-        if step <= threshold:
-            converged = True
-            break
+                    "an iterate left the open cone: the supplied map does not "
+                    "preserve it") from exc
+            except OverflowError as exc:
+                raise NonConvergence(f"iteration {len(trace) + 1}: {exc}") from exc
+            if extremes is None:
+                step = 0.0  # d(x, x) = 0, with no eigensolve
+            else:
+                high, low = extremes
+                if not low > 0.0:
+                    # Raises the NotInCone that names an iterate at fault.
+                    metric.lambda_extremes(
+                        Element(g.algebra, x), Element(g.algebra, x_next))
+                    raise NotInCone(
+                        f"step {len(trace) + 1}: P(x_next^(-1/2)) x has least "
+                        f"eigenvalue {low:.6g}, although both iterates are in "
+                        f"the open cone")
+                step = math.log(high / low)
+            trace.append(step)
+            x = x_next
+            if step <= threshold:
+                converged = True
+                break
     a, res = _rescale_to_solution(g, Element(g.algebra, x), p)
     report = SolveReport(
         solution=a,
@@ -218,7 +222,8 @@ def solve(g: AutomorphismWord, cfg: SolveConfig) -> SolveReport:
     if not converged:
         raise NonConvergence(
             f"no convergence in {cfg.max_iter} iterations "
-            f"(last step {trace[-1]:.3e} > {threshold:.3e})",
+            f"(last step {trace[-1]:.3e} > {threshold:.3e}): "
+            f"{_budget_note(trace[0], p, threshold, cfg.max_iter)}",
             report=report,
         )
     if not report.converged:

@@ -137,6 +137,23 @@ def test_solve_nonconvergence_exit_4(capsys, instance):
     assert len(rep["distance_trace"]) == 1
 
 
+@pytest.mark.parametrize("p", ["2", "-2"])
+@pytest.mark.parametrize("kind", ["orthant", "sym", "spin"])
+def test_solve_overflowing_map_exit_4(capsys, tmp_path, kind, p):
+    # A valid map whose image overflows: 1e300 * 1e300.  It exited 3 with
+    # "y is not in the open cone", 1 with a ZeroDivisionError traceback, or
+    # 2 with the Jacobi's "needs finite entries".
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({
+        "algebra": {"kind": kind, "param": 3},
+        "maps": {"g": [{"type": "scalar", "payload": 1e300}] * 2}}))
+    code, out, err = run(capsys, "solve", str(path), "g", f"--p={p}")
+    assert code == 4
+    assert out == ""
+    assert "iteration 1: g(x) overflows" in err
+    assert "Traceback" not in err
+
+
 def test_solve_with_initial(capsys, instance):
     code, out, _ = run(capsys, "solve", instance, "g", "--p", "2",
                        "--initial", "y")

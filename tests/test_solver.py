@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -170,16 +171,23 @@ def test_steps_match_the_distance(monkeypatch, descriptor):
 def test_step_breakdown_is_not_in_cone(monkeypatch):
     # A step spectrum with a non-positive least eigenvalue, between two
     # iterates that are in the cone, raises NotInCone naming the step, not
-    # the ValueError of math.log.  A step spectrum with its least entry
-    # negated forces it.
-    kernel = algebra._KERNELS["orthant"]
-    flip = np.array([1.0, 1.0, -1.0])
-    monkeypatch.setitem(algebra._KERNELS, "orthant", kernel._replace(
-        relative_on_frame=lambda *args: flip * kernel.relative_on_frame(*args)))
-    o3 = sc.orthant(3)
-    g = sc.AutomorphismWord(o3, (sc.Scalar(2.0),))
-    with pytest.raises(NotInCone, match="step 1: .* both iterates"):
-        sc.solve(g, sc.SolveConfig(p=2.0, initial=el(o3, [1.0, 2.0, 3.0])))
+    # the ValueError of math.log, on every family.  A fixed-point step whose
+    # least eigenvalue is negated forces it.
+    starts = {algebra.ORTHANT: (3, [1.0, 2.0, 3.0]),
+              algebra.SYM: (3, np.diag([1.0, 2.0, 3.0])),
+              algebra.SPIN: (3, [3.0, 1.0, 0.5])}
+    for kind, (param, coords) in starts.items():
+        kernel = algebra._KERNELS[kind]
+
+        def flipped(*args, step=kernel.fixed_point_step):
+            x_next, (high, low), basis = step(*args)
+            return x_next, (high, -low), basis
+
+        monkeypatch.setitem(algebra._KERNELS, kind, kernel._replace(fixed_point_step=flipped))
+        descriptor = sc.AlgebraDescriptor(kind, param)  # made after the patch
+        g = sc.AutomorphismWord(descriptor, (sc.Scalar(2.0),))
+        with pytest.raises(NotInCone, match="step 1: .* both iterates"):
+            sc.solve(g, sc.SolveConfig(p=2.0, initial=el(descriptor, coords)))
 
 
 def _outcome(solve, g, cfg):
@@ -195,21 +203,32 @@ def _outcome(solve, g, cfg):
             np.float64(rep.contraction_estimate).tobytes(), rep.converged)
 
 
+def _outcome_or_cone_error(solve, g, cfg):
+    """_outcome, or the messages of an iterate that left the cone (as some
+    e^+-2 words do at p = +-1.05) and of the error that caused it."""
+    try:
+        return _outcome(solve, g, cfg)
+    except NotInCone as exc:
+        return ("left the cone", str(exc), str(exc.__cause__))
+
+
 @pytest.mark.parametrize("sigma", [0.5, 2.0])
-@pytest.mark.parametrize("descriptor", [sc.orthant(8), sc.sym_matrix(6), sc.spin_factor(10)],
-                         ids=["orthant8", "sym6", "spin10"])
+@pytest.mark.parametrize("descriptor", [sc.orthant(8), sc.sym_matrix(6), sc.spin_factor(10),
+                                        sc.orthant(3), sc.spin_factor(2), sc.spin_factor(3)],
+                         ids=["orthant8", "sym6", "spin10", "orthant3", "spin2", "spin3"])
 def test_solve_matches_the_element_loop(descriptor, sigma):
-    # The raw-coordinate loop reproduces the Element loop bit for bit, on
-    # solves that converge, that stall at the noise floor (sym:6 at
-    # sigma = 2, p = 1.5) and that run out of iterations.
+    # The kernel's fixed-point step reproduces the Element loop bit for bit,
+    # on solves that converge, that stall at the noise floor (sym:6 at
+    # sigma = 2, p = 1.5) and that run out of iterations (p = +-1.05).
     rng = SplitMix64(61 + int(4 * sigma))
-    for p in (-3.0, -2.0, 1.5, 2.0, 3.0):
+    for p in (-3.0, -2.0, 1.5, 2.0, 3.0, -1.05, 1.05):
         g = mild_word(descriptor, rng, sigma)
         # Scalars and permutations alone are solved in one step.
         while not any(isinstance(f, (sc.Quad, sc.Congruence)) for f in g.factors):
             g = mild_word(descriptor, rng, sigma)
         for cfg in (sc.SolveConfig(p=p), sc.SolveConfig(p=p, max_iter=3)):
-            assert _outcome(sc.solve, g, cfg) == _outcome(element_loop_solve, g, cfg)
+            assert _outcome_or_cone_error(sc.solve, g, cfg) == _outcome_or_cone_error(
+                element_loop_solve, g, cfg)
 
 
 def test_bushell_matches_the_element_loop():
@@ -245,6 +264,76 @@ def test_iterate_leaving_the_cone_is_named(monkeypatch):
     with pytest.raises(NotInCone, match="an iterate left the open cone") as info:
         sc.solve(sc.AutomorphismWord(O2, ()), sc.SolveConfig(p=2.0))
     assert isinstance(info.value.__cause__, NotInCone)
+
+
+@pytest.mark.parametrize("p", [2.0, -2.0])
+@pytest.mark.parametrize("descriptor", [sc.orthant(3), sc.sym_matrix(3), sc.spin_factor(3)],
+                         ids=["orthant3", "sym3", "spin3"])
+def test_overflowing_map_is_named_non_convergence(descriptor, p):
+    # g = 1e300 * 1e300 sends every point to infinity.  The first step ended
+    # in "y is not in the open cone" (orthant and spin at p = 2), in a
+    # ZeroDivisionError (at p = -2) and in the Jacobi's "needs finite
+    # entries" (sym).  RuntimeWarnings are errors in the tests, so none may
+    # escape either.
+    g = sc.AutomorphismWord(descriptor, (sc.Scalar(1e300), sc.Scalar(1e300)))
+    with pytest.raises(NonConvergence, match="^iteration 1: g\\(x\\) overflows") as info:
+        sc.solve(g, sc.SolveConfig(p=p))
+    assert info.value.report is None
+
+
+def test_overflow_is_named_at_the_iteration_it_happens():
+    # With a = (10, 9.9, 0), on whose frame c1, c2 g = 1e306 P(a) scales by
+    # about 396 and 0.01, the start 0.001 c1 + c2 has a finite image, and
+    # the next iterate, about c1 + 0.16 c2, an infinite one.
+    spin = sc.spin_factor(3)
+    g = sc.AutomorphismWord(spin, (sc.Scalar(1e306), sc.Quad(el(spin, [10.0, 9.9, 0.0]))))
+    with pytest.raises(NonConvergence, match="^iteration 2: g\\(x\\) overflows: .* inf"):
+        sc.solve(g, sc.SolveConfig(p=2.0, initial=el(spin, [0.5005, -0.4995, 0.0])))
+
+
+def _budget_needed(message):
+    return float(re.search(r"about ([0-9.]+) iterations", message).group(1))
+
+
+def test_non_convergence_names_the_iteration_budget():
+    # The two orthant:8 words of SplitMix64(3) that a solve cannot finish in
+    # one step need about 650 iterations at p = +-1.05; the budget of 500,
+    # and the estimate from the first step, say so.
+    rng = SplitMix64(3)
+    words = [mild_word(sc.orthant(8), rng) for _ in range(6)]
+    words = [g for g in words if any(isinstance(f, sc.Quad) for f in g.factors)]
+    checked = 0
+    for g in words:
+        for p in (1.05, -1.05):
+            try:
+                needed = sc.solve(g, sc.SolveConfig(p=p, max_iter=3000)).iterations
+            except NonConvergence:
+                continue
+            with pytest.raises(NonConvergence, match="^no convergence in 500 iterations") as info:
+                sc.solve(g, sc.SolveConfig(p=p))
+            message = str(info.value)
+            assert "more than the budget" in message
+            assert abs(_budget_needed(message) - needed) <= 0.01 * needed
+            checked += 1
+    assert checked == 4
+
+
+def test_non_convergence_names_a_stall():
+    # A sym:6 solve that stalls at its noise floor: the rate would have met
+    # the stop rule well within the budget.
+    g = mild_word(sc.sym_matrix(6), SplitMix64(81), 2.0)
+    with pytest.raises(NonConvergence, match="^no convergence in 500 iterations") as info:
+        sc.solve(g, sc.SolveConfig(p=1.5))
+    message = str(info.value)
+    assert "the steps stopped shrinking at the rate q = 1/|p| = 0.6667" in message
+    assert _budget_needed(message) < 500
+
+
+def test_budget_note_wording():
+    assert "about 3.0 iterations, 1.0 more than the budget" in solver._budget_note(
+        1.0, 2.0, 0.25, 2)
+    assert "stopped shrinking" in solver._budget_note(1.0, 2.0, 0.25, 3)
+    assert "about inf iterations" in solver._budget_note(math.inf, 2.0, 0.25, 500)
 
 
 def test_non_convergence_carries_report():
@@ -521,17 +610,20 @@ def test_bushell_rejects_singular():
 # ---------------------------------------------------------------------------
 
 def _record_sym_decompositions(monkeypatch):
-    """Patch the sym kernel so that each decompose call appends its matrix,
-    start basis and result; descriptors made after this call use it."""
-    kernel = algebra._KERNELS[algebra.SYM]
+    """Patch the sym decomposition so that each call appends its matrix,
+    start basis and result: the one the fixed-point step calls, and the
+    kernel's, which descriptors made after this call use."""
+    decompose = algebra._sym_decompose
     calls = []
 
     def recorded(x, basis=None):
-        out = kernel.decompose(x, basis)
+        out = decompose(x, basis)
         calls.append((x, basis, out))
         return out
 
-    monkeypatch.setitem(algebra._KERNELS, algebra.SYM, kernel._replace(decompose=recorded))
+    monkeypatch.setattr(algebra, "_sym_decompose", recorded)
+    monkeypatch.setitem(algebra._KERNELS, algebra.SYM,
+                        algebra._KERNELS[algebra.SYM]._replace(decompose=recorded))
     return calls
 
 
