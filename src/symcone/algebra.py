@@ -21,8 +21,9 @@ Everything that depends on the family lives in one small kernel per
 family (a ``_Kernel`` of functions), reached through
 ``AlgebraDescriptor.kernel``.  A kernel works on raw coordinate arrays.
 The public functions check their arguments, call the kernel and wrap the
-result.  A kernel returns the Jordan frame of x = sum_j l_j c_j as one
-array, row j the coords of c_j; x^p (one reduction over the rows), det,
+result.  A kernel's ``decompose`` returns the eigenvalues of x = sum_j
+l_j c_j and its Jordan frame as one array, row j the coords of c_j, the
+same pair on every family; x^p (one reduction over the rows), det,
 the cone test and the spectral norm are written once on top of it.  P(x)y
 has a closed form in each kernel (x y x on sym, 2<x, y> x - det(x) y* on
 spin), and the spectrum of P(y^{-1/2})x is computed by each kernel in its
@@ -35,8 +36,9 @@ step d(x, x_next).  The orthant step works entry by entry, with no sort
 or frame.  The spin step works in closed form from g0, ||gbar|| and gbar
 / ||gbar||, the spectrum of the step from ``_spin_quad``.  The sym step
 decomposes g(x) starting from the eigenvector columns of the previous
-step's decomposition (Jacobi converges in fewer sweeps from them), builds
-x_next on that frame and takes the step spectrum in that basis.  Every
+step's decomposition (Jacobi converges in fewer sweeps from them; this
+warm start is the step's own, not ``decompose``'s), builds x_next on that
+frame and takes the step spectrum in that basis.  Every
 power in these steps is one np.power over an array, as in the generic
 x^p, whose bits do not depend on an entry's position, so each step
 returns x_next with the bits of the sum over the frame.
@@ -74,7 +76,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import AlgebraMismatch, EigensolverFailure, NotInCone
+from .errors import AlgebraMismatch, EigensolverFailure, EigenvalueOverflow, NotInCone
 
 ORTHANT = "orthant"
 SYM = "sym"
@@ -143,8 +145,9 @@ def _jacobi(matrix: np.ndarray, accumulate: bool, start: np.ndarray | None = Non
     product.  A sweep performing no rotation means every off-diagonal
     entry is at most eps * ||A||_F and we are done.  The threshold is
     relative at every scale, so c * A is rotated as A is, up to rounding,
-    however small c is.  A NaN or infinite entry is refused up front: no
-    rotation can clear it.
+    however small or large c is.  A NaN or infinite entry is refused up
+    front: no rotation can clear it.  An eigenvalue beyond the float range
+    raises EigenvalueOverflow.
     """
     r = matrix.shape[0]
     a = matrix.ravel().tolist()
@@ -155,12 +158,15 @@ def _jacobi(matrix: np.ndarray, accumulate: bool, start: np.ndarray | None = Non
     except OverflowError:  # finite squares whose sum overflows
         frobenius_sq = math.inf
     if _TINY <= frobenius_sq < math.inf:
-        frobenius = math.sqrt(frobenius_sq)
+        thresh = _EPS * math.sqrt(frobenius_sq)
     elif all(map(math.isfinite, a)):
         # Finite entries whose squares overflow or underflow: scale by the
-        # largest one (1 on a zero matrix, whose norm stays 0).
+        # largest one (1 on a zero matrix, whose norm stays 0).  Where the
+        # norm itself overflows, eps scales first.
         scale = max(map(abs, a)) or 1.0
-        frobenius = scale * math.sqrt(math.fsum((x / scale) ** 2 for x in a))
+        ratio = math.sqrt(math.fsum((x / scale) ** 2 for x in a))
+        frobenius = scale * ratio
+        thresh = _EPS * frobenius if frobenius < math.inf else (_EPS * scale) * ratio
     else:
         raise EigensolverFailure(
             f"Jacobi needs finite entries; the {r}x{r} matrix has NaN or "
@@ -172,7 +178,6 @@ def _jacobi(matrix: np.ndarray, accumulate: bool, start: np.ndarray | None = Non
         v = [[1.0 if i == j else 0.0 for j in range(r)] for i in range(r)]
     else:
         v = start.tolist()
-    thresh = _EPS * frobenius
     plan = _rotation_plan(r)
     sqrt = math.sqrt
     max_sweeps = 30 * r * r
@@ -208,8 +213,14 @@ def _jacobi(matrix: np.ndarray, accumulate: bool, start: np.ndarray | None = Non
                     vk[p] = c * vkp - s * vkq
                     vk[q] = s * vkp + c * vkq
         if not rotated:
-            diag = np.array(a[::r + 1])
-            return diag, (np.array(v) if accumulate else None)
+            diag = a[::r + 1]
+            if all(map(math.isfinite, diag)):
+                return np.array(diag), (np.array(v) if accumulate else None)
+            break
+    if not all(map(math.isfinite, a)):
+        raise EigenvalueOverflow(
+            f"Jacobi overflows: the {r}x{r} matrix has an eigenvalue beyond "
+            f"the float range")
     raise EigensolverFailure(
         f"Jacobi did not converge within {max_sweeps} sweeps (r={r})"
     )
@@ -230,10 +241,7 @@ class _Kernel(NamedTuple):
     product: Callable
     quad: Callable  # (a, x) -> P(a)x
     trace_inner: Callable
-    # (coords, basis=None) -> (eigenvalues descending, frame array, basis).
-    # The basis is sym's eigenvector columns, in the eigenvalues' order; a
-    # call given one starts from it (None on the other families).
-    decompose: Callable
+    decompose: Callable  # coords -> (eigenvalues descending, frame array)
     eigenvalues: Callable  # coords -> eigenvalues descending
     tr: Callable
     # (x, y) -> eigenvalues of P(y^{-1/2})x descending, all NaN when y is
@@ -338,10 +346,10 @@ def _unit_rows(n):
     return rows
 
 
-def _orthant_decompose(x, basis=None):
+def _orthant_decompose(x):
     order = _descending_order(x)
     eigs = x[order] if x.ndim == 1 else np.take_along_axis(x, order, axis=-1)
-    return eigs, _unit_rows(x.shape[-1])[order], None
+    return eigs, _unit_rows(x.shape[-1])[order]
 
 
 def _orthant_eigenvalues(x):
@@ -401,10 +409,9 @@ _ORTHANT_KERNEL = _Kernel(
 def _each_matrix(fn, *args):
     """fn, a sym kernel function, over a leading batch axis by a loop: an
     argument with three axes gives its matrix i to call i, one with two
-    axes (or None) goes to every call, and the outputs are stacked (each
-    part of a tuple on its own), so each matrix gets the bits of its own
-    call."""
-    batched = [a is not None and a.ndim == 3 for a in args]
+    axes goes to every call, and the outputs are stacked (each part of a
+    tuple on its own), so each matrix gets the bits of its own call."""
+    batched = [a.ndim == 3 for a in args]
     count = len(args[batched.index(True)])
     outs = [fn(*(a[i] if b else a for a, b in zip(args, batched))) for i in range(count)]
     if isinstance(outs[0], tuple):
@@ -438,18 +445,20 @@ def _sym_congruence(v, x):
     return (m + m.T) / 2.0
 
 
-def _sym_decompose(x, basis=None):
-    """Given the columns V of a decomposition of a nearby matrix, Jacobi runs
-    on the nearly diagonal V^T x V, rotating V's columns into x's
-    eigenvectors, and converges in fewer sweeps than from the identity."""
-    if x.ndim == 3:
-        return _each_matrix(_sym_decompose, x, basis)
-    m = x if basis is None else _sym_congruence(basis, x)
-    diag, vmat = _jacobi(m, True, basis)
+def _sym_eigenpairs(m, start=None):
+    """(eigenvalues descending, frame, eigenvector columns in the same order)
+    of m by Jacobi, the columns rotated from the identity or from start."""
+    diag, vmat = _jacobi(m, True, start)
     order = _descending_order(diag)
-    basis = vmat[:, order]  # the eigenvector columns, descending
-    cols = basis.T
-    return diag[order], cols[:, :, None] * cols[:, None, :], basis
+    columns = vmat[:, order]
+    rows = columns.T
+    return diag[order], rows[:, :, None] * rows[:, None, :], columns
+
+
+def _sym_decompose(x):
+    if x.ndim == 3:
+        return _each_matrix(_sym_decompose, x)
+    return _sym_eigenpairs(x)[:2]
 
 
 def _sym_eigenvalues(x):
@@ -469,16 +478,22 @@ def _sym_relative_on_frame(x, mu, basis):
 
 
 def _sym_fixed_point_step(gx, x, e, basis=None):
-    """The step on g(x)'s warm decomposition gx = sum_j l_j c_j, started from
-    the basis of the step before: x_next = sum_j mu_j c_j with mu_j =
-    l_j^e / |gx^e|, and the step spectrum from _sym_relative_on_frame in
-    the same basis, so x_next is never factored again.  The Jacobi refuses
-    a gx with an infinite or NaN entry, and returns finite eigenvalues for
-    any other."""
+    """The step on g(x)'s warm decomposition gx = sum_j l_j c_j: given the
+    eigenvector columns V of the step before, Jacobi runs on the nearly
+    diagonal V^T gx V, rotating V's columns into gx's eigenvectors, and
+    converges in fewer sweeps than from the identity.  x_next = sum_j mu_j
+    c_j with mu_j = l_j^e / |gx^e|, and the step spectrum comes from
+    _sym_relative_on_frame in the same basis, so x_next is never factored
+    again.  The Jacobi refuses a gx (or V^T gx V) with an infinite or NaN
+    entry, and one with an eigenvalue beyond the float range."""
+    m = gx if basis is None else _sym_congruence(basis, gx)
     try:
-        eigs, frame, basis = _sym_decompose(gx, basis)
+        eigs, frame, basis = _sym_eigenpairs(m, basis)
+    except EigenvalueOverflow as exc:
+        raise OverflowError("g(x) overflows: it has an eigenvalue beyond the float "
+                            "range") from exc
     except EigensolverFailure as exc:
-        if np.isfinite(gx).all():
+        if np.isfinite(m).all():
             raise
         raise OverflowError("g(x) overflows: it has infinite or NaN entries") from exc
     _require_power_domain(eigs, e)
@@ -660,9 +675,9 @@ def _spin_frame(x, nrm):
     return frame
 
 
-def _spin_decompose(x, basis=None):
+def _spin_decompose(x):
     eigs, nrm = _spin_spectrum(x)
-    return eigs, _spin_frame(x, nrm), None
+    return eigs, _spin_frame(x, nrm)
 
 
 def _spin_relative_eigenvalues(x, y):
@@ -916,7 +931,7 @@ def spectral_decompose(x: Element) -> SpectralDecomposition:
 
     One eigensolve with eigenvectors on ``sym``; nothing is stored on x.
     """
-    eigs, frame, _ = x.algebra.kernel.decompose(x.coords)
+    eigs, frame = x.algebra.kernel.decompose(x.coords)
     return SpectralDecomposition(x.algebra, eigs, frame)
 
 
@@ -955,7 +970,7 @@ def _power_coords(descriptor: AlgebraDescriptor, coords: np.ndarray, p: float) -
     kernel = descriptor.kernel
     if p == 0.0:
         return np.broadcast_to(kernel.identity(descriptor.param), coords.shape).copy()
-    eigs, frame, _ = kernel.decompose(coords)
+    eigs, frame = kernel.decompose(coords)
     _require_power_domain(eigs, p)
     return _power_sum(eigs, frame, p)
 

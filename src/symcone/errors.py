@@ -17,8 +17,13 @@ class EigensolverFailure(SymConeError):
     """The Jacobi eigensolver cannot diagonalize its matrix.
 
     Either the matrix has NaN or infinite entries, which is refused before
-    any rotation, or the iteration exhausted its sweep budget.
+    any rotation, or an eigenvalue is beyond the float range
+    (EigenvalueOverflow), or the iteration exhausted its sweep budget.
     """
+
+
+class EigenvalueOverflow(EigensolverFailure, OverflowError):
+    """A matrix of finite entries has an eigenvalue beyond the float range."""
 
 
 class InvalidGenerator(SymConeError):

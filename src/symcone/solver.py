@@ -9,8 +9,8 @@ unique fixed direction u.  The solution is recovered as a = beta * u with
 the closed-form scale beta = (|g(u)| / |u^p|)^(1/(p-1)), which solves
 g(beta u) = (beta u)^p on the ray because g is linear.  A beta that
 over- or underflows (|u^p| is not finite for a huge p) raises
-NonConvergence, as does a residual of a above 100 * tol; the residual is
-always computed and reported.
+NonConvergence, as do an a^p that overflows and a residual of a above
+100 * tol; the residual is always computed and reported.
 
 The loop runs on raw coordinate arrays, with the bits of the same loop on
 Elements, and names no family: each iteration applies the word and hands
@@ -43,12 +43,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import algebra, metric, transforms
-from .algebra import Element, _is_number, _power_norm
+from .algebra import Element, _frame_sum, _is_number, _power_norm
 from .errors import AlgebraMismatch, NonConvergence, NotInCone, SingularMatrix
 from .transforms import AutomorphismWord, Congruence
 
@@ -128,7 +128,8 @@ def _rescale_to_solution(
     """Pick beta so a = beta*u solves g(a) = a^p; return a and its residual.
 
     One decomposition of u serves both powers: u^p has eigenvalues l_j^p,
-    and a^p is built on u's frame from the eigenvalues beta*l_j.
+    and a^p is built on u's frame from the powers (beta*l_j)^p, which also
+    give its norm.
     """
     dec = algebra.spectral_decompose(u)
     gu_norm = algebra.spectral_norm(transforms.apply(g, u))
@@ -143,11 +144,16 @@ def _rescale_to_solution(
             f"the scale of the solution, (|g(u)| / |u^p|)^(1/(p-1)) with "
             f"|g(u)| = {gu_norm:.3e} and |u^p| = {up_norm:.3e}, over- or "
             f"underflows at p = {p:g}")
+    with np.errstate(over="ignore"):  # an infinite a^p is refused below
+        a_powers = np.power(beta * dec.eigenvalues, p)
+    if not np.isfinite(a_powers).all():
+        raise NonConvergence(
+            f"the power a^p of the solution a = beta * u, beta = {beta:.3e}, "
+            f"overflows at p = {p:g}")
     a = beta * u
-    a_dec = replace(dec, eigenvalues=beta * dec.eigenvalues)
-    target = a_dec.power(p)
+    target = Element(u.algebra, _frame_sum(a_powers, dec.frame_coords))
     residual = algebra.spectral_norm(transforms.apply(g, a) - target) / (
-        1.0 + _power_norm(np.power(a_dec.eigenvalues, p)))
+        1.0 + _power_norm(a_powers))
     return a, residual
 
 

@@ -167,7 +167,7 @@ def contraction_suite(descriptor: AlgebraDescriptor, samples: int, seed: int) ->
     result = SuiteResult("contraction", descriptor, samples, seed)
     for k, p in enumerate(DEFAULT_CONTRACTION_PS):
         check = CheckResult(f"power_contraction_p={p:g}", 1e-9)
-        rep = transforms._measure_rows(
+        rep = transforms.measure_contraction(
             lambda rows: algebra._power_coords(descriptor, rows, p),
             descriptor, samples, seed + k, f"power {p:g}")
         if rep.measured:
@@ -200,7 +200,7 @@ def isometry_suite(
                          {"word": word.describe(), "seed": seed + k})
         result.checks.append(check)
     inv = CheckResult("inversion_isometry", 1e-8)
-    rep = transforms._measure_rows(
+    rep = transforms.measure_contraction(
         lambda rows: algebra._power_coords(descriptor, rows, -1.0),
         descriptor, samples, seed + len(words), "inversion")
     if rep.measured:

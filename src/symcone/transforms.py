@@ -14,11 +14,10 @@ word preserve it.  ``measure_contraction`` measures both facts
 empirically over seeded random pairs.  It draws every point first, in the
 order x_1, y_1, x_2, y_2, ..., and then runs each layer once over the
 whole batch of raw coordinates: the distances d(x_i, y_i), the images,
-the distances between the images.  The property suites pass it maps of
-raw coordinate batches (``_apply_coords`` for a word,
-``algebra._power_coords`` for a power); a caller's map of Elements is
-lifted over the rows, one call per point in sample order.  On sym these
-arrays are bitwise symmetric by construction, and none is ingested again.
+the distances between the images.  The map it is given takes that batch
+of raw coordinates; the property suites pass ``_apply_coords`` for a word
+and ``algebra._power_coords`` for a power.  On sym these arrays are
+bitwise symmetric by construction, and none is ingested again.
 """
 
 from __future__ import annotations
@@ -240,7 +239,7 @@ def random_word(
 
 
 def measure_contraction(
-    map_fn,
+    map_rows,
     descriptor: AlgebraDescriptor,
     samples: int,
     seed: int,
@@ -250,26 +249,13 @@ def measure_contraction(
 
     The 2 * samples points are drawn first, in the order x_1, y_1, x_2,
     y_2, ..., and each layer then runs once over the batch (module
-    docstring).  map_fn, a map of Elements into the same algebra, is lifted
-    over the rows: it is called on x_i and then y_i for each measured pair,
-    in sample order.  Pairs closer than 1e-8 in the metric are skipped.
-    Raises MapLeftCone if the distance between the images finds one outside
-    the open cone.
+    docstring).  Pairs closer than 1e-8 in the metric are skipped, and
+    map_rows is called once, on the raw coordinates of the measured pairs,
+    one point per row in the order x_i, y_i of sample order; it returns
+    their images, row for row.  Raises AlgebraMismatch if the images have
+    another shape, and MapLeftCone if the distance between the images
+    finds one outside the open cone.
     """
-    def map_rows(rows):
-        images = [map_fn(Element(descriptor, row)) for row in rows]
-        if any(image.algebra != descriptor for image in images):
-            raise AlgebraMismatch(f"{label} maps points out of their algebra")
-        return np.array([image.coords for image in images])
-
-    return _measure_rows(map_rows, descriptor, samples, seed, label)
-
-
-def _measure_rows(
-    map_rows, descriptor: AlgebraDescriptor, samples: int, seed: int, label: str
-) -> ContractionReport:
-    """measure_contraction for map_rows, a map of batches of raw coordinates
-    (one point per row, rows in sample order)."""
     metric._require_samples(samples)
     points = descriptor.kernel.random_point(
         descriptor.param, SplitMix64(seed), EIG_LO, EIG_HI, (2 * samples,))
@@ -278,7 +264,10 @@ def _measure_rows(
     ratios = []
     if measured:
         pairs = points.reshape((samples, 2) + descriptor.coord_shape)[measured]
-        images = map_rows(pairs.reshape((-1,) + descriptor.coord_shape))
+        rows = pairs.reshape((-1,) + descriptor.coord_shape)
+        images = map_rows(rows)
+        if images.shape != rows.shape:
+            raise AlgebraMismatch(f"{label} maps points out of their algebra")
         try:
             dfxy = metric._row_distances(descriptor, images[0::2], images[1::2])
         except NotInCone as exc:
@@ -296,10 +285,5 @@ def isometry_check(
     word: AutomorphismWord, samples: int, seed: int
 ) -> ContractionReport:
     """Contraction report for a word; ratios should sit at 1 for isometries."""
-    return _measure_rows(
-        lambda rows: _apply_coords(word, rows),
-        word.algebra,
-        samples,
-        seed,
-        word.describe(),
-    )
+    return measure_contraction(lambda rows: _apply_coords(word, rows),
+                               word.algebra, samples, seed, word.describe())

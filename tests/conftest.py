@@ -105,6 +105,12 @@ def spin_point_loop(n, rng, lo, hi, shape=()):
     return points.reshape(shape + (n,))
 
 
+# 8e307 (J + 0.1 I) / 1.1 with J all ones: finite entries 8e307 and about
+# 7.27e307, and eigenvalues about 7.3e306 (twice) and 2.25e308, beyond the
+# float range.
+OVERFLOWING_EIGENVALUE = 8e307 * (np.ones((3, 3)) + 0.1 * np.eye(3)) / 1.1
+
+
 def contraction_loop(map_fn, descriptor, samples, seed, label="map"):
     """Reference measure_contraction: one sample at a time, two Elements,
     two distances, two map images and their distance per sample, with the

@@ -3,7 +3,7 @@ the rows and then the columns of a full list-of-rows matrix, writing both
 triangles, kept as a reference oracle.  Its stopping threshold follows
 the production one (eps * ||A||_F from math.fsum over every entry, the
 norm scaled when its square over- or underflows); the rotation loop is
-verbatim.
+verbatim, with no check for an eigenvalue beyond the float range.
 
 The production ``algebra._jacobi``, which keeps a flat row-major list and
 reads and writes only its diagonal and upper triangle, must reproduce its
@@ -39,13 +39,15 @@ def _jacobi(matrix: np.ndarray, accumulate: bool, start: np.ndarray | None = Non
     except OverflowError:  # finite squares whose sum overflows
         frobenius_sq = math.inf
     if _TINY <= frobenius_sq < math.inf:
-        frobenius = math.sqrt(frobenius_sq)
+        thresh = _EPS * math.sqrt(frobenius_sq)
     elif all(math.isfinite(x) for row in a for x in row):
         # Finite entries whose squares overflow or underflow: scale by the
-        # largest one (1 on a zero matrix).
+        # largest one (1 on a zero matrix); eps scales first where the norm
+        # itself overflows.
         scale = max(abs(x) for row in a for x in row) or 1.0
-        frobenius = scale * math.sqrt(
-            math.fsum((x / scale) ** 2 for row in a for x in row))
+        ratio = math.sqrt(math.fsum((x / scale) ** 2 for row in a for x in row))
+        frobenius = scale * ratio
+        thresh = _EPS * frobenius if frobenius < math.inf else (_EPS * scale) * ratio
     else:
         raise EigensolverFailure(
             f"Jacobi needs finite entries; the {r}x{r} matrix has NaN or "
@@ -57,7 +59,6 @@ def _jacobi(matrix: np.ndarray, accumulate: bool, start: np.ndarray | None = Non
         v = [[1.0 if i == j else 0.0 for j in range(r)] for i in range(r)]
     else:
         v = [[float(start[i, j]) for j in range(r)] for i in range(r)]
-    thresh = _EPS * frobenius
     max_sweeps = 30 * r * r
     for _ in range(max_sweeps):
         rotated = False

@@ -13,7 +13,14 @@ from symcone.errors import AlgebraMismatch, EigensolverFailure, NonConvergence, 
 from symcone.rng import SplitMix64
 from symcone.transforms import AutomorphismWord, Quad, random_cone_element, random_word
 
-from conftest import count_jacobi, el, frame_loop_power, mild_word, three_product_quad
+from conftest import (
+    OVERFLOWING_EIGENVALUE,
+    count_jacobi,
+    el,
+    frame_loop_power,
+    mild_word,
+    three_product_quad,
+)
 from jacobi_reference import _jacobi as reference_jacobi
 
 O2 = sc.orthant(2)
@@ -270,6 +277,28 @@ def test_jacobi_scales_an_overflowing_norm():
         _jacobi(m, accumulate=False)
 
 
+@pytest.mark.parametrize("seed", [11, 12])
+def test_jacobi_rotates_a_matrix_whose_norm_overflows(seed):
+    # ||A||_F of q diag(1.5e308, 1e308, 1e308, 5e307) q^T is beyond the
+    # float range, its eigenvalues are not.  The threshold was eps * inf:
+    # no rotation ran, and the diagonal came back 46 % (seed 11) and 88 %
+    # (seed 12) off.
+    q = SplitMix64(seed).rotation(4)
+    m = (q * [1.5e308, 1e308, 1e308, 5e307]) @ q.T
+    m = m / 2.0 + m.T / 2.0  # bitwise symmetric, with no sum to overflow
+    want = np.linalg.eigvalsh(1e-300 * m)[::-1]
+    got = 1e-300 * sc.eigenvalues(el(sc.sym_matrix(4), m))
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
+
+
+def test_jacobi_names_an_eigenvalue_beyond_the_float_range():
+    # It gave [8e307, 8e307, 8e307], the unrotated diagonal.
+    for accumulate in (False, True):
+        with pytest.raises(EigensolverFailure, match="Jacobi overflows") as info:
+            _jacobi(OVERFLOWING_EIGENVALUE, accumulate)
+        assert isinstance(info.value, OverflowError)
+
+
 def test_jacobi_scales_an_underflowing_norm():
     # The squared Frobenius sum underflows to zero, the entries do not.
     x = el(S2, [[1e-170, 1e-170], [1e-170, 1e-170]])
@@ -495,8 +524,7 @@ def test_orthant_and_spin_frames_keep_the_bits_of_their_first_construction():
         x = np.asarray(x, dtype=float)
         order = np.argsort(-x, kind="stable")
         assert algebra._descending_order(x).tobytes() == order.tobytes()
-        eigs, frame, basis = algebra._ORTHANT_KERNEL.decompose(x)
-        assert basis is None
+        eigs, frame = algebra._ORTHANT_KERNEL.decompose(x)
         assert eigs.tobytes() == x[order].tobytes()
         assert frame.tobytes() == np.eye(x.shape[0])[order].tobytes()
         assert frame.flags.writeable
@@ -827,9 +855,6 @@ def _assert_rows(batch, singles):
         for part, single_parts in zip(batch, zip(*singles)):
             _assert_rows(part, single_parts)
         return
-    if batch is None:
-        assert all(s is None for s in singles)
-        return
     assert batch.shape == (len(singles),) + singles[0].shape
     for row, single in zip(batch, singles):
         assert row.tobytes() == single.tobytes()
@@ -859,7 +884,7 @@ def test_kernel_batch_rows_equal_single_calls(descriptor):
         xs, ys = xs[finite], ys[finite]
         _assert_rows(kernel.eigenvalues(xs), [kernel.eigenvalues(x) for x in xs])
         _assert_rows(kernel.decompose(xs), [kernel.decompose(x) for x in xs])
-        eigs, frame, _ = kernel.decompose(xs)
+        eigs, frame = kernel.decompose(xs)
         weights = np.abs(eigs) + 1.0  # some rows have a zero eigenvalue
         for p in (3.0, 0.5, -1.0):
             _assert_rows(algebra._power_sum(weights, frame, p),

@@ -13,6 +13,7 @@ from symcone.rng import SplitMix64
 from symcone.transforms import random_cone_element
 
 from conftest import (
+    OVERFLOWING_EIGENVALUE,
     banach_iteration_bound,
     count_jacobi,
     el,
@@ -279,6 +280,26 @@ def test_overflowing_map_is_named_non_convergence(descriptor, p):
     with pytest.raises(NonConvergence, match="^iteration 1: g\\(x\\) overflows") as info:
         sc.solve(g, sc.SolveConfig(p=p))
     assert info.value.report is None
+
+
+@pytest.mark.parametrize("p", [2.0, -2.0])
+def test_an_overflowing_eigenvalue_of_g_x_is_named_non_convergence(p):
+    # g(e) = t^T t has finite entries and the eigenvalue 2.25e308.  With
+    # the Jacobi's unrotated diagonal, p = -2 "converged" to a residual of
+    # 1.818 and p = 2 ended in a RuntimeWarning.
+    t = np.linalg.cholesky(OVERFLOWING_EIGENVALUE).T
+    g = sc.AutomorphismWord(sc.sym_matrix(3), (sc.Congruence(t),))
+    with pytest.raises(NonConvergence, match="^iteration 1: g\\(x\\) overflows: .* eigenvalue"):
+        sc.solve(g, sc.SolveConfig(p=p))
+
+
+def test_an_overflowing_power_of_the_solution_is_named():
+    # u = e in one zero step, then beta = 2.25e300 and a^2 = 5e600: the
+    # power warned "overflow encountered in power" and the residual read NaN.
+    spin = sc.spin_factor(3)
+    g = sc.AutomorphismWord(spin, (sc.Scalar(1e300), sc.Quad(el(spin, [1.5, 0.0, 0.0]))))
+    with pytest.raises(NonConvergence, match="a\\^p of the solution .* overflows at p = 2"):
+        sc.solve(g, sc.SolveConfig(p=2.0))
 
 
 def test_overflow_is_named_at_the_iteration_it_happens():
@@ -609,21 +630,28 @@ def test_bushell_rejects_singular():
 # the sym eigenvector basis carried from one iteration to the next
 # ---------------------------------------------------------------------------
 
-def _record_sym_decompositions(monkeypatch):
-    """Patch the sym decomposition so that each call appends its matrix,
-    start basis and result: the one the fixed-point step calls, and the
-    kernel's, which descriptors made after this call use."""
-    decompose = algebra._sym_decompose
+def _record_sym_steps(monkeypatch):
+    """Patch the sym kernel so that each fixed-point step appends [g(x), the
+    basis it starts from, its decomposition of g(x)]: the eigenvalues, the
+    frame and the eigenvector columns it hands on.  Descriptors made after
+    this call use the patched kernel."""
+    step = algebra._sym_fixed_point_step
+    eigenpairs = algebra._sym_eigenpairs
     calls = []
 
-    def recorded(x, basis=None):
-        out = decompose(x, basis)
-        calls.append((x, basis, out))
+    def recorded_step(gx, x, e, basis=None):
+        calls.append([gx, basis, None])
+        return step(gx, x, e, basis)
+
+    def recorded_eigenpairs(m, start=None):
+        out = eigenpairs(m, start)
+        if calls and calls[-1][2] is None:  # the step's own decomposition
+            calls[-1][2] = out
         return out
 
-    monkeypatch.setattr(algebra, "_sym_decompose", recorded)
+    monkeypatch.setattr(algebra, "_sym_eigenpairs", recorded_eigenpairs)
     monkeypatch.setitem(algebra._KERNELS, algebra.SYM,
-                        algebra._KERNELS[algebra.SYM]._replace(decompose=recorded))
+                        algebra._KERNELS[algebra.SYM]._replace(fixed_point_step=recorded_step))
     return calls
 
 
@@ -632,7 +660,7 @@ def test_warm_decomposition_agrees_with_the_cold_one(monkeypatch, sigma):
     # Each decomposition of g(x_k) that starts from the previous columns V
     # has the eigenvalues and the matrix V diag(l) V^T of a cold Jacobi,
     # to within 1e-13 * |g(x_k)|.
-    calls = _record_sym_decompositions(monkeypatch)
+    calls = _record_sym_steps(monkeypatch)
     s6 = sc.sym_matrix(6)
     rng = SplitMix64(83 + int(sigma))
     for p in (-3.0, -2.0, 1.5, 2.0, 3.0):
@@ -641,7 +669,7 @@ def test_warm_decomposition_agrees_with_the_cold_one(monkeypatch, sigma):
             sc.solve(g, sc.SolveConfig(p=p, max_iter=60))
         except NonConvergence:
             pass
-    warm = [(x, eigs, basis) for x, start, (eigs, _, basis) in calls if start is not None]
+    warm = [(gx, eigs, basis) for gx, start, (eigs, _, basis) in calls if start is not None]
     assert len(warm) >= 100
     for x, eigs, basis in warm:
         diag, vecs = algebra._jacobi(x, True)
@@ -654,14 +682,14 @@ def test_warm_decomposition_agrees_with_the_cold_one(monkeypatch, sigma):
 def test_carried_basis_stays_orthogonal_through_a_stall(monkeypatch):
     # A sym:6 solve whose steps stall near 5e-3 at a solution of condition
     # number 3.7e9 runs its 500 iterations, each rotating the same basis.
-    calls = _record_sym_decompositions(monkeypatch)
+    calls = _record_sym_steps(monkeypatch)
     s6 = sc.sym_matrix(6)
     g = mild_word(s6, SplitMix64(81), 2.0)
     with pytest.raises(NonConvergence) as info:
         sc.solve(g, sc.SolveConfig(p=1.5))
-    assert info.value.report.iterations == 500
-    basis = calls[-2][2][2]  # the last iteration's; u's decomposition is cold
-    assert calls[-2][1] is not None and calls[-1][1] is None
+    assert info.value.report.iterations == len(calls) == 500
+    _, start, (_, _, basis) = calls[-1]  # the last iteration's
+    assert start is not None
     assert np.max(np.abs(basis.T @ basis - np.eye(6))) <= 1e-12
 
 
@@ -722,6 +750,31 @@ def test_sym_solves_keep_their_bits(p):
         g = mild_word(sc.sym_matrix(6), rng, 2.0)
     outcome = _outcome(sc.solve, g, sc.SolveConfig(p=p))
     assert hashlib.sha256(repr(outcome).encode()).hexdigest() == SYM_SOLVE_DIGESTS[p]
+
+
+# sha256 of the check reports of all five suites on orthant:8 and spin:10,
+# recorded before the contraction and isometry suites measured through the
+# public batch measure_contraction.
+ORTHANT_SPIN_CHECK_DIGESTS = {
+    ("orthant:8", "axioms"): "452e0bb5989186fae12ca383a0b44827a2f8747685761d6d56a47bcd007aac6f",
+    ("orthant:8", "bounds"): "45d2a37c57754eca83414e83670be936a318b8105afd3a2160d7f00b3efcf0b2",
+    ("orthant:8", "contraction"): "5455132631664354df521150eca48104b00b540907eb2c0852a5e9ef1c9ecd94",
+    ("orthant:8", "isometry"): "2ad3690ddeb18a12e2ab0bb92c343d7953470df1bd8741a4e1c5477a3bfdd561",
+    ("orthant:8", "oracle"): "9252a1cb3db279177aeaf47d6b76b57c56b49672c0d4d657174924894906c34d",
+    ("spin:10", "axioms"): "8e4a60e3c4ce2bf1e52d03ca53b2dd1841875349bd23e0a1a13ffa47d7e3b708",
+    ("spin:10", "bounds"): "ce88f3d36c8f65a4ad3596daee3ce82c99e953a5be0d733e9f957bc5a778c2a3",
+    ("spin:10", "contraction"): "b98d163f471c864edcea1b91061708fed999d9e6b8a72efea37c6f3287fab88c",
+    ("spin:10", "isometry"): "f42049da09c9f3ec8cc443cea7c77017461c77200ca1cb2d6eaab615c3bbe429",
+    ("spin:10", "oracle"): "0ffae82b3046356e8a6375b2282a849e45b8f35c9528826a8a9d335f1af5e9f8",
+}
+
+
+@pytest.mark.parametrize("tag, suite", sorted(ORTHANT_SPIN_CHECK_DIGESTS))
+def test_orthant_and_spin_check_reports_keep_their_bits(tag, suite, capsys):
+    assert main(["check", suite, "--algebra", tag, "--samples", "10",
+                 "--seed", "1"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == ORTHANT_SPIN_CHECK_DIGESTS[tag, suite]
 
 
 def test_sym_bushell_keeps_its_bits():

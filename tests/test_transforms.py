@@ -221,8 +221,13 @@ def test_power_map_examples():
 # contraction measurement
 # ---------------------------------------------------------------------------
 
+def _power_rows(descriptor, p):
+    """x -> x^p on a batch of raw coordinates, the map the suites measure."""
+    return lambda rows: sc.algebra._power_coords(descriptor, rows, p)
+
+
 def test_measure_contraction_identity(small_algebra):
-    rep = sc.measure_contraction(lambda x: x, small_algebra, 200, 11, label="id")
+    rep = sc.measure_contraction(lambda rows: rows, small_algebra, 200, 11, label="id")
     assert abs(rep.max_ratio - 1.0) <= 1e-12
     assert abs(rep.min_ratio - 1.0) <= 1e-12
     assert rep.samples == 200
@@ -230,24 +235,25 @@ def test_measure_contraction_identity(small_algebra):
 
 def test_measure_contraction_validates_samples():
     with pytest.raises(ValueError):
-        sc.measure_contraction(lambda x: x, O2, 0, 1)
+        sc.measure_contraction(lambda rows: rows, O2, 0, 1)
 
 
 def test_measure_contraction_takes_only_an_integer_sample_count():
     # True ran one sample; 2.5 and np.float64(2.0) failed in range().
     for samples in (True, 2.5, np.float64(2.0), "3", None):
         with pytest.raises(ValueError, match="samples must be an integer"):
-            sc.measure_contraction(lambda x: x, O2, samples, 1)
+            sc.measure_contraction(lambda rows: rows, O2, samples, 1)
         with pytest.raises(ValueError, match="samples must be an integer"):
             sc.isometry_check(random_word(O2, SplitMix64(1)), samples, 1)
-    assert sc.measure_contraction(sc.inverse, O2, np.int64(3), 1) == \
-        sc.measure_contraction(sc.inverse, O2, 3, 1)
+    inverse = _power_rows(O2, -1.0)
+    assert sc.measure_contraction(inverse, O2, np.int64(3), 1) == \
+        sc.measure_contraction(inverse, O2, 3, 1)
 
 
 def test_contraction_of_power_maps(small_algebra):
     for p in (-1.0, -0.7, -0.5, 0.3, 0.5, 0.7, 1.0):
         rep = sc.measure_contraction(
-            lambda x: sc.power(x, p), small_algebra, 200, 13,
+            _power_rows(small_algebra, p), small_algebra, 200, 13,
             label=f"power {p}")
         assert rep.max_ratio <= abs(p) + 1e-9
 
@@ -261,9 +267,9 @@ def test_contraction_equality_pair():
 
 
 def test_map_left_cone_raises():
-    shift = 10.0 * O2.identity()
+    shift = (10.0 * O2.identity()).coords
     with pytest.raises(MapLeftCone):
-        sc.measure_contraction(lambda x: x - shift, O2, 50, 15)
+        sc.measure_contraction(lambda rows: rows - shift, O2, 50, 15)
 
 
 def test_loewner_heinz_order_consequence(small_algebra):
@@ -289,8 +295,8 @@ def test_scalar_word_is_isometry():
 
 
 def test_inversion_is_isometry(small_algebra):
-    rep = sc.measure_contraction(sc.inverse, small_algebra, 200, 21,
-                                 label="inversion")
+    rep = sc.measure_contraction(_power_rows(small_algebra, -1.0), small_algebra,
+                                 200, 21, label="inversion")
     assert abs(rep.max_ratio - 1.0) <= 1e-9
     assert abs(rep.min_ratio - 1.0) <= 1e-9
 
@@ -338,15 +344,13 @@ def _report_bits(rep):
     ids=lambda d: f"{d.kind}:{d.param}")
 def test_batched_reports_equal_the_loop(descriptor):
     # The suites' exponents, inversion and 5 random words, each through
-    # the public Element map and through the raw-coordinate map a suite
-    # passes, against the one-sample-at-a-time reference loop.
+    # the raw-coordinate map a suite passes, against the one-sample-at-a-time
+    # reference loop on the Element map.
     rng = SplitMix64(41)
     words = [random_word(descriptor, rng) for _ in range(5)]
-    maps = [(f"power {p:g}", lambda x, p=p: sc.power(x, p),
-             lambda rows, p=p: sc.algebra._power_coords(descriptor, rows, p))
+    maps = [(f"power {p:g}", lambda x, p=p: sc.power(x, p), _power_rows(descriptor, p))
             for p in suites.DEFAULT_CONTRACTION_PS]
-    maps.append(("inversion", sc.inverse,
-                 lambda rows: sc.algebra._power_coords(descriptor, rows, -1.0)))
+    maps.append(("inversion", sc.inverse, _power_rows(descriptor, -1.0)))
     maps += [(w.describe(), lambda x, w=w: sc.apply(w, x),
               lambda rows, w=w: transforms._apply_coords(w, rows)) for w in words]
     samples = 10
@@ -354,9 +358,7 @@ def test_batched_reports_equal_the_loop(descriptor):
         for label, element_map, rows_map in maps:
             want = _report_bits(contraction_loop(element_map, descriptor, samples, seed, label))
             assert want[-1] == samples
-            got = sc.measure_contraction(element_map, descriptor, samples, seed, label)
-            assert _report_bits(got) == want, label
-            got = transforms._measure_rows(rows_map, descriptor, samples, seed, label)
+            got = sc.measure_contraction(rows_map, descriptor, samples, seed, label)
             assert _report_bits(got) == want, label
     for seed, word in enumerate(words):
         assert _report_bits(sc.isometry_check(word, samples, seed)) == _report_bits(
@@ -364,22 +366,25 @@ def test_batched_reports_equal_the_loop(descriptor):
                              word.describe()))
 
 
-def test_element_map_is_called_on_each_pair_in_sample_order():
-    seen = []
+def test_map_is_called_once_on_the_pairs_rows_in_sample_order():
+    calls = []
 
-    def recording(x):
-        seen.append(x.coords.tobytes())
-        return x
+    def recording(rows):
+        calls.append(rows.copy())
+        return rows
 
     sc.measure_contraction(recording, sc.orthant(3), 6, 5)
     rng = SplitMix64(5)
-    assert seen == [random_cone_element(sc.orthant(3), rng).coords.tobytes()
-                    for _ in range(12)]
+    want = np.array([random_cone_element(sc.orthant(3), rng).coords for _ in range(12)])
+    assert len(calls) == 1
+    assert calls[0].tobytes() == want.tobytes()
 
 
-def test_element_map_must_stay_in_its_algebra():
-    with pytest.raises(AlgebraMismatch):
-        sc.measure_contraction(lambda x: el(sc.orthant(3), [1, 2, 3]), O2, 4, 1)
+def test_map_must_keep_the_shape_of_the_batch():
+    # Images in another algebra's coordinates, or a row short.
+    for map_rows in (lambda rows: np.ones((len(rows), 3)), lambda rows: rows[1:]):
+        with pytest.raises(AlgebraMismatch, match="out of their algebra"):
+            sc.measure_contraction(map_rows, O2, 4, 1)
 
 
 @pytest.mark.parametrize("descriptor", [sc.orthant(1), sc.sym_matrix(1)],
@@ -388,7 +393,7 @@ def test_rank_one_cones_measure_no_pair(descriptor):
     # Every pair of a rank-1 cone lies on one ray: d = 0, and every pair
     # is skipped.  The report says so, and the ratios read 0.0.
     calls = []
-    rep = sc.measure_contraction(lambda x: calls.append(x) or x, descriptor, 5, 1)
+    rep = sc.measure_contraction(lambda rows: calls.append(rows) or rows, descriptor, 5, 1)
     assert (rep.measured, rep.max_ratio, rep.min_ratio) == (0, 0.0, 0.0)
     assert calls == []
     assert sc.isometry_check(random_word(descriptor, SplitMix64(1)), 5, 1).measured == 0
@@ -405,7 +410,7 @@ def test_a_nan_ratio_makes_both_extremes_nan(monkeypatch):
         return out if len(layers) == 1 else [math.nan] + out[1:]
 
     monkeypatch.setattr(metric, "_row_distances", nan_images)
-    rep = sc.measure_contraction(lambda x: x, O2, 5, 1)
+    rep = sc.measure_contraction(lambda rows: rows, O2, 5, 1)
     assert layers == [5, 5]
     assert math.isnan(rep.max_ratio) and math.isnan(rep.min_ratio)
     assert rep.measured == 5
