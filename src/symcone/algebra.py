@@ -23,8 +23,9 @@ family (a ``_Kernel`` of functions), reached through
 The public functions check their arguments, call the kernel and wrap the
 result.  A kernel's ``decompose`` returns the eigenvalues of x = sum_j
 l_j c_j and its Jordan frame as one array, row j the coords of c_j, the
-same pair on every family; x^p (one reduction over the rows), det,
-the cone test and the spectral norm are written once on top of it.  P(x)y
+same pair on every family; x^p (``power``, one reduction over the
+rows), det, the cone test and the spectral norm are written once on top
+of it.  P(x)y
 has a closed form in each kernel (x y x on sym, 2<x, y> x - det(x) y* on
 spin), and the spectrum of P(y^{-1/2})x is computed by each kernel in its
 own way and read directly by ``metric``.
@@ -128,7 +129,7 @@ def _rotation_plan(r):
     )
 
 
-def _jacobi(matrix: np.ndarray, accumulate: bool, start: np.ndarray | None = None):
+def _jacobi(matrix: np.ndarray, start: np.ndarray | None = None):
     """Cyclic Jacobi on a symmetric matrix; returns (diag, columns or None).
 
     Rotations run in fixed row-major pair order, so the result is
@@ -139,15 +140,15 @@ def _jacobi(matrix: np.ndarray, accumulate: bool, start: np.ndarray | None = Non
     follows ``_rotation_plan``: it visits every row k other than p and q,
     loads (a_kp, a_kq) from the upper triangle and stores them back once,
     then writes a_pp and a_qq, with the annihilated a_pq an exact zero.
-    The eigenvector columns rotate over every row, starting from the
-    identity, or from the columns of ``start`` when it is given: for
-    A = S^T M S they end as the eigenvectors S W of M, with no separate
-    product.  A sweep performing no rotation means every off-diagonal
-    entry is at most eps * ||A||_F and we are done.  The threshold is
-    relative at every scale, so c * A is rotated as A is, up to rounding,
-    however small or large c is.  A NaN or infinite entry is refused up
-    front: no rotation can clear it.  An eigenvalue beyond the float range
-    raises EigenvalueOverflow.
+    With no ``start`` only the eigenvalues are computed.  Otherwise the
+    columns of ``start`` rotate along over every row: from the identity
+    they end as A's eigenvectors, and for A = S^T M S from S as the
+    eigenvectors S W of M, with no separate product.  A sweep performing
+    no rotation means every off-diagonal entry is at most eps * ||A||_F
+    and we are done.  The threshold is relative at every scale, so c * A
+    is rotated as A is, up to rounding, however small or large c is.  A
+    NaN or infinite entry is refused up front: no rotation can clear it.
+    An eigenvalue beyond the float range raises EigenvalueOverflow.
     """
     r = matrix.shape[0]
     a = matrix.ravel().tolist()
@@ -172,12 +173,7 @@ def _jacobi(matrix: np.ndarray, accumulate: bool, start: np.ndarray | None = Non
             f"Jacobi needs finite entries; the {r}x{r} matrix has NaN or "
             f"infinite entries"
         )
-    if not accumulate:
-        v = None
-    elif start is None:
-        v = [[1.0 if i == j else 0.0 for j in range(r)] for i in range(r)]
-    else:
-        v = start.tolist()
+    v = None if start is None else start.tolist()
     plan = _rotation_plan(r)
     sqrt = math.sqrt
     max_sweeps = 30 * r * r
@@ -206,7 +202,7 @@ def _jacobi(matrix: np.ndarray, accumulate: bool, start: np.ndarray | None = Non
             a[pp] = app - t * apq
             a[qq] = aqq + t * apq
             a[pq] = 0.0
-            if accumulate:
+            if v is not None:
                 for vk in v:
                     vkp = vk[p]
                     vkq = vk[q]
@@ -215,7 +211,7 @@ def _jacobi(matrix: np.ndarray, accumulate: bool, start: np.ndarray | None = Non
         if not rotated:
             diag = a[::r + 1]
             if all(map(math.isfinite, diag)):
-                return np.array(diag), (np.array(v) if accumulate else None)
+                return np.array(diag), (None if v is None else np.array(v))
             break
     if not all(map(math.isfinite, a)):
         raise EigenvalueOverflow(
@@ -448,7 +444,7 @@ def _sym_congruence(v, x):
 def _sym_eigenpairs(m, start=None):
     """(eigenvalues descending, frame, eigenvector columns in the same order)
     of m by Jacobi, the columns rotated from the identity or from start."""
-    diag, vmat = _jacobi(m, True, start)
+    diag, vmat = _jacobi(m, np.eye(m.shape[0]) if start is None else start)
     order = _descending_order(diag)
     columns = vmat[:, order]
     rows = columns.T
@@ -464,7 +460,7 @@ def _sym_decompose(x):
 def _sym_eigenvalues(x):
     if x.ndim == 3:
         return _each_matrix(_sym_eigenvalues, x)
-    diag, _ = _jacobi(x, accumulate=False)
+    diag, _ = _jacobi(x)
     return diag[_descending_order(diag)]
 
 
@@ -872,7 +868,8 @@ def _require_power_domain(eigenvalues: np.ndarray, p: float) -> None:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (descending) with a Jordan frame realizing x = sum l_j c_j.
+    """Eigenvalues (descending) with a Jordan frame realizing x = sum l_j c_j,
+    as ``spectral_decompose`` returns them; x^p is ``power``.
 
     The frame is one array of shape (rank, *coord_shape) on every family:
     row j holds the raw coordinates of c_j (on the orthant the rows of a
@@ -882,11 +879,6 @@ class SpectralDecomposition:
     algebra: AlgebraDescriptor
     eigenvalues: np.ndarray
     frame_coords: np.ndarray = field(repr=False)
-
-    def power(self, p: float) -> Element:
-        """sum_j l_j^p c_j, where _require_power_domain allows it."""
-        _require_power_domain(self.eigenvalues, p)
-        return Element(self.algebra, _power_sum(self.eigenvalues, self.frame_coords, p))
 
 
 def _require_same_algebra(x: Element, y: Element) -> None:
@@ -952,7 +944,8 @@ def power(x: Element, p: float) -> Element:
     """Spectral power x^p = sum l_j^p c_j.
 
     Any element is accepted for non-negative integer p (polynomial
-    calculus); otherwise x must lie in the open cone.
+    calculus); otherwise x must lie in the open cone.  A finite eigenvalue
+    whose power is beyond the float range raises EigenvalueOverflow.
     """
     p = float(p)
     if p == 1.0:
@@ -963,7 +956,8 @@ def power(x: Element, p: float) -> Element:
 def _power_coords(descriptor: AlgebraDescriptor, coords: np.ndarray, p: float) -> np.ndarray:
     """x^p on the raw coordinates of one point or a batch, as ``power``
     computes it: x itself for p = 1 and the unit element for p = 0, with
-    no decomposition."""
+    no decomposition; EigenvalueOverflow where a finite eigenvalue's power
+    is beyond the float range."""
     p = float(p)
     if p == 1.0:
         return coords
@@ -972,7 +966,17 @@ def _power_coords(descriptor: AlgebraDescriptor, coords: np.ndarray, p: float) -
         return np.broadcast_to(kernel.identity(descriptor.param), coords.shape).copy()
     eigs, frame = kernel.decompose(coords)
     _require_power_domain(eigs, p)
-    return _power_sum(eigs, frame, p)
+    with np.errstate(over="ignore"):  # an overflow is refused before the sum
+        powers = np.power(eigs, p)
+    # The frame sum would give inf * 0 = NaN; a NaN or infinite eigenvalue
+    # goes through as it is.
+    overflow = np.isinf(powers) & np.isfinite(eigs)
+    if overflow.any():
+        raise EigenvalueOverflow(
+            f"x^({p:g}) overflows: the eigenvalue "
+            f"{np.extract(overflow, eigs)[0]:.6g} has a power beyond the float "
+            f"range")
+    return _frame_sum(powers, frame)
 
 
 def inverse(x: Element) -> Element:

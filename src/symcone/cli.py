@@ -298,10 +298,7 @@ def cmd_check(args) -> int:
         raw = inst.raw
         if inst.descriptor != descriptor:
             return _fail(2, "instance algebra does not match --algebra")
-        rng = SplitMix64(args.seed)
-        words = [transforms.random_word(descriptor, rng) for _ in range(4)]
-        words.append(inst.map(args.map))
-        extra["words"] = words
+        extra["word"] = inst.map(args.map)
     suite_fn = suites.SUITES[args.suite]
     result = suite_fn(descriptor, args.samples, args.seed, **extra)
     echo = {"suite": args.suite, "algebra": args.algebra,
@@ -331,8 +328,8 @@ def cmd_gen(args) -> int:
 
 def _add_solve_options(p: argparse.ArgumentParser) -> None:
     """The options solve and bushell share."""
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-iter", type=int, default=500)
+    p.add_argument("--tol", type=float, default=solver.SolveConfig.tol)
+    p.add_argument("--max-iter", type=int, default=solver.SolveConfig.max_iter)
     p.add_argument("--initial", default=None)
 
 

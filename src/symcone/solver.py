@@ -26,9 +26,11 @@ step spectrum whose least eigenvalue is not positive raises NotInCone,
 naming the iterate outside the cone if one is, else the step.  A g(x_k)
 with an infinite or NaN entry or extreme eigenvalue has overflowed: the
 step raises OverflowError, and the solve NonConvergence naming the
-iteration, with no partial report.  Elements are built for the initial point, the
-fixed direction u and the solution, and to name an iterate that leaves
-the cone.
+iteration, with no partial report.  An initial point with a non-finite
+coordinate, or whose least eigenvalue underflows to 0 when it is scaled
+to spectral norm 1, raises NotInCone before the loop.  Elements are
+built for the initial point, the fixed direction u and the solution, and
+to name an iterate that leaves the cone.
 
 Stopping rule: the a-posteriori Banach bound with q = 1/|p| - iteration
 halts once d(x_k, x_{k+1}) <= tol * (1 - q), which puts the fixed
@@ -164,19 +166,29 @@ def solve(g: AutomorphismWord, cfg: SolveConfig) -> SolveReport:
     iteration budget runs out, or (with none) if g(x_k) overflows, and
     NotInCone if an iterate escapes the cone, which signals that g does not
     actually preserve it, or if the spectrum of a step is not positive
-    although both iterates are in it.
+    although both iterates are in it.  The initial point must lie in the
+    open cone with finite coordinates, and keep a positive least
+    eigenvalue when scaled to spectral norm 1, else NotInCone names it.
     """
     p = cfg.p
     x = cfg.initial if cfg.initial is not None else g.algebra.identity()
     if x.algebra != g.algebra:
         raise AlgebraMismatch("initial point lives in a different algebra")
+    if not np.isfinite(x.coords).all():
+        raise NotInCone("initial point has a NaN or infinite coordinate")
     # One eigensolve serves the cone test and the scaling: on positive
     # eigenvalues _power_norm is normalize's max(|l_min|, |l_max|).
     eigs = algebra.eigenvalues(x)
     if not eigs[-1] > 0.0:
         raise NotInCone("initial point is not in the open cone")
+    scale = 1.0 / _power_norm(eigs)
+    if not eigs[-1] * scale > 0.0:
+        raise NotInCone(
+            f"initial point cannot be scaled to spectral norm 1: its least "
+            f"eigenvalue {eigs[-1]:.6g} underflows to 0 at the scale "
+            f"1/{eigs[0]:.6g}")
     fixed_point_step = g.algebra.kernel.fixed_point_step
-    x = (x * (1.0 / _power_norm(eigs))).coords
+    x = (x * scale).coords
     # For p < -1 the exponent 1/p is negative: the step is the inversion
     # isometry composed with the |1/p| power, so the contraction factor is
     # 1/|p| in both regimes.
@@ -244,8 +256,8 @@ def solve(g: AutomorphismWord, cfg: SolveConfig) -> SolveReport:
 def solve_bushell(
     t: np.ndarray,
     k: int,
-    tol: float = 1e-12,
-    max_iter: int = 500,
+    tol: float = SolveConfig.tol,
+    max_iter: int = SolveConfig.max_iter,
     initial: Element | None = None,
 ) -> SolveReport:
     """Unique positive definite A with t' A t = A^(2^k).

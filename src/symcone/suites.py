@@ -180,18 +180,19 @@ def isometry_suite(
     descriptor: AlgebraDescriptor,
     samples: int,
     seed: int,
-    words: list[transforms.AutomorphismWord] | None = None,
+    word: transforms.AutomorphismWord | None = None,
 ) -> SuiteResult:
-    """Generator words (5 random ones unless given) and the inversion map
-    preserve d to 1e-8.
+    """Five generator words and the inversion map preserve d to 1e-8: the
+    words drawn from the suite's stream, the fifth replaced by ``word``
+    when one is given.
 
     As in the contraction suite, a check with no measured pair takes no
     update.
     """
     result = SuiteResult("isometry", descriptor, samples, seed)
     rng = SplitMix64(seed)
-    if words is None:
-        words = [transforms.random_word(descriptor, rng) for _ in range(5)]
+    words = [transforms.random_word(descriptor, rng) for _ in range(4)]
+    words.append(transforms.random_word(descriptor, rng) if word is None else word)
     for k, word in enumerate(words):
         check = CheckResult(f"word_isometry_{k}_{word.describe()}", 1e-8)
         rep = transforms.isometry_check(word, samples, seed + k)

@@ -1,5 +1,7 @@
+import ctypes
+import glob
 import math
-from dataclasses import replace
+import os
 
 import numpy as np
 import pytest
@@ -10,18 +12,58 @@ from symcone.errors import NonConvergence, NotInCone
 from symcone.transforms import random_word
 
 
+def _openblas_core() -> str:
+    """The kernel that numpy's bundled scipy-openblas picked for this CPU
+    (DYNAMIC_ARCH builds pick one at load time, or take OPENBLAS_CORETYPE),
+    or "unknown"."""
+    root = os.path.dirname(np.__file__)
+    for path in (glob.glob(os.path.join(root, os.pardir, "numpy.libs", "*openblas*"))
+                 + glob.glob(os.path.join(root, ".dylibs", "*openblas*"))):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes = []
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def _cpu_has_avx512f() -> str:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            flags = next(line for line in fh if line.startswith("flags")).split()
+    except (OSError, StopIteration):
+        return "unknown"
+    return "yes" if "avx512f" in flags else "no"
+
+
+def pytest_report_header():
+    # The sha256 pins hold the bits of one BLAS kernel: under another one
+    # (OPENBLAS_CORETYPE=Haswell or Sandybridge on an AVX-512 machine) some
+    # of them fail on their digests alone.
+    return f"OpenBLAS core: {_openblas_core()}; CPU avx512f: {_cpu_has_avx512f()}"
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    # -q hides the header, so the line goes at the end instead.
+    if config.get_verbosity() < 0:
+        terminalreporter.write_line(pytest_report_header())
+
+
 def el(descriptor, values):
     return sc.Element(descriptor, np.asarray(values, dtype=float))
 
 
 def count_jacobi(monkeypatch):
-    """Record the ``accumulate`` flag of every Jacobi eigensolve from now on."""
+    """Record, for every Jacobi eigensolve from now on, whether it was given
+    a start basis, that is, whether it computes eigenvectors."""
     calls = []
     jacobi = algebra._jacobi
 
-    def counted(matrix, accumulate, start=None):
-        calls.append(accumulate)
-        return jacobi(matrix, accumulate, start)
+    def counted(matrix, start=None):
+        calls.append(start is not None)
+        return jacobi(matrix, start)
 
     monkeypatch.setattr(algebra, "_jacobi", counted)
     return calls
@@ -173,7 +215,7 @@ def warm_decompose(x, basis):
     with its rotations applied to basis.  Returns the decomposition and its
     columns, both in descending eigenvalue order."""
     m = x.coords if basis is None else sym_congruence(basis, x.coords)
-    diag, vecs = algebra._jacobi(m, True, basis)
+    diag, vecs = algebra._jacobi(m, np.eye(m.shape[0]) if basis is None else basis)
     order = np.argsort(-diag, kind="stable")
     basis = vecs[:, order]
     frame = np.array([np.outer(v, v) for v in basis.T])
@@ -182,8 +224,10 @@ def warm_decompose(x, basis):
 
 def element_loop_solve(g, cfg):
     """Reference solve: the Banach loop on Elements, through the public
-    decomposition, power, quad and eigenvalues, with the word applied by
-    ``element_apply``; the rescaling after the loop is the solver's own.
+    decomposition, quad and eigenvalues, with powers taken on the
+    decomposition's frame (``_require_power_domain``, then ``_power_sum``)
+    and the word applied by ``element_apply``; the rescaling after the loop
+    is the solver's own.
 
     On orthant and spin, the step is log(l_max / l_min) of
     P(x_next^(-1/2)) x, with x_next^(-1/2) built on the frame of g(x) from
@@ -206,11 +250,13 @@ def element_loop_solve(g, cfg):
         else:
             dec = algebra.spectral_decompose(element_apply(g, x))
         try:
-            root = dec.power(1.0 / p)
+            algebra._require_power_domain(dec.eigenvalues, 1.0 / p)
         except NotInCone as exc:
             raise NotInCone(
                 "an iterate left the open cone: the supplied map does not "
                 "preserve it") from exc
+        root = sc.Element(
+            g.algebra, algebra._power_sum(dec.eigenvalues, dec.frame_coords, 1.0 / p))
         scale = 1.0 / solver._power_norm(np.power(dec.eigenvalues, 1.0 / p))
         x_next = root * scale
         if x_next.coords.tobytes() == x.coords.tobytes():
@@ -222,7 +268,9 @@ def element_loop_solve(g, cfg):
                 rel = algebra.eigenvalues(sc.Element(
                     g.algebra, sym_congruence(basis, x.coords) * np.outer(d, d)))
             else:
-                x_next_root = replace(dec, eigenvalues=mu).power(-0.5)
+                algebra._require_power_domain(mu, -0.5)
+                x_next_root = sc.Element(
+                    g.algebra, algebra._power_sum(mu, dec.frame_coords, -0.5))
                 rel = algebra.eigenvalues(algebra.quad(x_next_root, x))
             if not rel[-1] > 0.0:
                 metric.lambda_extremes(x, x_next)

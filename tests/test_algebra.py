@@ -9,7 +9,13 @@ import pytest
 import symcone as sc
 from symcone import algebra, solver
 from symcone.algebra import _jacobi
-from symcone.errors import AlgebraMismatch, EigensolverFailure, NonConvergence, NotInCone
+from symcone.errors import (
+    AlgebraMismatch,
+    EigensolverFailure,
+    EigenvalueOverflow,
+    NonConvergence,
+    NotInCone,
+)
 from symcone.rng import SplitMix64
 from symcone.transforms import AutomorphismWord, Quad, random_cone_element, random_word
 
@@ -233,7 +239,8 @@ def _check_decomposition(x, tol=1e-10):
             assert sc.spectral_norm(sc.product(c, d)) <= tol
         total = total + c
     assert sc.spectral_norm(total - alg.identity()) <= tol
-    err = sc.spectral_norm(dec.power(1.0) - x)
+    recon = sc.Element(alg, algebra._frame_sum(dec.eigenvalues, dec.frame_coords))
+    err = sc.spectral_norm(recon - x)
     assert err <= tol * (1 + sc.spectral_norm(x))
 
 
@@ -274,7 +281,7 @@ def test_jacobi_scales_an_overflowing_norm():
     m = np.full((3, 3), 1e200)
     m[2, 2] = math.nan
     with pytest.raises(EigensolverFailure, match="finite"):
-        _jacobi(m, accumulate=False)
+        _jacobi(m)
 
 
 @pytest.mark.parametrize("seed", [11, 12])
@@ -293,9 +300,9 @@ def test_jacobi_rotates_a_matrix_whose_norm_overflows(seed):
 
 def test_jacobi_names_an_eigenvalue_beyond_the_float_range():
     # It gave [8e307, 8e307, 8e307], the unrotated diagonal.
-    for accumulate in (False, True):
+    for start in (None, np.eye(3)):
         with pytest.raises(EigensolverFailure, match="Jacobi overflows") as info:
-            _jacobi(OVERFLOWING_EIGENVALUE, accumulate)
+            _jacobi(OVERFLOWING_EIGENVALUE, start)
         assert isinstance(info.value, OverflowError)
 
 
@@ -316,8 +323,8 @@ def test_jacobi_rotates_a_power_of_two_multiple_alike(k):
     for r in (2, 3, 6, 12):
         m = rng.normal_matrix(r, r)
         for x in (random_cone_element(sc.sym_matrix(r), rng).coords, (m + m.T) / 2.0):
-            diag, vecs = _jacobi(x, accumulate=True)
-            scaled_diag, scaled_vecs = _jacobi(c * x, accumulate=True)
+            diag, vecs = _jacobi(x, np.eye(r))
+            scaled_diag, scaled_vecs = _jacobi(c * x, np.eye(r))
             assert scaled_diag.tobytes() == (c * diag).tobytes()
             assert scaled_vecs.tobytes() == vecs.tobytes()
 
@@ -559,6 +566,27 @@ def test_inverse():
                                [2 / 3, -1 / 3, 0], atol=1e-14)
 
 
+@pytest.mark.parametrize("x, p", [
+    (el(O2, [1e200, 1.0]), 2.0),
+    (el(S2, np.diag([1e200, 1.0])), 2.0),
+    (el(P3, [1e200, 0.0, 0.0]), 2.0),
+    (el(O2, [1e-320, 1.0]), -1.0),
+], ids=["orthant", "sym", "spin", "orthant-inverse"])
+def test_power_names_an_eigenvalue_whose_power_overflows(x, p):
+    # The frame sum multiplied inf by 0: [inf, nan] on the orthant, with
+    # RuntimeWarnings for the overflow and the invalid product.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EigenvalueOverflow, match=rf"x\^\({p:g}\) overflows"):
+            sc.power(x, p)
+
+
+def test_power_of_a_nan_eigenvalue_is_nan():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(sc.power(el(O2, [math.nan, 1.0]), 2.0).coords).all()
+
+
 def test_inverse_involution(small_algebra):
     rng = SplitMix64(47)
     for _ in range(50):
@@ -662,7 +690,8 @@ def test_edge_ranks():
     x = el(p2, [3.0, 1.0])
     dec = sc.spectral_decompose(x)
     np.testing.assert_allclose(dec.eigenvalues, [4, 2], atol=0)
-    assert sc.spectral_norm(dec.power(1.0) - x) <= 1e-14
+    recon = el(p2, algebra._frame_sum(dec.eigenvalues, dec.frame_coords))
+    assert sc.spectral_norm(recon - x) <= 1e-14
     np.testing.assert_allclose(sc.inverse(x).coords, [3 / 8, -1 / 8],
                                atol=1e-15)
     s1 = sc.sym_matrix(1)
@@ -680,7 +709,7 @@ def test_jacobi_against_numpy_eigh():
         for _ in range(20):
             m = rng.normal_matrix(r, r)
             m = (m + m.T) / 2
-            diag, vecs = _jacobi(m, accumulate=True)
+            diag, vecs = _jacobi(m, np.eye(r))
             ref = np.linalg.eigvalsh(m)
             assert np.max(np.abs(np.sort(diag) - ref)) <= 1e-12 * (1 + np.max(np.abs(ref)))
             recon = (vecs * diag) @ vecs.T
@@ -690,7 +719,7 @@ def test_jacobi_against_numpy_eigh():
 def _jacobi_inputs(r, rng):
     """Exactly symmetric matrices of the kinds the kernels and tests feed
     the eigensolver, plus the corner cases of its loop, each with the start
-    basis of its eigenvectors (None for the identity)."""
+    it was given (None for an eigensolve without eigenvectors)."""
     s = sc.sym_matrix(r)
     x = random_cone_element(s, rng).coords
     y = random_cone_element(s, rng).coords
@@ -731,9 +760,9 @@ def _solver_jacobi_inputs(s, rng):
     word = AutomorphismWord(s, word.factors + (Quad(random_cone_element(s, rng)),))
     seen = []
 
-    def recorded(matrix, accumulate, start=None):
+    def recorded(matrix, start=None):
         seen.append((matrix.copy(), start))
-        return _jacobi(matrix, accumulate, start)
+        return _jacobi(matrix, start)
 
     with mock.patch.object(algebra, "_jacobi", recorded):
         try:
@@ -758,10 +787,18 @@ def test_rotation_plan_leaves_out_the_pivot_rows():
                 assert divmod(kq, r) == (min(k, q), max(k, q))
 
 
-def _jacobi_modes(start):
-    """(accumulate, start) of each call to compare: no eigenvectors, the
-    eigenvectors from the identity, and from the start basis if any."""
-    return [(False, None), (True, None)] + ([(True, start)] if start is not None else [])
+def _is_warm(start):
+    """Whether a recorded start basis is a warm one: given, and not the
+    identity of a cold decomposition."""
+    return start is not None and not np.array_equal(start, np.eye(len(start)))
+
+
+def _jacobi_starts(m, start):
+    """The start of each call to compare: none (eigenvalues only), the
+    identity, and the recorded start basis if it is a warm one.  The
+    reference takes them as (accumulate, start) = (start is not None,
+    start)."""
+    return [None, np.eye(len(m))] + ([start] if _is_warm(start) else [])
 
 
 def test_jacobi_bits_match_the_reference_loop():
@@ -773,15 +810,15 @@ def test_jacobi_bits_match_the_reference_loop():
     for r in range(1, 21):
         for m, start in _jacobi_inputs(r, rng):
             assert m.tobytes() == m.T.tobytes()
-            for accumulate, basis in _jacobi_modes(start):
-                diag, vecs = _jacobi(m, accumulate, basis)
-                ref_diag, ref_vecs = reference_jacobi(m, accumulate, basis)
+            for basis in _jacobi_starts(m, start):
+                diag, vecs = _jacobi(m, basis)
+                ref_diag, ref_vecs = reference_jacobi(m, basis is not None, basis)
                 assert diag.tobytes() == ref_diag.tobytes()
-                if accumulate:
+                if basis is not None:
                     assert vecs.tobytes() == ref_vecs.tobytes()
                 else:
                     assert vecs is None and ref_vecs is None
-            warm += start is not None
+            warm += _is_warm(start)
     # Two warm-started decompositions per size from r = 2 on.
     assert warm == 2 * 19
 
@@ -791,11 +828,11 @@ def test_jacobi_bits_match_the_reference_loop_at_extreme_scales():
     for r in (2, 6, 12, 20):
         for m, start in _jacobi_inputs(r, rng):
             for scale in (1e-300, 1e-170, 1e-17, 1e17):
-                for accumulate, basis in _jacobi_modes(start):
-                    diag, vecs = _jacobi(scale * m, accumulate, basis)
-                    ref_diag, ref_vecs = reference_jacobi(scale * m, accumulate, basis)
+                for basis in _jacobi_starts(m, start):
+                    diag, vecs = _jacobi(scale * m, basis)
+                    ref_diag, ref_vecs = reference_jacobi(scale * m, basis is not None, basis)
                     assert diag.tobytes() == ref_diag.tobytes()
-                    if accumulate:
+                    if basis is not None:
                         assert vecs.tobytes() == ref_vecs.tobytes()
 
 

@@ -161,6 +161,23 @@ def test_solve_with_initial(capsys, instance):
     np.testing.assert_allclose(json.loads(out)["solution"], [4, 9], rtol=1e-8)
 
 
+def test_solve_names_an_initial_point_whose_scaling_underflows(capsys, tmp_path):
+    # It exited 3 with "an iterate left the open cone: the supplied map
+    # does not preserve it", although the scalar map does.
+    data = {
+        "algebra": {"kind": "orthant", "param": 3},
+        "elements": {"x": [1e308, 1e308, 1e-308]},
+        "maps": {"g": [{"type": "scalar", "payload": 2.0}]},
+    }
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "solve", str(path), "g", "--p", "2", "--initial", "x")
+    assert code == 3
+    assert out == ""
+    assert "initial point cannot be scaled to spectral norm 1" in err
+    assert "does not preserve it" not in err
+
+
 def test_bushell(capsys, sym_instance):
     code, out, _ = run(capsys, "bushell", sym_instance, "t", "--k", "1",
                        "--tol", "1e-14")

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +100,55 @@ def test_initial_point_must_be_interior():
     with pytest.raises(sc.AlgebraMismatch):
         sc.solve(sc.AutomorphismWord(O2, ()),
                  sc.SolveConfig(p=2.0, initial=el(sc.orthant(3), [1, 1, 1])))
+
+
+@pytest.mark.parametrize("descriptor, coords", [
+    (sc.orthant(3), [math.inf, 1.0, 1.0]),
+    (sc.spin_factor(3), [math.inf, 1.0, 0.0]),
+    (sc.sym_matrix(2), np.diag([math.inf, 1.0])),
+], ids=["orthant3", "spin3", "sym2"])
+def test_solve_names_a_non_finite_initial_point(descriptor, coords):
+    # The orthant and spin solves warned "invalid value encountered in
+    # multiply" and blamed an overflowing g(x); the sym one raised the
+    # Jacobi's "needs finite entries".
+    g = sc.AutomorphismWord(descriptor, (sc.Scalar(2.0),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotInCone, match="initial point has a NaN or infinite coordinate"):
+            sc.solve(g, sc.SolveConfig(p=2.0, initial=el(descriptor, coords)))
+
+
+@pytest.mark.parametrize("descriptor, coords", [
+    (sc.orthant(3), [1e308, 1e308, 1e-308]),
+    (sc.sym_matrix(2), np.diag([1e308, 1e-308])),
+], ids=["orthant3", "sym2"])
+def test_solve_names_an_initial_point_whose_scaling_underflows(descriptor, coords):
+    # Scaled to spectral norm 1 the least eigenvalue became 0, and the solve
+    # blamed the map: "an iterate left the open cone".
+    g = sc.AutomorphismWord(descriptor, (sc.Scalar(2.0),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotInCone, match="initial point cannot be scaled to spectral "
+                                            "norm 1: its least eigenvalue 1e-308 underflows"):
+            sc.solve(g, sc.SolveConfig(p=2.0, initial=el(descriptor, coords)))
+
+
+# sha256 of the solves below, recorded before solve checked its initial
+# point for non-finite coordinates and for a scaling that underflows.
+WELL_SCALED_INITIAL_DIGEST = "db45346868ae195ff21c6a5d727cf1e4c52cce03fc64ad8b9f7ba2f9abaa6e7d"
+
+
+def test_solves_from_well_scaled_initial_points_keep_their_bits():
+    digest = hashlib.sha256()
+    rng = SplitMix64(131)
+    for descriptor in (sc.orthant(8), sc.sym_matrix(6), sc.spin_factor(10)):
+        g = mild_word(descriptor, rng)
+        for scale in (1e-200, 1e-3, 1.0, 1e5, 1e200):
+            x0 = scale * random_cone_element(descriptor, rng)
+            for p in (-2.0, 2.0):
+                cfg = sc.SolveConfig(p=p, initial=x0)
+                digest.update(repr(_outcome(sc.solve, g, cfg)).encode())
+    assert digest.hexdigest() == WELL_SCALED_INITIAL_DIGEST
 
 
 def test_iteration_runs_two_eigensolves(monkeypatch):
@@ -672,7 +722,7 @@ def test_warm_decomposition_agrees_with_the_cold_one(monkeypatch, sigma):
     warm = [(gx, eigs, basis) for gx, start, (eigs, _, basis) in calls if start is not None]
     assert len(warm) >= 100
     for x, eigs, basis in warm:
-        diag, vecs = algebra._jacobi(x, True)
+        diag, vecs = algebra._jacobi(x, np.eye(6))
         order = algebra._descending_order(diag)
         bound = 1e-13 * float(np.max(np.abs(diag)))
         assert np.max(np.abs(eigs - diag[order])) <= bound
@@ -718,28 +768,14 @@ def test_orthant_and_spin_solves_keep_their_bits(descriptor):
 
 
 # sha256 of sym outputs, recorded before the Jacobi rotation kept its
-# matrix as one flat list and read and wrote only its upper triangle: the
-# check reports of the suites whose distances take eigenvalues only, solves
-# that carry an eigenvector basis, and a Bushell solve at a large rank.
-SYM_CHECK_DIGESTS = {
-    "bounds": "a694facf44215969414f1117507155698d411840d5b671d2643b694131def482",
-    "axioms": "2a9ff7df75fafdd5061cd9b37c7dfecb05fa4fb0dfb63ba2b45829b2c59f2297",
-    "contraction": "84953d4161bbc5482966eb3e28f3af161de78331d35f684d8aa5fb349337ddd4",
-    "oracle": "3392015b8f7d1352de5e2cba2b9db9ccee209f737fa4d428f0c9cc7f4cf1e902",
-}
+# matrix as one flat list and read and wrote only its upper triangle:
+# solves that carry an eigenvector basis, and a Bushell solve at a large
+# rank.
 SYM_SOLVE_DIGESTS = {
     2.0: "123f967274117cf5c86502535723237de88bb7661a38860f77a47d295d08c64f",
     -2.0: "263fd234ac1ef02d411a94bb8fc40f34526705dc0bb798c63b175f631b0b36b3",
 }
 SYM_BUSHELL_DIGEST = "acf9e91315512807eac1c83bd668e43733e0e17fe0192cc2d7c7cd96d4c16b68"
-
-
-@pytest.mark.parametrize("suite", sorted(SYM_CHECK_DIGESTS))
-def test_sym_check_reports_keep_their_bits(suite, capsys):
-    assert main(["check", suite, "--algebra", "sym:6", "--samples", "10",
-                 "--seed", "1"]) == 0
-    out = capsys.readouterr().out.encode()
-    assert hashlib.sha256(out).hexdigest() == SYM_CHECK_DIGESTS[suite]
 
 
 @pytest.mark.parametrize("p", sorted(SYM_SOLVE_DIGESTS))
@@ -752,29 +788,84 @@ def test_sym_solves_keep_their_bits(p):
     assert hashlib.sha256(repr(outcome).encode()).hexdigest() == SYM_SOLVE_DIGESTS[p]
 
 
-# sha256 of the check reports of all five suites on orthant:8 and spin:10,
-# recorded before the contraction and isometry suites measured through the
-# public batch measure_contraction.
-ORTHANT_SPIN_CHECK_DIGESTS = {
-    ("orthant:8", "axioms"): "452e0bb5989186fae12ca383a0b44827a2f8747685761d6d56a47bcd007aac6f",
-    ("orthant:8", "bounds"): "45d2a37c57754eca83414e83670be936a318b8105afd3a2160d7f00b3efcf0b2",
-    ("orthant:8", "contraction"): "5455132631664354df521150eca48104b00b540907eb2c0852a5e9ef1c9ecd94",
-    ("orthant:8", "isometry"): "2ad3690ddeb18a12e2ab0bb92c343d7953470df1bd8741a4e1c5477a3bfdd561",
-    ("orthant:8", "oracle"): "9252a1cb3db279177aeaf47d6b76b57c56b49672c0d4d657174924894906c34d",
-    ("spin:10", "axioms"): "8e4a60e3c4ce2bf1e52d03ca53b2dd1841875349bd23e0a1a13ffa47d7e3b708",
-    ("spin:10", "bounds"): "ce88f3d36c8f65a4ad3596daee3ce82c99e953a5be0d733e9f957bc5a778c2a3",
-    ("spin:10", "contraction"): "b98d163f471c864edcea1b91061708fed999d9e6b8a72efea37c6f3287fab88c",
-    ("spin:10", "isometry"): "f42049da09c9f3ec8cc443cea7c77017461c77200ca1cb2d6eaab615c3bbe429",
-    ("spin:10", "oracle"): "0ffae82b3046356e8a6375b2282a849e45b8f35c9528826a8a9d335f1af5e9f8",
+# sha256 of the stdout of CLI runs, keyed by (algebra, run).  A check runs
+# with --samples 10 --seed 1; map.json holds the map of `gen --what map`
+# with --seed 2, or 19 for bushell, whose map must be one congruence.  Each
+# was recorded before a change that had to keep it:
+# - the sym:6 axioms, bounds, contraction and oracle checks, whose
+#   distances take eigenvalues only, before the Jacobi rotation kept its
+#   matrix as one flat list;
+# - the orthant:8 and spin:10 checks, before the contraction and isometry
+#   suites measured through the public batch measure_contraction;
+# - the sym:6 isometry check, the isometry checks of a user map and the
+#   solve and bushell reports with the default --tol and --max-iter, which
+#   are echoed into inputs_hash, before the isometry suite drew the words
+#   that go with a user map itself and the CLI took its solve defaults from
+#   SolveConfig.
+REPORT_DIGESTS = {
+    ("orthant:8", "check axioms"): "452e0bb5989186fae12ca383a0b44827a2f8747685761d6d56a47bcd007aac6f",
+    ("orthant:8", "check bounds"): "45d2a37c57754eca83414e83670be936a318b8105afd3a2160d7f00b3efcf0b2",
+    ("orthant:8", "check contraction"): "5455132631664354df521150eca48104b00b540907eb2c0852a5e9ef1c9ecd94",
+    ("orthant:8", "check isometry"): "2ad3690ddeb18a12e2ab0bb92c343d7953470df1bd8741a4e1c5477a3bfdd561",
+    ("orthant:8", "check oracle"): "9252a1cb3db279177aeaf47d6b76b57c56b49672c0d4d657174924894906c34d",
+    ("spin:10", "check axioms"): "8e4a60e3c4ce2bf1e52d03ca53b2dd1841875349bd23e0a1a13ffa47d7e3b708",
+    ("spin:10", "check bounds"): "ce88f3d36c8f65a4ad3596daee3ce82c99e953a5be0d733e9f957bc5a778c2a3",
+    ("spin:10", "check contraction"): "b98d163f471c864edcea1b91061708fed999d9e6b8a72efea37c6f3287fab88c",
+    ("spin:10", "check isometry"): "f42049da09c9f3ec8cc443cea7c77017461c77200ca1cb2d6eaab615c3bbe429",
+    ("spin:10", "check oracle"): "0ffae82b3046356e8a6375b2282a849e45b8f35c9528826a8a9d335f1af5e9f8",
+    ("sym:6", "check axioms"): "2a9ff7df75fafdd5061cd9b37c7dfecb05fa4fb0dfb63ba2b45829b2c59f2297",
+    ("sym:6", "check bounds"): "a694facf44215969414f1117507155698d411840d5b671d2643b694131def482",
+    ("sym:6", "check contraction"): "84953d4161bbc5482966eb3e28f3af161de78331d35f684d8aa5fb349337ddd4",
+    ("sym:6", "check isometry"): "d4e00211b553b78f8793e7c82ca21ab8f8d5b0a5f0a4d730f31ce07d4ac52987",
+    ("sym:6", "check oracle"): "3392015b8f7d1352de5e2cba2b9db9ccee209f737fa4d428f0c9cc7f4cf1e902",
+    ("orthant:8", "check isometry --instance map.json --map gen0"):
+        "4d307ede3132e98b40e563b7e0926083a69340cb0be168668b96f936112e9982",
+    ("spin:10", "check isometry --instance map.json --map gen0"):
+        "9ce323a8e730d650d1fe2f6f188f2db246002d13ed8ad20038d988c155116d7c",
+    ("sym:6", "check isometry --instance map.json --map gen0"):
+        "52cca707e06efb2f47344c6101db22a6d6efa7b22b358988b4ac82110c703eb6",
+    ("sym:6", "solve map.json gen0 --p 2"):
+        "4504b4bdc50da0214bd3fa5be45cf69d32a21fee22dc69cb2e83a7e6871ab143",
+    ("sym:6", "bushell map.json gen0 --k 1"):
+        "9b0b448197e20d48a4be3940f5e4b192eb3f3bf5d3757c672f77163f84cf6a64",
 }
 
 
-@pytest.mark.parametrize("tag, suite", sorted(ORTHANT_SPIN_CHECK_DIGESTS))
-def test_orthant_and_spin_check_reports_keep_their_bits(tag, suite, capsys):
-    assert main(["check", suite, "--algebra", tag, "--samples", "10",
-                 "--seed", "1"]) == 0
+def _assert_report_keeps_its_bits(tag, run, capsys, monkeypatch, tmp_path):
+    """Run one REPORT_DIGESTS entry through cli.main in a fresh working
+    directory, so that the echoed map.json is the same path everywhere."""
+    monkeypatch.chdir(tmp_path)
+    argv = run.split()
+    if argv[0] == "check":
+        argv += ["--algebra", tag, "--samples", "10", "--seed", "1"]
+    if "map.json" in argv:
+        seed = "19" if argv[0] == "bushell" else "2"
+        assert main(["gen", "--algebra", tag, "--what", "map", "--seed", seed]) == 0
+        (tmp_path / "map.json").write_text(capsys.readouterr().out)
+    assert main(argv) == 0
     out = capsys.readouterr().out.encode()
-    assert hashlib.sha256(out).hexdigest() == ORTHANT_SPIN_CHECK_DIGESTS[tag, suite]
+    assert hashlib.sha256(out).hexdigest() == REPORT_DIGESTS[tag, run]
+
+
+# The runs of the table in three tests, one per row of the comment above.
+_SUITE_RUNS = [(tag, run.split()[1]) for tag, run in REPORT_DIGESTS
+               if run.startswith("check") and "map.json" not in run]
+
+
+@pytest.mark.parametrize("suite", [suite for tag, suite in _SUITE_RUNS if tag == "sym:6"])
+def test_sym_check_reports_keep_their_bits(suite, capsys, monkeypatch, tmp_path):
+    _assert_report_keeps_its_bits("sym:6", f"check {suite}", capsys, monkeypatch, tmp_path)
+
+
+@pytest.mark.parametrize("tag, suite", [key for key in _SUITE_RUNS if key[0] != "sym:6"])
+def test_orthant_and_spin_check_reports_keep_their_bits(tag, suite, capsys, monkeypatch,
+                                                       tmp_path):
+    _assert_report_keeps_its_bits(tag, f"check {suite}", capsys, monkeypatch, tmp_path)
+
+
+@pytest.mark.parametrize("tag, run", [key for key in REPORT_DIGESTS if "map.json" in key[1]])
+def test_reports_of_a_user_map_keep_their_bits(tag, run, capsys, monkeypatch, tmp_path):
+    _assert_report_keeps_its_bits(tag, run, capsys, monkeypatch, tmp_path)
 
 
 def test_sym_bushell_keeps_its_bits():
