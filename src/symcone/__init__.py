@@ -15,7 +15,6 @@ from .algebra import (
     det,
     eigenvalues,
     in_cone,
-    inverse,
     lambda_min,
     normalize,
     orthant,

@@ -46,7 +46,7 @@ returns x_next with the bits of the sum over the frame.
 
 The kernel functions that sampling, the metric and the maps of
 ``transforms`` use (``quad``, ``decompose``, ``eigenvalues``,
-``relative_eigenvalues`` and ``random_point``, and ``_power_sum`` and
+``relative_eigenvalues`` and ``random_point``, and ``_frame_sum`` and
 ``_sym_congruence``) take one point or a batch: coordinates with a
 leading batch axis, row i of the result being what the call on point i
 gives, bit for bit.  On orthant and spin one array operation serves the
@@ -54,11 +54,14 @@ whole batch.  Spin takes every row's <a, x> in one stacked matmul, which
 numpy hands row by row to the BLAS dot product that ``np.dot`` calls
 (``_row_dots``), and only ||xbar|| row by row, by ``math.hypot``; its
 random points come from one ``SplitMix64.unit_rows`` call, whose norms
-are such dot products too.  The sym kernel loops over the batch, one
-matrix at a time, so its time and bits are those of single calls.  A sym
-random point, quad or congruence averages its product with its
-transpose, which makes it bitwise symmetric by construction: ingestion
-runs only where coordinates enter an Element.
+are such dot products too.  A sym quad or congruence of a batch is one
+stacked matmul, which numpy hands matrix by matrix to the BLAS call of a
+single product, so each matrix gets the bits of its own call.  The sym
+kernel loops over a batch only for Jacobi and Cholesky, one matrix at a
+time (``_each_matrix``), so their time and bits are those of single
+calls.  A sym random point, quad or congruence averages its product with
+its transpose, which makes it bitwise symmetric by construction:
+ingestion runs only where coordinates enter an Element.
 
 An element holds only its algebra and its coordinates, frozen at
 construction, and every spectrum is computed where it is read: all
@@ -303,17 +306,13 @@ def _frame_sum(weights, frame):
     return (weights * frame).sum(axis=axis, initial=0.0)
 
 
-def _power_sum(eigenvalues, frame, p):
-    """sum_j l_j^p c_j."""
-    return _frame_sum(np.power(eigenvalues, p), frame)
-
-
-def _power_norm(powers) -> float:
-    """Spectral norm of x^p from the powers l_j^p of x's positive, descending
-    eigenvalues, which are monotone in j: no eigensolve."""
-    # The least eigenvalue's power goes first: max() keeps a NaN only as its
-    # first argument, and a NaN eigenvalue sorts last.
-    return float(max(powers[-1], powers[0]))
+def _power_norm(values) -> float:
+    """The larger end of values, which peak at an end: the spectral norm of
+    x^p from the powers l_j^p of x's positive, descending eigenvalues
+    (monotone in j), or that of x from the |l_j|.  No eigensolve."""
+    # The last value goes first: max() keeps a NaN only as its first
+    # argument, and a NaN eigenvalue sorts last.
+    return float(max(values[-1], values[0]))
 
 
 def _require_finite_extremes(high, low) -> None:
@@ -334,23 +333,15 @@ def _orthant_relative_eigenvalues(x, y):
     return _orthant_eigenvalues(x / y)
 
 
-@functools.lru_cache(maxsize=8)
-def _unit_rows(n):
-    """The rows of the n x n identity, read-only: the orthant's Jordan frame."""
-    rows = np.eye(n)
-    rows.flags.writeable = False
-    return rows
-
-
 def _orthant_decompose(x):
+    """The sorted entries, and the rows of the identity in the same order."""
     order = _descending_order(x)
-    eigs = x[order] if x.ndim == 1 else np.take_along_axis(x, order, axis=-1)
-    return eigs, _unit_rows(x.shape[-1])[order]
+    return _orthant_eigenvalues(x, order), np.eye(x.shape[-1])[order]
 
 
-def _orthant_eigenvalues(x):
+def _orthant_eigenvalues(x, order=None):
+    order = _descending_order(x) if order is None else order
     # Plain indexing takes a tenth of take_along_axis's time on one point.
-    order = _descending_order(x)
     return x[order] if x.ndim == 1 else np.take_along_axis(x, order, axis=-1)
 
 
@@ -403,10 +394,11 @@ _ORTHANT_KERNEL = _Kernel(
 
 
 def _each_matrix(fn, *args):
-    """fn, a sym kernel function, over a leading batch axis by a loop: an
-    argument with three axes gives its matrix i to call i, one with two
-    axes goes to every call, and the outputs are stacked (each part of a
-    tuple on its own), so each matrix gets the bits of its own call."""
+    """fn, a sym Jacobi or Cholesky routine, over a leading batch axis by a
+    loop: an argument with three axes gives its matrix i to call i, one
+    with two axes goes to every call, and the outputs are stacked (each
+    part of a tuple on its own), so each matrix gets the bits of its own
+    call."""
     batched = [a.ndim == 3 for a in args]
     count = len(args[batched.index(True)])
     outs = [fn(*(a[i] if b else a for a, b in zip(args, batched))) for i in range(count)]
@@ -427,18 +419,19 @@ def _sym_ingest(x):
 
 
 def _sym_quad(a, x):
-    if a.ndim == 3 or x.ndim == 3:
-        return _each_matrix(_sym_quad, a, x)
+    """a x a, averaged with its transpose so that it is bitwise symmetric;
+    a and x are each one matrix or a batch, one stacked product in all
+    (numpy hands each matrix of the stack to the BLAS call it makes on
+    that matrix alone, so each gets the bits of its own product)."""
     m = a @ x @ a
-    return (m + m.T) / 2.0
+    return (m + m.swapaxes(-1, -2)) / 2.0
 
 
 def _sym_congruence(v, x):
-    """v^T x v, averaged with its transpose so that it is bitwise symmetric."""
-    if v.ndim == 3 or x.ndim == 3:
-        return _each_matrix(_sym_congruence, v, x)
-    m = v.T @ x @ v
-    return (m + m.T) / 2.0
+    """v^T x v, averaged with its transpose, on one matrix or a batch as
+    _sym_quad takes them."""
+    m = v.swapaxes(-1, -2) @ x @ v
+    return (m + m.swapaxes(-1, -2)) / 2.0
 
 
 def _sym_eigenpairs(m, start=None):
@@ -685,7 +678,7 @@ def _spin_relative_eigenvalues(x, y):
     y_eigs, y_norm = _spin_spectrum(y)
     ok = (y_eigs.T[-1] > 0.0) & np.isfinite(x).all(axis=-1)
     if _every(ok):
-        a = _power_sum(y_eigs, _spin_frame(y, y_norm), -0.5)
+        a = _frame_sum(np.power(y_eigs, -0.5), _spin_frame(y, y_norm))
         return _spin_eigenvalues(_spin_quad(a, x))
     unit = _spin_identity(x.shape[-1])
     rel = _spin_relative_eigenvalues(
@@ -843,15 +836,11 @@ class Element:
     __rmul__ = __mul__
 
 
-def _is_nonneg_integer(p: float) -> bool:
-    return p >= 0 and float(p).is_integer()
-
-
 def _require_power_domain(eigenvalues: np.ndarray, p: float) -> None:
     """NotInCone unless x^p is defined on these descending eigenvalues, of
     one point or of each point of a batch: any for non-negative integer p
     (polynomial calculus), else positive ones."""
-    if _is_nonneg_integer(p):
+    if p >= 0 and float(p).is_integer():
         return
     # A NaN eigenvalue is not refused here.
     if eigenvalues.ndim == 1:
@@ -944,8 +933,9 @@ def power(x: Element, p: float) -> Element:
     """Spectral power x^p = sum l_j^p c_j.
 
     Any element is accepted for non-negative integer p (polynomial
-    calculus); otherwise x must lie in the open cone.  A finite eigenvalue
-    whose power is beyond the float range raises EigenvalueOverflow.
+    calculus); otherwise x must lie in the open cone.  An infinite
+    eigenvalue, or one whose power is beyond the float range, raises
+    EigenvalueOverflow.
     """
     p = float(p)
     if p == 1.0:
@@ -956,8 +946,8 @@ def power(x: Element, p: float) -> Element:
 def _power_coords(descriptor: AlgebraDescriptor, coords: np.ndarray, p: float) -> np.ndarray:
     """x^p on the raw coordinates of one point or a batch, as ``power``
     computes it: x itself for p = 1 and the unit element for p = 0, with
-    no decomposition; EigenvalueOverflow where a finite eigenvalue's power
-    is beyond the float range."""
+    no decomposition; EigenvalueOverflow where an eigenvalue or its power
+    is infinite."""
     p = float(p)
     if p == 1.0:
         return coords
@@ -968,20 +958,14 @@ def _power_coords(descriptor: AlgebraDescriptor, coords: np.ndarray, p: float) -
     _require_power_domain(eigs, p)
     with np.errstate(over="ignore"):  # an overflow is refused before the sum
         powers = np.power(eigs, p)
-    # The frame sum would give inf * 0 = NaN; a NaN or infinite eigenvalue
-    # goes through as it is.
-    overflow = np.isinf(powers) & np.isfinite(eigs)
+    # The frame sum would give inf * 0 = NaN; a NaN eigenvalue goes through
+    # as it is.
+    overflow = np.isinf(powers) | np.isinf(eigs)
     if overflow.any():
+        eig = np.extract(overflow, eigs)[0]
         raise EigenvalueOverflow(
-            f"x^({p:g}) overflows: the eigenvalue "
-            f"{np.extract(overflow, eigs)[0]:.6g} has a power beyond the float "
-            f"range")
+            f"x^({p:g}) overflows: the eigenvalue {eig:.6g} or its power is not finite")
     return _frame_sum(powers, frame)
-
-
-def inverse(x: Element) -> Element:
-    """x^{-1}; requires x in the open cone."""
-    return power(x, -1.0)
 
 
 def det(x: Element) -> float:
@@ -996,10 +980,7 @@ def tr(x: Element) -> float:
 
 def spectral_norm(x: Element) -> float:
     """max_j |l_j|."""
-    eigs = eigenvalues(x)
-    # The least eigenvalue goes first: max() keeps a NaN only as its first
-    # argument, and a NaN eigenvalue sorts last.
-    return float(max(abs(eigs[-1]), abs(eigs[0])))
+    return _power_norm(np.abs(eigenvalues(x)))
 
 
 def in_cone(x: Element) -> bool:

@@ -27,8 +27,9 @@ naming the iterate outside the cone if one is, else the step.  A g(x_k)
 with an infinite or NaN entry or extreme eigenvalue has overflowed: the
 step raises OverflowError, and the solve NonConvergence naming the
 iteration, with no partial report.  An initial point with a non-finite
-coordinate, or whose least eigenvalue underflows to 0 when it is scaled
-to spectral norm 1, raises NotInCone before the loop.  Elements are
+coordinate, whose largest eigenvalue overflows, or whose least
+eigenvalue underflows to 0 when it is scaled to spectral norm 1, raises
+NotInCone before the loop.  Elements are
 built for the initial point, the fixed direction u and the solution, and
 to name an iterate that leaves the cone.
 
@@ -167,8 +168,9 @@ def solve(g: AutomorphismWord, cfg: SolveConfig) -> SolveReport:
     NotInCone if an iterate escapes the cone, which signals that g does not
     actually preserve it, or if the spectrum of a step is not positive
     although both iterates are in it.  The initial point must lie in the
-    open cone with finite coordinates, and keep a positive least
-    eigenvalue when scaled to spectral norm 1, else NotInCone names it.
+    open cone with finite coordinates and a finite largest eigenvalue, and
+    keep a positive least eigenvalue when scaled to spectral norm 1, else
+    NotInCone names it.
     """
     p = cfg.p
     x = cfg.initial if cfg.initial is not None else g.algebra.identity()
@@ -181,6 +183,9 @@ def solve(g: AutomorphismWord, cfg: SolveConfig) -> SolveReport:
     eigs = algebra.eigenvalues(x)
     if not eigs[-1] > 0.0:
         raise NotInCone("initial point is not in the open cone")
+    if not math.isfinite(eigs[0]):
+        raise NotInCone("initial point cannot be scaled to spectral norm 1: its largest "
+                        "eigenvalue overflows the float range")
     scale = 1.0 / _power_norm(eigs)
     if not eigs[-1] * scale > 0.0:
         raise NotInCone(

@@ -7,8 +7,8 @@ x -> t' x t on symmetric matrices, coordinate permutations on the
 orthant).  A raw dim x dim matrix carries no certificate that it fixes
 the cone; a word always does.
 
-The power maps x -> x^p (``algebra.power``) and the inversion x -> x^{-1}
-(``algebra.inverse``) are the nonlinear maps of interest: powers with
+The power maps x -> x^p (``algebra.power``), the inversion x -> x^{-1}
+among them, are the nonlinear maps of interest: powers with
 |p| <= 1 shrink the Hilbert metric by the factor |p|, inversion and every
 word preserve it.  ``measure_contraction`` measures both facts
 empirically over seeded random pairs.  It draws every point first, in the

@@ -225,9 +225,9 @@ def warm_decompose(x, basis):
 def element_loop_solve(g, cfg):
     """Reference solve: the Banach loop on Elements, through the public
     decomposition, quad and eigenvalues, with powers taken on the
-    decomposition's frame (``_require_power_domain``, then ``_power_sum``)
-    and the word applied by ``element_apply``; the rescaling after the loop
-    is the solver's own.
+    decomposition's frame (``_require_power_domain``, then ``_frame_sum``
+    of the powers) and the word applied by ``element_apply``; the rescaling
+    after the loop is the solver's own.
 
     On orthant and spin, the step is log(l_max / l_min) of
     P(x_next^(-1/2)) x, with x_next^(-1/2) built on the frame of g(x) from
@@ -256,7 +256,7 @@ def element_loop_solve(g, cfg):
                 "an iterate left the open cone: the supplied map does not "
                 "preserve it") from exc
         root = sc.Element(
-            g.algebra, algebra._power_sum(dec.eigenvalues, dec.frame_coords, 1.0 / p))
+            g.algebra, algebra._frame_sum(np.power(dec.eigenvalues, 1.0 / p), dec.frame_coords))
         scale = 1.0 / solver._power_norm(np.power(dec.eigenvalues, 1.0 / p))
         x_next = root * scale
         if x_next.coords.tobytes() == x.coords.tobytes():
@@ -270,7 +270,7 @@ def element_loop_solve(g, cfg):
             else:
                 algebra._require_power_domain(mu, -0.5)
                 x_next_root = sc.Element(
-                    g.algebra, algebra._power_sum(mu, dec.frame_coords, -0.5))
+                    g.algebra, algebra._frame_sum(np.power(mu, -0.5), dec.frame_coords))
                 rel = algebra.eigenvalues(algebra.quad(x_next_root, x))
             if not rel[-1] > 0.0:
                 metric.lambda_extremes(x, x_next)
@@ -330,7 +330,7 @@ def inverse_word(word):
         if isinstance(f, sc.Scalar):
             inv.append(sc.Scalar(1.0 / f.mu))
         elif isinstance(f, sc.Quad):
-            inv.append(sc.Quad(sc.inverse(f.a)))
+            inv.append(sc.Quad(sc.power(f.a, -1.0)))
         elif isinstance(f, sc.Congruence):
             inv.append(sc.Congruence(np.linalg.inv(f.t)))
         else:

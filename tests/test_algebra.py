@@ -522,7 +522,7 @@ def test_orthant_power_keeps_the_frame_loop_bits():
 
 
 def test_orthant_and_spin_frames_keep_the_bits_of_their_first_construction():
-    # The orthant frame indexes a cached identity and the spin frame is
+    # The orthant frame indexes the identity and the spin frame is
     # written into one array; both against the np.eye and concatenate
     # constructions they replaced, with ties, signed zeros and NaN.
     rng = SplitMix64(45)
@@ -535,7 +535,6 @@ def test_orthant_and_spin_frames_keep_the_bits_of_their_first_construction():
         assert eigs.tobytes() == x[order].tobytes()
         assert frame.tobytes() == np.eye(x.shape[0])[order].tobytes()
         assert frame.flags.writeable
-    assert not algebra._unit_rows(9).flags.writeable
     for x in ([2.0, 0.0, -0.0, 0.0], [1.0, math.nan, 0.5], [-0.0, 0.0],
               rng.normals(10), 1e-300 * rng.normals(5)):
         x = np.asarray(x, dtype=float)
@@ -558,11 +557,11 @@ def test_sym_power_vs_eigh_functional_calculus():
 
 
 def test_inverse():
-    np.testing.assert_allclose(sc.inverse(el(O2, [2, 4])).coords, [0.5, 0.25],
+    np.testing.assert_allclose(sc.power(el(O2, [2, 4]), -1.0).coords, [0.5, 0.25],
                                atol=1e-15)
-    np.testing.assert_allclose(sc.inverse(P3.identity()).coords, [1, 0, 0],
+    np.testing.assert_allclose(sc.power(P3.identity(), -1.0).coords, [1, 0, 0],
                                atol=1e-15)
-    np.testing.assert_allclose(sc.inverse(el(P3, [2, 1, 0])).coords,
+    np.testing.assert_allclose(sc.power(el(P3, [2, 1, 0]), -1.0).coords,
                                [2 / 3, -1 / 3, 0], atol=1e-14)
 
 
@@ -581,6 +580,20 @@ def test_power_names_an_eigenvalue_whose_power_overflows(x, p):
             sc.power(x, p)
 
 
+@pytest.mark.parametrize("p", [2.0, 0.5, -1.0])
+@pytest.mark.parametrize("x", [el(O2, [math.inf, 1.0]), el(P3, [math.inf, 0.0, 0.0]),
+                               el(P3, [math.inf, 1.0, 0.0])],
+                         ids=["orthant", "spin-zero-xbar", "spin"])
+def test_power_names_an_infinite_eigenvalue(x, p):
+    # At p = 2 and 0.5 the frame sum gave NaN coordinates with "invalid
+    # value encountered in multiply"; at p = -1 a boundary point or zero.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EigenvalueOverflow, match=rf"x\^\({p:g}\) overflows: the "
+                                                     r"eigenvalue inf "):
+            sc.power(x, p)
+
+
 def test_power_of_a_nan_eigenvalue_is_nan():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -591,7 +604,7 @@ def test_inverse_involution(small_algebra):
     rng = SplitMix64(47)
     for _ in range(50):
         x = random_cone_element(small_algebra, rng)
-        assert sc.spectral_norm(sc.inverse(sc.inverse(x)) - x) <= 1e-10 * (
+        assert sc.spectral_norm(sc.power(sc.power(x, -1.0), -1.0) - x) <= 1e-10 * (
             1 + sc.spectral_norm(x))
 
 
@@ -692,7 +705,7 @@ def test_edge_ranks():
     np.testing.assert_allclose(dec.eigenvalues, [4, 2], atol=0)
     recon = el(p2, algebra._frame_sum(dec.eigenvalues, dec.frame_coords))
     assert sc.spectral_norm(recon - x) <= 1e-14
-    np.testing.assert_allclose(sc.inverse(x).coords, [3 / 8, -1 / 8],
+    np.testing.assert_allclose(sc.power(x, -1.0).coords, [3 / 8, -1 / 8],
                                atol=1e-15)
     s1 = sc.sym_matrix(1)
     y = el(s1, [[4.0]])
@@ -924,8 +937,8 @@ def test_kernel_batch_rows_equal_single_calls(descriptor):
         eigs, frame = kernel.decompose(xs)
         weights = np.abs(eigs) + 1.0  # some rows have a zero eigenvalue
         for p in (3.0, 0.5, -1.0):
-            _assert_rows(algebra._power_sum(weights, frame, p),
-                         [algebra._power_sum(w, f, p) for w, f in zip(weights, frame)])
+            _assert_rows(algebra._frame_sum(np.power(weights, p), frame),
+                         [algebra._frame_sum(np.power(w, p), f) for w, f in zip(weights, frame)])
         _assert_rows(kernel.quad(xs[0], ys), [kernel.quad(xs[0], y) for y in ys])
         _assert_rows(kernel.quad(xs, ys), [kernel.quad(x, y) for x, y in zip(xs, ys)])
         if descriptor.kind == algebra.SYM:
@@ -934,6 +947,50 @@ def test_kernel_batch_rows_equal_single_calls(descriptor):
             _assert_rows(congruence(ys, xs), [congruence(y, x) for x, y in zip(xs, ys)])
     # The pair (x infinite, y = -e) reads NaN; the random pairs do not.
     assert np.isnan(rel[-2]).all() and not np.isnan(rel[1:6]).any()
+
+
+def _quad_per_matrix(a, x):
+    m = a @ x @ a
+    return (m + m.T) / 2.0
+
+
+def _congruence_per_matrix(v, x):
+    m = v.T @ x @ v
+    return (m + m.T) / 2.0
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 6, 9, 12, 20])
+def test_stacked_sym_products_equal_per_matrix_products(r):
+    # A batch of sym quads or congruences is one stacked product; each of
+    # its matrices must have the bits of the product of that matrix alone,
+    # C-contiguous as a stack of those products is.  One factor for every
+    # matrix, a factor per matrix, and the rows of measure_contraction:
+    # pairs picked by a list of indices, then flattened.
+    kernel = sc.sym_matrix(r).kernel
+    rng = SplitMix64(700 + r)
+    points = kernel.random_point(r, rng, 0.1, 10.0, (80,))
+    t = rng.normal_matrix(r, r)
+    for n in (1, 2, 7, 40):
+        xs, ys = points[:n], points[40:40 + n]
+        measured = [i for i in range(n) if i % 3 != 1]
+        rows = points[:2 * n].reshape(n, 2, r, r)[measured].reshape(-1, r, r)
+        cases = [
+            (algebra._sym_quad(xs[0], ys), [_quad_per_matrix(xs[0], y) for y in ys]),
+            (algebra._sym_quad(xs, ys[0]), [_quad_per_matrix(x, ys[0]) for x in xs]),
+            (algebra._sym_quad(xs, ys), [_quad_per_matrix(x, y) for x, y in zip(xs, ys)]),
+            (algebra._sym_quad(ys[0], rows), [_quad_per_matrix(ys[0], x) for x in rows]),
+            (algebra._sym_congruence(t, xs), [_congruence_per_matrix(t, x) for x in xs]),
+            (algebra._sym_congruence(ys, xs),
+             [_congruence_per_matrix(y, x) for x, y in zip(xs, ys)]),
+            (algebra._sym_congruence(t, rows), [_congruence_per_matrix(t, x) for x in rows]),
+        ]
+        for batch, singles in cases:
+            assert batch.flags.c_contiguous
+            _assert_rows(batch, singles)
+        assert algebra._sym_quad(xs[0], ys[0]).tobytes() == _quad_per_matrix(
+            xs[0], ys[0]).tobytes()
+        assert algebra._sym_congruence(t, xs[0]).tobytes() == _congruence_per_matrix(
+            t, xs[0]).tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 10, 17])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -178,6 +179,38 @@ def test_solve_names_an_initial_point_whose_scaling_underflows(capsys, tmp_path)
     assert "does not preserve it" not in err
 
 
+def test_solve_names_an_initial_point_whose_largest_eigenvalue_overflows(capsys, tmp_path):
+    # Its coordinates are finite, but x0 + ||xbar|| is not: the error said
+    # that the least eigenvalue 5e+307 underflows at the scale 1/inf.
+    data = {
+        "algebra": {"kind": "spin", "param": 3},
+        "elements": {"x": [1.5e308, 1e308, 0.0]},
+        "maps": {"g": [{"type": "scalar", "payload": 2.0}]},
+    }
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "solve", str(path), "g", "--p", "2", "--initial", "x")
+    assert code == 3
+    assert out == ""
+    assert "its largest eigenvalue overflows the float range" in err
+    assert "underflows" not in err
+
+
+def test_solve_residual_gate_exit_4_with_the_partial_report(capsys, tmp_path):
+    # One exact step converges, but the residual 1.160e-16 is above
+    # 100 * tol.
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"algebra": {"kind": "orthant", "param": 2},
+                                "maps": {"g": [{"type": "scalar", "payload": 2.0}]}}))
+    code, out, err = run(capsys, "solve", str(path), "g", "--p", "3", "--tol", "1e-19")
+    assert code == 4
+    assert ("solve did not converge: iteration converged but the residual "
+            "1.160e-16 exceeds 1.000e-17") in err
+    rep = json.loads(out)
+    assert (rep["iterations"], rep["converged"]) == (1, False)
+    assert rep["distance_trace"] == [0.0]
+
+
 def test_bushell(capsys, sym_instance):
     code, out, _ = run(capsys, "bushell", sym_instance, "t", "--k", "1",
                        "--tol", "1e-14")
@@ -236,6 +269,20 @@ def test_bushell_solves_a_large_well_conditioned_t(capsys, tmp_path):
     assert rep["converged"] is True and rep["iterations"] == 41
 
 
+def test_bushell_report_on_a_large_t_keeps_its_bits(capsys, monkeypatch, tmp_path):
+    # The t above; the report's sha256 was recorded before the sym quads
+    # and congruences of a batch became one stacked product.
+    monkeypatch.chdir(tmp_path)
+    t = 100.0 * SplitMix64(126).normal_matrix(4, 4)
+    pathlib.Path("bushell.json").write_text(json.dumps({
+        "algebra": {"kind": "sym", "param": 4},
+        "maps": {"t": [{"type": "congruence", "payload": t.tolist()}]}}))
+    code, out, err = run(capsys, "bushell", "bushell.json", "t")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "509e9f71c4b6df7d74b0a61a2011f9733ac1d157520f6077f573fe0fb5563810")
+
+
 def test_bushell_partial_report_carries_k_and_p(capsys, sym_instance):
     code, out, err = run(capsys, "bushell", sym_instance, "t", "--k", "2",
                          "--max-iter", "1")
@@ -260,6 +307,43 @@ def test_bad_json_exit_2(capsys, tmp_path):
     path.write_text("{not json")
     code, _, err = run(capsys, "metric", str(path), "x", "y")
     assert code == 2
+
+
+_O2 = {"kind": "orthant", "param": 2}
+_SOLVE = ["solve", "{path}", "g", "--p", "2"]
+
+
+@pytest.mark.parametrize("data, argv, message", [
+    ({"maps": {}}, _SOLVE, "missing key(s) ['algebra']"),
+    ({"algebra": []}, _SOLVE, "algebra must be an object"),
+    (None, ["check", "axioms", "--algebra", "sym", "--samples", "1"],
+     "cannot parse algebra 'sym': expected kind:param"),
+    ({"algebra": _O2, "elements": {"x": [10 ** 400, 1]}}, ["metric", "{path}", "x", "x"],
+     "elements[x]: coordinates are not numeric"),
+    ({"algebra": _O2, "maps": {"g": [5]}}, _SOLVE, "maps[g][0]: generator must be an object"),
+    ({"algebra": _O2, "maps": {"g": [{"type": "permutation", "payload": 5}]}}, _SOLVE,
+     "maps[g][0]: bad payload"),
+    ({"algebra": _O2, "maps": {"g": {}}}, _SOLVE, "maps[g]: a map must be a list"),
+    ({"algebra": _O2, "maps": {}}, _SOLVE, "no map named 'g'"),
+    (None, _SOLVE, "cannot read"),
+    ([], _SOLVE, "top level must be an object"),
+    ({"algebra": _O2, "maps": {"t": [{"type": "scalar", "payload": 2.0}]}},
+     ["bushell", "{path}", "t"], "bushell needs a sym algebra instance"),
+    ({"algebra": _O2, "maps": {"g": []}},
+     ["check", "isometry", "--algebra", "orthant:3", "--instance", "{path}", "--map", "g",
+      "--samples", "1"], "instance algebra does not match --algebra"),
+], ids=["no-algebra", "algebra-list", "algebra-flag-without-param", "huge-integer",
+        "generator-not-object", "permutation-payload", "map-not-list", "unknown-map",
+        "unreadable-path", "top-level-list", "bushell-on-orthant", "instance-algebra-mismatch"])
+def test_malformed_input_exit_2(capsys, tmp_path, data, argv, message):
+    # A missing file stands for an unreadable path.
+    path = tmp_path / "instance.json"
+    if data is not None:
+        path.write_text(json.dumps(data))
+    code, out, err = run(capsys, *[arg.format(path=path) for arg in argv])
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 def test_unknown_top_level_key(capsys, tmp_path):

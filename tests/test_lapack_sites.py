@@ -27,8 +27,9 @@ ALLOWED = {
     ("algebra", "_SYM_KERNEL", "@"): "sym Jordan product (xy + yx) / 2",
     ("algebra", "_SPIN_KERNEL", "np.dot"): "spin trace form 2 <x, y>",
     ("algebra", "_lower_solve", "@"): "forward substitution: row of L times the solved prefix",
-    ("algebra", "_sym_quad", "@"): "closed-form P(a)x = a x a on sym",
-    ("algebra", "_sym_congruence", "@"): "congruence t^T x t, and V^T x V onto a carried basis V",
+    ("algebra", "_sym_quad", "@"): "closed-form P(a)x = a x a on sym, one stacked product per batch",
+    ("algebra", "_sym_congruence", "@"): ("congruence t^T x t, and V^T x V onto a carried basis V, "
+                                          "one stacked product per batch"),
     ("algebra", "_sym_random_point", "@"): "random sym point q diag(l) q^T",
     ("algebra", "_spin_product", "np.dot"): "head <x, y> of the spin product",
     ("algebra", "_spin_quad", "np.dot"): "<a, x> of one point's closed-form spin P(a)x",

@@ -133,6 +133,30 @@ def test_solve_names_an_initial_point_whose_scaling_underflows(descriptor, coord
             sc.solve(g, sc.SolveConfig(p=2.0, initial=el(descriptor, coords)))
 
 
+def test_solve_names_an_initial_point_whose_largest_eigenvalue_overflows():
+    # Its coordinates are finite, but x0 + ||xbar|| is not; the error said
+    # that the least eigenvalue 5e+307 underflows to 0 at the scale 1/inf.
+    g = sc.AutomorphismWord(sc.spin_factor(3), (sc.Scalar(2.0),))
+    x0 = el(sc.spin_factor(3), [1.5e308, 1e308, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotInCone, match="initial point cannot be scaled to spectral "
+                                            "norm 1: its largest eigenvalue overflows"):
+            sc.solve(g, sc.SolveConfig(p=2.0, initial=x0))
+
+
+def test_a_converged_iteration_with_a_large_residual_does_not_converge():
+    # One exact step (0.0), then a residual of 1.160e-16 above 100 * tol.
+    g = sc.AutomorphismWord(O2, (sc.Scalar(2.0),))
+    with pytest.raises(NonConvergence) as info:
+        sc.solve(g, sc.SolveConfig(p=3.0, tol=1e-19))
+    assert str(info.value) == ("iteration converged but the residual 1.160e-16 "
+                               "exceeds 1.000e-17")
+    rep = info.value.report
+    assert (rep.iterations, rep.distance_trace, rep.converged) == (1, (0.0,), False)
+    assert rep.residual > 1e2 * 1e-19
+
+
 # sha256 of the solves below, recorded before solve checked its initial
 # point for non-finite coordinates and for a scaling that underflows.
 WELL_SCALED_INITIAL_DIGEST = "db45346868ae195ff21c6a5d727cf1e4c52cce03fc64ad8b9f7ba2f9abaa6e7d"
@@ -801,7 +825,11 @@ def test_sym_solves_keep_their_bits(p):
 #   solve and bushell reports with the default --tol and --max-iter, which
 #   are echoed into inputs_hash, before the isometry suite drew the words
 #   that go with a user map itself and the CLI took its solve defaults from
-#   SolveConfig.
+#   SolveConfig;
+# - the spin:2 contraction check and the solves at p = -2 on sym:6 and at
+#   p = +-2 on orthant:8 and spin:10, before the sym quads and congruences
+#   of a batch became one stacked product and x^p lost its extra entry
+#   points.
 REPORT_DIGESTS = {
     ("orthant:8", "check axioms"): "452e0bb5989186fae12ca383a0b44827a2f8747685761d6d56a47bcd007aac6f",
     ("orthant:8", "check bounds"): "45d2a37c57754eca83414e83670be936a318b8105afd3a2160d7f00b3efcf0b2",
@@ -828,6 +856,17 @@ REPORT_DIGESTS = {
         "4504b4bdc50da0214bd3fa5be45cf69d32a21fee22dc69cb2e83a7e6871ab143",
     ("sym:6", "bushell map.json gen0 --k 1"):
         "9b0b448197e20d48a4be3940f5e4b192eb3f3bf5d3757c672f77163f84cf6a64",
+    ("spin:2", "check contraction"): "e564b9bc1702c10e7ee0956db4d0cc6ef9206cedc266d7ae62f2efa1a9675e71",
+    ("sym:6", "solve map.json gen0 --p=-2"):
+        "e59c47c5524fac2089d3a267f9a020adc6ea3110a367740d03bbd8b466c03b3d",
+    ("orthant:8", "solve map.json gen0 --p 2"):
+        "02d9464676bbcacd169505d4509c19303f1fece49d710e252ee7008bc7b630aa",
+    ("orthant:8", "solve map.json gen0 --p=-2"):
+        "f0b39697553196ef49b15a802136f2153c8ace28d1071743fb705a5ceb33a3de",
+    ("spin:10", "solve map.json gen0 --p 2"):
+        "fa8379b92e20fec043ae88e21872c2023c9e62ff37c331349f4638f83ecbd766",
+    ("spin:10", "solve map.json gen0 --p=-2"):
+        "40d47e158c3ee3bcc3298f58727abf75869b628c7c18d5cee8a6da35407db20f",
 }
 
 
@@ -847,7 +886,8 @@ def _assert_report_keeps_its_bits(tag, run, capsys, monkeypatch, tmp_path):
     assert hashlib.sha256(out).hexdigest() == REPORT_DIGESTS[tag, run]
 
 
-# The runs of the table in three tests, one per row of the comment above.
+# The runs of the table in three tests: the sym:6 checks, the other checks
+# and the runs on a map.json.
 _SUITE_RUNS = [(tag, run.split()[1]) for tag, run in REPORT_DIGESTS
                if run.startswith("check") and "map.json" not in run]
 
