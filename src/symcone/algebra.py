@@ -49,19 +49,23 @@ The kernel functions that sampling, the metric and the maps of
 ``relative_eigenvalues`` and ``random_point``, and ``_frame_sum`` and
 ``_sym_congruence``) take one point or a batch: coordinates with a
 leading batch axis, row i of the result being what the call on point i
-gives, bit for bit.  On orthant and spin one array operation serves the
-whole batch.  Spin takes every row's <a, x> in one stacked matmul, which
-numpy hands row by row to the BLAS dot product that ``np.dot`` calls
-(``_row_dots``), and only ||xbar|| row by row, by ``math.hypot``; its
-random points come from one ``SplitMix64.unit_rows`` call, whose norms
-are such dot products too.  A sym quad or congruence of a batch is one
-stacked matmul, which numpy hands matrix by matrix to the BLAS call of a
-single product, so each matrix gets the bits of its own call.  The sym
-kernel loops over a batch only for Jacobi and Cholesky, one matrix at a
-time (``_each_matrix``), so their time and bits are those of single
-calls.  A sym random point, quad or congruence averages its product with
-its transpose, which makes it bitwise symmetric by construction:
-ingestion runs only where coordinates enter an Element.
+gives, bit for bit.  A call on two points takes two batches of one
+length, except that the factor a of a quad or congruence may be one
+point that serves every row.  On orthant and spin one array operation
+serves the whole batch.  Spin takes every row's <a, x> in one stacked
+matmul, which numpy hands row by row to the BLAS dot product that
+``np.dot`` calls (``_row_dots``), and only ||xbar|| row by row, by
+``math.hypot``; its random points come from one ``SplitMix64.unit_rows``
+call, whose norms are such dot products too.  A sym quad or congruence
+of a batch is one stacked matmul, which numpy hands matrix by matrix to
+the BLAS call of a single product, so each matrix gets the bits of its
+own call.  The sym kernel loops over a batch only for Jacobi and
+Cholesky, one matrix at a time (``_each_matrix``), so their time and
+bits are those of single calls.  A sym random point, quad or congruence
+averages its product with its transpose, which makes it bitwise
+symmetric by construction: ingestion runs only where coordinates enter
+an Element.  The averaging has one cost: a product with entries above
+about 8.9e307 reads inf.
 
 An element holds only its algebra and its coordinates, frozen at
 construction, and every spectrum is computed where it is read: all
@@ -72,6 +76,7 @@ concurrently.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 import operator
@@ -244,8 +249,9 @@ class _Kernel(NamedTuple):
     eigenvalues: Callable  # coords -> eigenvalues descending
     tr: Callable
     # (x, y) -> eigenvalues of P(y^{-1/2})x descending, all NaN when y is
-    # not in the open cone or an entry of x (on sym also of y) is not
-    # finite; x is in the cone iff the least eigenvalue is > 0.
+    # not in the open cone, an entry of x (on sym also of y) is not finite
+    # or x's largest eigenvalue overflows (on sym: where P(y^{-1/2})x gets
+    # an infinite entry); x is in the cone iff the least is > 0.
     relative_eigenvalues: Callable
     # (gx, x, e, basis) -> (x_next, extremes, basis): one Banach step of the
     # solver from x, given gx = g(x).  x_next = gx^e / |gx^e|; extremes are
@@ -254,7 +260,10 @@ class _Kernel(NamedTuple):
     # for byte; basis is what the next step starts from (sym's eigenvector
     # columns, else None).  OverflowError when gx has overflowed (an
     # infinite or NaN entry or extreme eigenvalue), then
-    # _require_power_domain's NotInCone when gx is outside the open cone.
+    # _require_power_domain's NotInCone when gx is outside the open cone,
+    # then OverflowError when the root scale |gx^e| leaves the float range
+    # or P(x_next^{-1/2})x overflows (where a root underflows to 0 beside
+    # the scale, for one; the caller ignores numpy's divide warning).
     fixed_point_step: Callable
     # (param, rng, lo, hi, shape=()) -> interior coords of shape
     # shape + coord_shape, the points drawn one after another.
@@ -315,13 +324,24 @@ def _power_norm(values) -> float:
     return float(max(values[-1], values[0]))
 
 
-def _require_finite_extremes(high, low) -> None:
-    """OverflowError unless the extreme eigenvalues of g(x) in a fixed-point
-    step are both finite: g(x) has overflowed, or made a NaN of an inf."""
+def _require_finite_extremes(high, low, name="g(x)") -> None:
+    """OverflowError unless the extreme eigenvalues of g(x), or of the step's
+    P(x_next^{-1/2})x, in a fixed-point step are both finite: it has
+    overflowed, or made a NaN of an inf."""
     if not (math.isfinite(high) and math.isfinite(low)):
         raise OverflowError(
-            f"g(x) overflows: its extreme eigenvalues {float(high):.6g} and "
+            f"{name} overflows: its extreme eigenvalues {float(high):.6g} and "
             f"{float(low):.6g} are not both finite")
+
+
+def _require_root_scale(scale) -> None:
+    """OverflowError unless the scale 1 / |g(x)^e| of x_next = g(x)^e /
+    |g(x)^e| in a fixed-point step is positive and finite: the root scale
+    |g(x)^e| has left the float range."""
+    if not 0.0 < scale < math.inf:
+        raise OverflowError(
+            f"x_next = g(x)^(1/p) / |g(x)^(1/p)| leaves the float range: "
+            f"1 / |g(x)^(1/p)| is {scale:.6g}")
 
 
 def _orthant_relative_eigenvalues(x, y):
@@ -357,12 +377,16 @@ def _orthant_fixed_point_step(gx, x, e, basis=None):
     _require_finite_extremes(gx[high], gx[low])
     _require_power_domain(gx[low:low + 1], e)
     roots = np.power(gx, e)
-    x_next = roots * (1.0 / _power_norm((roots[low], roots[high])))
+    scale = 1.0 / _power_norm((roots[low], roots[high]))
+    _require_root_scale(scale)
+    x_next = roots * scale
     if x_next.tobytes() == x.tobytes():
         return x_next, None, None
     a = np.power(x_next, -0.5)
     rel = _orthant_quad(a, x)
-    return x_next, (float(rel[rel.argmax()]), float(rel[rel.argmin()])), None
+    rel_max, rel_min = float(rel[rel.argmax()]), float(rel[rel.argmin()])
+    _require_finite_extremes(rel_max, rel_min, "P(x_next^(-1/2))x")
+    return x_next, (rel_max, rel_min), None
 
 
 def _orthant_random_point(n, rng, lo, hi, shape=()):
@@ -395,13 +419,10 @@ _ORTHANT_KERNEL = _Kernel(
 
 def _each_matrix(fn, *args):
     """fn, a sym Jacobi or Cholesky routine, over a leading batch axis by a
-    loop: an argument with three axes gives its matrix i to call i, one
-    with two axes goes to every call, and the outputs are stacked (each
-    part of a tuple on its own), so each matrix gets the bits of its own
-    call."""
-    batched = [a.ndim == 3 for a in args]
-    count = len(args[batched.index(True)])
-    outs = [fn(*(a[i] if b else a for a, b in zip(args, batched))) for i in range(count)]
+    loop: call i takes matrix i of every argument, and the outputs are
+    stacked (each part of a tuple on its own), so each matrix gets the
+    bits of its own call."""
+    outs = [fn(*(a[i] for a in args)) for i in range(len(args[0]))]
     if isinstance(outs[0], tuple):
         return tuple(np.array(part) for part in zip(*outs))
     return np.array(outs)
@@ -457,13 +478,19 @@ def _sym_eigenvalues(x):
     return diag[_descending_order(diag)]
 
 
-def _sym_relative_on_frame(x, mu, basis):
-    """The spectrum of D^{-1/2} (V^T x V) D^{-1/2}, with D = diag(mu) and V
-    the basis, to which P(y^{-1/2})x = V D^{-1/2} V^T x V D^{-1/2} V^T is
-    orthogonally similar.  The scaling multiplies each entry by the
-    product d_i d_j, so that the matrix stays bitwise symmetric."""
-    d = np.power(mu, -0.5)
-    return _sym_eigenvalues(_sym_congruence(basis, x) * (d[:, None] * d[None, :]))
+def _sym_step_eigensolve(name, solve, m, *args):
+    """solve(m, *args), a Jacobi of a fixed-point step's matrix m, with an
+    overflow of m (an infinite or NaN entry, or an eigenvalue beyond the
+    float range) raised as an OverflowError that names it."""
+    try:
+        return solve(m, *args)
+    except EigenvalueOverflow as exc:
+        raise OverflowError(f"{name} overflows: it has an eigenvalue beyond the "
+                            f"float range") from exc
+    except EigensolverFailure as exc:
+        if np.isfinite(m).all():
+            raise
+        raise OverflowError(f"{name} overflows: it has infinite or NaN entries") from exc
 
 
 def _sym_fixed_point_step(gx, x, e, basis=None):
@@ -471,27 +498,25 @@ def _sym_fixed_point_step(gx, x, e, basis=None):
     eigenvector columns V of the step before, Jacobi runs on the nearly
     diagonal V^T gx V, rotating V's columns into gx's eigenvectors, and
     converges in fewer sweeps than from the identity.  x_next = sum_j mu_j
-    c_j with mu_j = l_j^e / |gx^e|, and the step spectrum comes from
-    _sym_relative_on_frame in the same basis, so x_next is never factored
-    again.  The Jacobi refuses a gx (or V^T gx V) with an infinite or NaN
-    entry, and one with an eigenvalue beyond the float range."""
+    c_j with mu_j = l_j^e / |gx^e|.  The step spectrum is that of
+    D^{-1/2} (V^T x V) D^{-1/2}, with D = diag(mu) and V the new basis, to
+    which P(x_next^{-1/2})x = V D^{-1/2} V^T x V D^{-1/2} V^T is
+    orthogonally similar, so x_next is never factored again; the scaling
+    multiplies each entry by the product d_i d_j, so that the matrix stays
+    bitwise symmetric.  Either eigensolve names an overflow of its matrix
+    (_sym_step_eigensolve)."""
     m = gx if basis is None else _sym_congruence(basis, gx)
-    try:
-        eigs, frame, basis = _sym_eigenpairs(m, basis)
-    except EigenvalueOverflow as exc:
-        raise OverflowError("g(x) overflows: it has an eigenvalue beyond the float "
-                            "range") from exc
-    except EigensolverFailure as exc:
-        if np.isfinite(m).all():
-            raise
-        raise OverflowError("g(x) overflows: it has infinite or NaN entries") from exc
+    eigs, frame, basis = _sym_step_eigensolve("g(x)", _sym_eigenpairs, m, basis)
     _require_power_domain(eigs, e)
     roots = np.power(eigs, e)
     scale = 1.0 / _power_norm(roots)
+    _require_root_scale(scale)
     x_next = _frame_sum(roots, frame) * scale
     if x_next.tobytes() == x.tobytes():
         return x_next, None, basis
-    rel = _sym_relative_on_frame(x, roots * scale, basis)
+    d = np.power(roots * scale, -0.5)
+    rel = _sym_step_eigensolve("P(x_next^(-1/2))x", _sym_eigenvalues,
+                               _sym_congruence(basis, x) * (d[:, None] * d[None, :]))
     return x_next, (float(rel[0]), float(rel[-1])), basis
 
 
@@ -528,17 +553,24 @@ def _sym_relative_eigenvalues(x, y):
     y^{-1/2} x y^{-1/2}; it is congruent to x, so by Sylvester's law of
     inertia it is positive definite iff x is.  One eigensolve in all.
     Non-finite entries give NaN: an infinite pivot would pass the test,
-    and the caller's eigensolves of x and y report such entries.
+    and the caller's eigensolves of x and y report such entries.  So does
+    a z that overflows, as it does where x's largest eigenvalue does.
     """
-    if x.ndim == 3 or y.ndim == 3:
+    if x.ndim == 3:
         return _each_matrix(_sym_relative_eigenvalues, x, y)
     upper = None
     if np.isfinite(x).all() and np.isfinite(y).all():
         upper = _sym_cholesky(y)
-    if upper is None:
-        return np.full(x.shape[0], np.nan)
-    z = _lower_solve(upper, _lower_solve(upper, x).T)
-    return _sym_eigenvalues((z + z.T) / 2.0)
+    if upper is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = _lower_solve(upper, _lower_solve(upper, x).T)
+            z = (z + z.T) / 2.0
+        try:
+            return _sym_eigenvalues(z)
+        except EigensolverFailure:
+            if np.isfinite(z).all():
+                raise
+    return np.full(x.shape[0], np.nan)
 
 
 def _sym_random_point(r, rng, lo, hi, shape=()):
@@ -601,7 +633,8 @@ def _spin_parts(x):
     """
     if x.ndim == 1:
         return float(x[0]), math.hypot(*x[1:].tolist())
-    return x[:, :1], np.array([math.hypot(*row[1:]) for row in x.tolist()]).reshape(-1, 1)
+    norms = np.fromiter(itertools.starmap(math.hypot, x[:, 1:].tolist()), float, len(x))
+    return x[:, :1], norms.reshape(-1, 1)
 
 
 @functools.lru_cache(maxsize=8)
@@ -637,8 +670,9 @@ def _spin_spectrum(x):
     x0, nrm = _spin_parts(x)
     if x.ndim == 1:
         return np.array([x0 + nrm, x0 - nrm]), nrm
-    # inf - inf reads NaN with no warning, as it does in one point's floats.
-    with np.errstate(invalid="ignore"):
+    # An overflow reads inf, and inf - inf NaN, with no warning, as they do
+    # in one point's floats.
+    with np.errstate(over="ignore", invalid="ignore"):
         return np.concatenate((x0 + nrm, x0 - nrm), axis=1), nrm
 
 
@@ -670,13 +704,15 @@ def _spin_decompose(x):
 
 
 def _spin_relative_eigenvalues(x, y):
-    # y's eigenvalues are checked before anything divides by them, and x
+    # y's eigenvalues are checked before anything divides by them, and x's
     # before a product multiplies inf by 0: a row that fails either test
     # is computed from the identity, so that nothing warns, and reads NaN.
     # Then a = y^{-1/2} and P(a)x come from the generic power and the
     # closed-form quad, so the bits match theirs.
     y_eigs, y_norm = _spin_spectrum(y)
-    ok = (y_eigs.T[-1] > 0.0) & np.isfinite(x).all(axis=-1)
+    # x's largest eigenvalue x0 + ||xbar|| is finite iff every entry is and
+    # it does not overflow.
+    ok = (y_eigs.T[-1] > 0.0) & np.isfinite(_spin_eigenvalues(x).T[0])
     if _every(ok):
         a = _frame_sum(np.power(y_eigs, -0.5), _spin_frame(y, y_norm))
         return _spin_eigenvalues(_spin_quad(a, x))
@@ -707,6 +743,7 @@ def _spin_fixed_point_step(gx, x, e, basis=None):
     neg_h = -h
     roots = np.power(eigs, e)
     scale = 1.0 / _power_norm(roots)
+    _require_root_scale(scale)
     w1, w2 = roots.tolist()
     x_next = np.empty_like(gx)
     x_next[0] = (w1 * 0.5 + w2 * 0.5) * scale
@@ -718,7 +755,9 @@ def _spin_fixed_point_step(gx, x, e, basis=None):
     a[0] = w1 * 0.5 + w2 * 0.5
     a[1:] = w1 * h + w2 * neg_h
     z0, z_norm = _spin_parts(_spin_quad(a, x))
-    return x_next, (z0 + z_norm, z0 - z_norm), None
+    rel_max, rel_min = z0 + z_norm, z0 - z_norm
+    _require_finite_extremes(rel_max, rel_min, "P(x_next^(-1/2))x")
+    return x_next, (rel_max, rel_min), None
 
 
 def _spin_random_point(n, rng, lo, hi, shape=()):
@@ -989,8 +1028,12 @@ def in_cone(x: Element) -> bool:
 
 
 def normalize(x: Element) -> Element:
-    """x / |x| in the spectral norm."""
+    """x / |x| in the spectral norm; EigenvalueOverflow where |x| is beyond
+    the float range."""
     norm = spectral_norm(x)
     if norm == 0.0:
         raise ValueError("cannot normalize the zero element")
+    if norm == math.inf:
+        raise EigenvalueOverflow("cannot normalize x: its spectral norm overflows "
+                                 "the float range")
     return x * (1.0 / norm)

@@ -86,9 +86,6 @@ def element_from_json(descriptor: AlgebraDescriptor, data, where: str) -> Elemen
     coords = _float_array(data, where)
     if not np.all(np.isfinite(coords)):
         raise ParseError(f"{where}: coordinates must be finite")
-    if coords.shape != descriptor.coord_shape:
-        raise ParseError(
-            f"{where}: expected shape {descriptor.coord_shape}, got {coords.shape}")
     try:
         return Element(descriptor, coords)
     except ValueError as exc:
@@ -395,8 +392,6 @@ def main(argv=None) -> int:
         return _fail(2, f"error: {exc}")
     except NotInCone as exc:
         return _fail(3, f"error: {exc}")
-    except NonConvergence as exc:
-        return _fail(4, f"error: {exc}")
     except SymConeError as exc:
         return _fail(2, f"error: {exc}")
 

@@ -14,6 +14,12 @@ in one pass:
 * spin: y's closed-form eigenvalues, then y^{-1/2} and the closed form
   P(a)x = 2<a, x> a - det(a) x*, whose closed-form eigenvalues finish it.
 
+Where the least eigenvalue of that spectrum is not positive (a kernel
+reads NaN where it cannot take the pair), ``lambda_extremes`` solves x
+and then y to name the argument at fault: NotInCone for one outside the
+open cone, EigenvalueOverflow for one whose largest eigenvalue is beyond
+the float range.
+
 The equivalent cross form log(l_max(x,y) * l_max(y,x)) is not computed
 here; ``test_metric::test_distance_cross_form`` checks it.
 
@@ -39,7 +45,7 @@ import numpy as np
 
 from . import algebra
 from .algebra import Element
-from .errors import NotInCone
+from .errors import EigenvalueOverflow, NotInCone
 from .rng import SplitMix64
 
 
@@ -50,10 +56,21 @@ class MetricReport:
     distance: float
 
 
-def _require_interior(x: Element, name: str) -> None:
-    # in_cone first: on sym it reports a non-finite entry as EigensolverFailure.
-    if not (algebra.in_cone(x) and np.isfinite(x.coords).all()):
+def _require_interior(x: Element, name: str) -> float:
+    """x's least eigenvalue, from one eigensolve of x.  NotInCone names x
+    unless it is in the open cone with finite coordinates, and
+    EigenvalueOverflow where its largest eigenvalue is beyond the float
+    range although its coordinates are finite.  On sym the eigensolve
+    reports a non-finite entry as EigensolverFailure."""
+    try:
+        eigs = algebra.eigenvalues(x)
+    except EigenvalueOverflow as exc:
+        raise EigenvalueOverflow(f"{name} has an eigenvalue beyond the float range") from exc
+    if not (eigs[-1] > 0.0 and np.isfinite(x.coords).all()):
         raise NotInCone(f"{name} is not in the open cone")
+    if not eigs[0] < math.inf:
+        raise EigenvalueOverflow(f"{name} has an eigenvalue beyond the float range")
+    return float(eigs[-1])
 
 
 def lambda_extremes(x: Element, y: Element) -> tuple[float, float]:
@@ -107,7 +124,7 @@ def upper_bound_oracle(x: Element, y: Element, tol: float) -> float:
     if not (algebra._is_number(tol, numbers.Real) and tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     _require_interior(x, "x")
-    _require_interior(y, "y")
+    y_min = _require_interior(y, "y")
     eigenvalues = x.algebra.kernel.eigenvalues
     xc, yc = x.coords, y.coords
     y_max = float(np.abs(yc).max())
@@ -121,7 +138,7 @@ def upper_bound_oracle(x: Element, y: Element, tol: float) -> float:
         return eigenvalues(yc - xc / lam)[-1] >= 0.0
 
     lo = 0.0
-    hi = algebra.tr(x) / algebra.lambda_min(y) + 1.0
+    hi = algebra.tr(x) / y_min + 1.0
     if hi == math.inf:
         # tr(x) / l_min(y) bounds l_max but overflowed: bracket l_max by
         # doubling instead.  An l_max past the largest double reads as inf.

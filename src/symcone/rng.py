@@ -15,16 +15,17 @@ before its first draw, so one that is never drawn from costs nothing.
 Box-Muller normals use the scalar libm calls of ``math``, whose bits do
 not depend on numpy's SIMD paths.  A suite or generated instance is
 reproducible bit for bit from its seed on the same numpy and BLAS build:
-``rotation`` takes a LAPACK QR, and ``unit_rows`` BLAS dot products, whose
-bits may differ on others.  ``unit_rows`` draws unit vectors, and the spin
-factor's random points, from two log-uniforms and a unit vector each: it
-reads their draws one vector after another in a Python loop, then norms
-every vector in one stacked product, which numpy hands row by row to the
-dot product ``np.linalg.norm`` calls, so a batch has the bits of one
-``unit_vector`` call per vector; ``unit_vector`` is its one-vector case.
-``unit_vectors`` draws the normals of many ``unit_vector`` calls as one
-block and divides each row by the root of a fixed-order sum of squares,
-added column by column with no BLAS.
+``rotation`` takes a LAPACK QR, and ``unit_vector`` and ``unit_rows``
+BLAS dot products, whose bits may differ on others.  ``unit_vector``
+divides its normals by the root of their dot product
+(``algebra._row_dots``, the dot product ``np.linalg.norm`` calls).
+``unit_rows`` draws the spin factor's random points from two log-uniforms
+and a unit vector's normals each: it reads their draws one point after
+another in a Python loop, then norms every vector in one stacked product,
+which numpy hands row by row to that dot product, so a batch has the
+bits of one point drawn at a time.  ``unit_vectors`` draws the normals of
+many ``unit_vector`` calls as one block and divides each row by the root
+of a fixed-order sum of squares, added column by column with no BLAS.
 """
 
 from __future__ import annotations
@@ -157,44 +158,42 @@ class SplitMix64:
         return self.normals(rows * cols).reshape(rows, cols)
 
     def unit_vector(self, n: int) -> np.ndarray:
-        """A uniform unit vector of length n: n normals divided by their
-        norm, redrawn while the norm is at most 1e-12."""
+        """A uniform unit vector of length n: n normals divided by the root
+        of their dot product, redrawn while that norm is at most 1e-12."""
         if n < 1:
             raise ValueError(f"unit_vector needs n >= 1, got n={n}")
-        return self.unit_rows((), n)
+        while True:
+            v = self.normals(n)
+            norm = np.sqrt(_row_dots(v, v))
+            if norm[0] > 1e-12:
+                return v / norm
 
-    def unit_rows(self, shape: tuple, n: int, lo: float | None = None,
-                  hi: float | None = None) -> np.ndarray:
-        """Unit vectors of length n, drawn as ``unit_vector(n)`` draws them,
-        in an array of shape shape + (n,); or, given lo and hi, points of
-        the spin factor R x R^n, shape shape + (n + 1,).
+    def unit_rows(self, shape: tuple, n: int, lo: float, hi: float) -> np.ndarray:
+        """Points of the spin factor R x R^n, shape shape + (n + 1,).
 
         A point draws two log-uniforms l1, l2 from [lo, hi], as two calls
-        of ``log_uniform``, then the normals of a unit vector u, and is
-        ((l1 + l2)/2, (l1 - l2)/2 * u): its eigenvalues are l1 and l2.  The
-        draws are read one vector after another, with no numpy call per
-        vector; then every norm is taken at once, by the BLAS dot product
-        of ``algebra._row_dots``.  A vector of norm at most 1e-12 is
-        redrawn at once, so the stream and every bit are those of
-        ``unit_vector`` calls, or of points drawn one at a time.  Points
-        are rows of a wider array (not C-contiguous beyond one point).
+        of ``log_uniform``, then the normals of a ``unit_vector(n)`` u, and
+        is ((l1 + l2)/2, (l1 - l2)/2 * u): its eigenvalues are l1 and l2.
+        The draws are read one point after another, with no numpy call per
+        point; then every norm is taken at once, by the BLAS dot product of
+        ``algebra._row_dots``.  A vector of norm at most 1e-12 is redrawn
+        at once, so the stream and every bit are those of points drawn one
+        at a time.  Points are rows of a wider array (not C-contiguous
+        beyond one point).
         """
         size = math.prod(shape)
         if n < 1 or size < 0:
             raise ValueError(f"unit_rows needs a shape and n >= 1, got {shape}, n={n}")
-        spin = lo is not None
-        if spin:
-            a = math.log(lo)
-            width = math.log(hi) - a
+        a = math.log(lo)
+        width = math.log(hi) - a
         exp, take, normals = math.exp, self._take, self._normal_list
-        # Each vector's row, after (l1 - l2)/2 and (l1 + l2)/2 for a point.
+        # Each point's row: (l1 - l2)/2, (l1 + l2)/2, then the normals.
         flat = []
         for _ in range(size):
-            if spin:
-                u1, u2 = take(2)
-                lam1 = exp(a + width * u1)
-                lam2 = exp(a + width * u2)
-                flat += (0.5 * (lam1 - lam2), 0.5 * (lam1 + lam2))
+            u1, u2 = take(2)
+            lam1 = exp(a + width * u1)
+            lam2 = exp(a + width * u2)
+            flat += (0.5 * (lam1 - lam2), 0.5 * (lam1 + lam2))
             row = normals(n)
             # An entry of 2e-12 or more puts the norm above 1e-12 in any
             # order of summation, so only a row of tiny entries is normed
@@ -205,12 +204,11 @@ class SplitMix64:
                     break
                 row = normals(n)
             flat += row
-        rows = np.array(flat).reshape(shape + (n + 2 * spin,))
-        units = rows[..., 2 * spin:]
+        rows = np.array(flat).reshape(shape + (n + 2,))
+        units = rows[..., 2:]
         units /= np.sqrt(_row_dots(units, units))
-        if spin:
-            units *= rows[..., :1]
-        return rows[..., spin:]
+        units *= rows[..., :1]
+        return rows[..., 1:]
 
     def unit_vectors(self, k: int, n: int) -> np.ndarray:
         """k unit vectors of length n, the rows of a (k, n) array.

@@ -640,6 +640,12 @@ def test_spectral_norm_examples():
     assert abs(sc.spectral_norm(el(S2, [[2, 1], [1, 2]])) - 3) <= 1e-14
 
 
+def test_normalize_refuses_the_zero_element():
+    for descriptor in (O2, S2, P3):
+        with pytest.raises(ValueError, match="cannot normalize the zero element"):
+            sc.normalize(0.0 * descriptor.identity())
+
+
 def test_in_cone():
     assert sc.in_cone(el(O2, [1, 2]))
     assert not sc.in_cone(el(O2, [1, 0]))

@@ -80,6 +80,26 @@ def test_metric_boundary_exit_3(capsys, instance):
     assert "boundary" in err
 
 
+@pytest.mark.parametrize("kind, coords", [
+    ("spin", [1.5e308, 1e308, 0.0]),
+    ("sym", [[1.5e308, 1e308], [1e308, 1.5e308]]),
+])
+def test_metric_on_an_element_whose_largest_eigenvalue_overflows_exit_2(capsys, tmp_path,
+                                                                       kind, coords):
+    # In the cone with finite coordinates: the spin distance warned and
+    # exited 3, blaming the identity.
+    param = len(coords)
+    identity = np.eye(param).tolist() if kind == "sym" else [1.0] + [0.0] * (param - 1)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"algebra": {"kind": kind, "param": param},
+                                "elements": {"x": coords, "e": identity}}))
+    for names in (("x", "e"), ("e", "x")):
+        code, out, err = run(capsys, "metric", str(path), *names)
+        assert code == 2
+        assert out == ""
+        assert "eigenvalue beyond the float range" in err
+
+
 def test_metric_unknown_name(capsys, instance):
     code, _, err = run(capsys, "metric", instance, "x", "nope")
     assert code == 2
@@ -152,6 +172,26 @@ def test_solve_overflowing_map_exit_4(capsys, tmp_path, kind, p):
     assert code == 4
     assert out == ""
     assert "iteration 1: g(x) overflows" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind, payload, p", [
+    ("orthant", [1.0, 1e-160], "-1.01"),
+    ("sym", [[1.0, 0.0], [0.0, 1e-160]], "1.01"),
+    ("sym", [[1.0, 0.0], [0.0, 1e-160]], "-1.01"),
+])
+def test_solve_step_leaving_the_float_range_exit_4(capsys, tmp_path, kind, payload, p):
+    # A valid map near |p| = 1 whose step leaves the float range.  The sym
+    # solves exited 2, a validation error, with the Jacobi's "needs finite
+    # entries"; the orthant one exited 3, blaming y.
+    path = tmp_path / "near-one.json"
+    path.write_text(json.dumps({
+        "algebra": {"kind": kind, "param": 2},
+        "maps": {"g": [{"type": "quad", "payload": payload}]}}))
+    code, out, err = run(capsys, "solve", str(path), "g", f"--p={p}")
+    assert code == 4
+    assert out == ""
+    assert "iteration 1: " in err
     assert "Traceback" not in err
 
 

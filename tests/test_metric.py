@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import symcone as sc
-from symcone import suites
-from symcone.errors import AlgebraMismatch, EigensolverFailure, NotInCone
+from symcone import algebra, suites
+from symcone.errors import AlgebraMismatch, EigensolverFailure, EigenvalueOverflow, NotInCone
 from symcone.rng import SplitMix64
 from symcone.transforms import random_cone_element
 
@@ -318,6 +318,46 @@ def _algebra_id(descriptor):
     return f"{descriptor.kind}{descriptor.param}"
 
 
+# In the cone, with finite coordinates, but with a largest eigenvalue
+# beyond the float range: x0 + ||xbar|| on spin:3, 2.5e308 on sym:2.
+_SPIN_OVERFLOWING = el(sc.spin_factor(3), [1.5e308, 1e308, 0.0])
+_SYM_OVERFLOWING = el(sc.sym_matrix(2), [[1.5e308, 1e308], [1e308, 1.5e308]])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sc.normalize(_SPIN_OVERFLOWING), "^cannot normalize x"),
+    (lambda: sc.distance(_SPIN_OVERFLOWING, _SPIN_OVERFLOWING.algebra.identity()), "^x "),
+    (lambda: sc.distance(_SPIN_OVERFLOWING.algebra.identity(), _SPIN_OVERFLOWING), "^y "),
+    (lambda: sc.distance(_SYM_OVERFLOWING, _SYM_OVERFLOWING.algebra.identity()), "^x "),
+    (lambda: sc.normalize(_SYM_OVERFLOWING), "overflows"),
+], ids=["spin-normalize", "spin-x", "spin-y", "sym-x", "sym-normalize"])
+def test_an_argument_whose_largest_eigenvalue_overflows_is_named(call, message):
+    # The spin normalize returned [0, 0, 0].  The spin distances blamed the
+    # other argument with NotInCone, d(x, e) after an "invalid value"
+    # warning; the sym distance warned "overflow encountered in add" and
+    # raised the Jacobi's "needs finite entries".
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EigenvalueOverflow, match=message):
+            call()
+
+
+@pytest.mark.parametrize("overflowing", [_SPIN_OVERFLOWING, _SYM_OVERFLOWING],
+                         ids=["spin", "sym"])
+def test_a_batch_row_whose_largest_eigenvalue_overflows_reads_nan(overflowing):
+    # As its own call reads it, with no warning, so that the batch distances
+    # of the contraction suites name it as distance does.
+    kernel = overflowing.algebra.kernel
+    e = overflowing.algebra.identity().coords
+    xs, ys = np.stack([2.0 * e, overflowing.coords]), np.stack([e, e])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rel = kernel.relative_eigenvalues(xs, ys)
+        singles = [kernel.relative_eigenvalues(x, y) for x, y in zip(xs, ys)]
+    assert rel.tobytes() == np.array(singles).tobytes()
+    assert np.isnan(rel[1]).all()
+
+
 def _bits(value):
     return np.float64(value).tobytes()
 
@@ -334,6 +374,25 @@ def test_upper_bound_oracle_matches_the_element_loop(descriptor):
         for tol in (1e-8, 1e-13, 1e-15):
             assert _bits(sc.upper_bound_oracle(x, y, tol)) == _bits(
                 conftest.element_bisection(x, y, tol))
+
+
+def test_upper_bound_oracle_solves_y_once(monkeypatch):
+    # The cone test of y gives the least eigenvalue of the bracket; the
+    # oracle solved y a second time for it.
+    s3 = sc.sym_matrix(3)
+    rng = SplitMix64(37)
+    x, y = random_cone_element(s3, rng), random_cone_element(s3, rng)
+    solved = []
+    jacobi = algebra._jacobi
+
+    def recorded(matrix, start=None):
+        solved.append(matrix.tobytes())
+        return jacobi(matrix, start)
+
+    monkeypatch.setattr(algebra, "_jacobi", recorded)
+    sc.upper_bound_oracle(x, y, 1e-8)
+    assert solved.count(x.coords.tobytes()) == 1
+    assert solved.count(y.coords.tobytes()) == 1
 
 
 def _diagonal_pairs(xs, ys):

@@ -200,8 +200,8 @@ def test_spin_points_are_the_point_loop_byte_for_byte(n, seed):
 def test_unit_rows_are_unit_vector_calls(seed):
     gen, ref = SplitMix64(seed), splitmix_reference.SplitMix64(seed)
     for shape, n in [((), 1), ((2, 3), 9), ((0,), 4), ((5,), 64), ((2,), 2 * BLOCK + 1)]:
-        want = np.array([ref.unit_vector(n) for _ in range(math.prod(shape))])
-        assert_same(gen.unit_rows(shape, n), want.reshape(shape + (n,)))
+        for _ in range(math.prod(shape)):
+            assert_same(gen.unit_vector(n), ref.unit_vector(n))
         assert_same(gen.normal(), ref.normal())
 
 
@@ -212,6 +212,7 @@ def test_unit_rows_are_unit_vector_calls(seed):
     (31, 0.0, False),  # zeros across two vectors: neither is zero
     (27, 1e-14, True),  # tiny entries, norm below 1e-12
     (27, 1e-12, False),  # tiny entries, norm above 1e-12
+    (27, 5e-13, False),  # every entry below 2e-12, norm above 1e-12
 ])
 def test_spin_points_redraw_a_short_vector_as_the_loop_does(start, scale, redrawn):
     # spin:10 points draw 9 normals each, so normals 9i..9i+8 are point i's.
@@ -228,4 +229,4 @@ def test_spin_points_redraw_a_short_vector_as_the_loop_does(start, scale, redraw
 def test_unit_rows_need_a_size():
     for shape, n in [((1,), 0), ((2,), -1), ((-1,), 3), ((2, -1), 3)]:
         with pytest.raises(ValueError, match=f"n={n}"):
-            SplitMix64(1).unit_rows(shape, n)
+            SplitMix64(1).unit_rows(shape, n, 0.1, 10.0)

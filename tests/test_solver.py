@@ -386,6 +386,58 @@ def test_overflow_is_named_at_the_iteration_it_happens():
         sc.solve(g, sc.SolveConfig(p=2.0, initial=el(spin, [0.5005, -0.4995, 0.0])))
 
 
+_LEAVES = re.escape("x_next = g(x)^(1/p) / |g(x)^(1/p)| leaves the float range")
+_STEP_OVERFLOWS = re.escape("P(x_next^(-1/2))x overflows")
+
+
+@pytest.mark.parametrize("descriptor, a, p, message", [
+    (O2, [1.0, 1e-160], -1.01, _LEAVES),
+    (O2, [1.0, 1e-160], 1.01, _STEP_OVERFLOWS),
+    (sc.sym_matrix(2), np.diag([1.0, 1e-160]), -1.01, _LEAVES),
+    (sc.sym_matrix(2), np.diag([1.0, 1e-160]), 1.01, _STEP_OVERFLOWS),
+    (sc.spin_factor(3), [1e-160, 0.0, 0.0], -1.01, _LEAVES),
+    (sc.spin_factor(3), [1e-160, 0.0, 0.0], 1.01, _LEAVES),
+], ids=["orthant-neg", "orthant-pos", "sym-neg", "sym-pos", "spin-neg", "spin-pos"])
+def test_a_step_that_leaves_the_float_range_is_named_non_convergence(descriptor, a, p,
+                                                                    message):
+    # g(e) = P(a)e has the eigenvalue 1e-320 (on spin, twice), whose root
+    # 1e-320^(1/p) overflows at p = -1.01, so the root scale is inf and
+    # x_next holds 0 and NaN; at p = 1.01 a root of 1e-316.8 beside 1
+    # leaves P(x_next^(-1/2))x = x / x_next an entry past the float range
+    # (on spin both roots are 1e-316.8, and the scale 1/1e-316.8 is inf).
+    # Orthant at p = -1.01 warned "divide by zero" and blamed y with
+    # NotInCone, sym raised the Jacobi's "needs finite entries" (after a
+    # warning at p = -1.01), and spin and orthant at p = 1.01 blamed the
+    # map or y with NotInCone.
+    g = sc.AutomorphismWord(descriptor, (sc.Quad(el(descriptor, a)),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergence, match=f"^iteration 1: {message}") as info:
+            sc.solve(g, sc.SolveConfig(p=p))
+    assert info.value.report is None
+
+
+def test_the_spin_step_names_an_overflowing_step_spectrum():
+    # No spin iterate reaches it: with x on the unit sphere, x_next's least
+    # eigenvalue would have to be below 1e-308, which spin coordinates near
+    # 1 cannot hold.  An x far off the sphere forces it, with the warnings
+    # off as in solve's loop.
+    step = sc.spin_factor(3).kernel.fixed_point_step
+    gx, x = np.array([1.0, 0.5, 0.0]), np.array([1.5e308, 0.0, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(OverflowError, match=f"^{_STEP_OVERFLOWS}"):
+            step(gx, x, 0.5, None)
+
+
+def test_solve_bushell_refuses_a_non_finite_t():
+    # The singularity test leaves a non-finite t to the congruence's check.
+    for bad in (math.nan, math.inf):
+        t = np.array([[1.0, bad], [0.0, 1.0]])
+        assert not transforms.numerically_singular(t)
+        with pytest.raises(sc.InvalidGenerator, match="non-finite entries"):
+            sc.solve_bushell(t, 1)
+
+
 def _budget_needed(message):
     return float(re.search(r"about ([0-9.]+) iterations", message).group(1))
 
@@ -829,7 +881,10 @@ def test_sym_solves_keep_their_bits(p):
 # - the spin:2 contraction check and the solves at p = -2 on sym:6 and at
 #   p = +-2 on orthant:8 and spin:10, before the sym quads and congruences
 #   of a batch became one stacked product and x^p lost its extra entry
-#   points.
+#   points;
+# - the sym:12 bushell report, which CI also runs from two fresh
+#   processes, before the solver stopped asking the metric which iterate
+#   to blame for a failed step.
 REPORT_DIGESTS = {
     ("orthant:8", "check axioms"): "452e0bb5989186fae12ca383a0b44827a2f8747685761d6d56a47bcd007aac6f",
     ("orthant:8", "check bounds"): "45d2a37c57754eca83414e83670be936a318b8105afd3a2160d7f00b3efcf0b2",
@@ -867,6 +922,8 @@ REPORT_DIGESTS = {
         "fa8379b92e20fec043ae88e21872c2023c9e62ff37c331349f4638f83ecbd766",
     ("spin:10", "solve map.json gen0 --p=-2"):
         "40d47e158c3ee3bcc3298f58727abf75869b628c7c18d5cee8a6da35407db20f",
+    ("sym:12", "bushell map.json gen0 --k 1"):
+        "41ac3841294ed1ab217181eb19c69d3d4cecdefd87d0474c2d6ee92b7ba6d777",
 }
 
 

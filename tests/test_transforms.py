@@ -115,6 +115,13 @@ def test_permutation_entries_must_be_integral():
             sc.Permutation(sigma)
 
 
+def test_word_refuses_an_unknown_generator_and_a_permutation_of_another_size():
+    with pytest.raises(InvalidGenerator, match="unknown generator 'scalar'"):
+        sc.AutomorphismWord(O2, ("scalar",))
+    with pytest.raises(InvalidGenerator, match="permutation size does not match"):
+        sc.AutomorphismWord(sc.orthant(3), (sc.Permutation((1, 0)),))
+
+
 def test_word_kind_restrictions():
     cong = sc.Congruence(np.eye(2))
     perm = sc.Permutation((1, 0))
