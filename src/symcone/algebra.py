@@ -97,6 +97,10 @@ _SYM_INGEST_RTOL = 1e-12
 _EPS = float(np.finfo(float).eps)
 # Least positive normal double: a smaller sum of squares has lost bits.
 _TINY = float(np.finfo(float).tiny)
+# Powers of two below 1 / the largest double, exact: x * 2^-k < y means
+# x / y < 2^k, with no overflow on the way.
+_2_TO_MINUS_1023 = math.ldexp(1.0, -1023)
+_2_TO_MINUS_1020 = math.ldexp(1.0, -1020)
 
 
 def _is_number(value, kind: type) -> bool:
@@ -249,9 +253,12 @@ class _Kernel(NamedTuple):
     eigenvalues: Callable  # coords -> eigenvalues descending
     tr: Callable
     # (x, y) -> eigenvalues of P(y^{-1/2})x descending, all NaN when y is
-    # not in the open cone, an entry of x (on sym also of y) is not finite
-    # or x's largest eigenvalue overflows (on sym: where P(y^{-1/2})x gets
-    # an infinite entry); x is in the cone iff the least is > 0.
+    # not in the open cone (on sym: fails Cholesky), an entry of x (on sym
+    # also of y) is not finite or x's largest eigenvalue overflows; the
+    # largest is inf where the spectrum overflows (on sym also where
+    # L^{-1} x L^{-T} gets an infinite entry; on spin where a term of
+    # P(a)x does), with no numpy warning; x is in the cone iff the least
+    # is > 0.
     relative_eigenvalues: Callable
     # (gx, x, e, basis) -> (x_next, extremes, basis): one Banach step of the
     # solver from x, given gx = g(x).  x_next = gx^e / |gx^e|; extremes are
@@ -345,12 +352,17 @@ def _require_root_scale(scale) -> None:
 
 
 def _orthant_relative_eigenvalues(x, y):
-    ok = (y.min(axis=-1) > 0.0) & np.isfinite(x).all(axis=-1)
-    if not _every(ok):
-        # NaN rows where a test fails, divided by 1 so that nothing warns.
-        x = np.where(ok[..., None], x, np.nan)
-        y = np.where(ok[..., None], y, 1.0)
-    return _orthant_eigenvalues(x / y)
+    y_min = y.min(axis=-1)
+    # Where max |x_i| * 2^-1023 < min y_i, no ratio x_i / y_i overflows.
+    if _every(np.abs(x).max(axis=-1) * _2_TO_MINUS_1023 < y_min):
+        return _orthant_eigenvalues(x / y)
+    # NaN rows where y is not in the open cone or x has a non-finite entry,
+    # divided by 1 so that nothing warns; a ratio that overflows reads inf.
+    ok = (y_min > 0.0) & np.isfinite(x).all(axis=-1)
+    x = np.where(ok[..., None], x, np.nan)
+    y = np.where(ok[..., None], y, 1.0)
+    with np.errstate(over="ignore"):
+        return _orthant_eigenvalues(x / y)
 
 
 def _orthant_decompose(x):
@@ -553,8 +565,9 @@ def _sym_relative_eigenvalues(x, y):
     y^{-1/2} x y^{-1/2}; it is congruent to x, so by Sylvester's law of
     inertia it is positive definite iff x is.  One eigensolve in all.
     Non-finite entries give NaN: an infinite pivot would pass the test,
-    and the caller's eigensolves of x and y report such entries.  So does
-    a z that overflows, as it does where x's largest eigenvalue does.
+    and the caller's eigensolves of x and y report such entries.  A z that
+    overflows, or whose spectrum does, gives inf, or NaN where x's own
+    largest eigenvalue overflows.
     """
     if x.ndim == 3:
         return _each_matrix(_sym_relative_eigenvalues, x, y)
@@ -567,9 +580,18 @@ def _sym_relative_eigenvalues(x, y):
             z = (z + z.T) / 2.0
         try:
             return _sym_eigenvalues(z)
+        except EigenvalueOverflow:
+            pass
         except EigensolverFailure:
             if np.isfinite(z).all():
                 raise
+        # z, or its spectrum, overflowed: it reads inf, or NaN where x's own
+        # largest eigenvalue overflows, an x that the spin kernel refuses too.
+        try:
+            _sym_eigenvalues(x)
+        except EigenvalueOverflow:
+            return np.full(x.shape[0], np.nan)
+        return np.full(x.shape[0], np.inf)
     return np.full(x.shape[0], np.nan)
 
 
@@ -704,21 +726,30 @@ def _spin_decompose(x):
 
 
 def _spin_relative_eigenvalues(x, y):
-    # y's eigenvalues are checked before anything divides by them, and x's
-    # before a product multiplies inf by 0: a row that fails either test
-    # is computed from the identity, so that nothing warns, and reads NaN.
-    # Then a = y^{-1/2} and P(a)x come from the generic power and the
-    # closed-form quad, so the bits match theirs.
+    # a = y^{-1/2} and P(a)x come from the generic power and the closed-form
+    # quad, so the bits match theirs.  For x in the cone, every term of
+    # P(a)x has norm at most 2 l_max(x) / l_min(y) and its eigenvalues are
+    # at most 4.25 l_max(x) / l_min(y), so nothing overflows where that
+    # ratio is below 2^1020.
     y_eigs, y_norm = _spin_spectrum(y)
-    # x's largest eigenvalue x0 + ||xbar|| is finite iff every entry is and
-    # it does not overflow.
-    ok = (y_eigs.T[-1] > 0.0) & np.isfinite(_spin_eigenvalues(x).T[0])
-    if _every(ok):
+    x_eigs = _spin_eigenvalues(x)
+    if _every((x_eigs.T[-1] > 0.0) & (x_eigs.T[0] * _2_TO_MINUS_1020 < y_eigs.T[-1])):
         a = _frame_sum(np.power(y_eigs, -0.5), _spin_frame(y, y_norm))
         return _spin_eigenvalues(_spin_quad(a, x))
+    # y's eigenvalues are checked before anything divides by them, and x's
+    # largest, x0 + ||xbar||, which is finite iff every entry is and it does
+    # not overflow, before a product multiplies inf by 0: a row that fails
+    # either test is computed from the identity, so that nothing warns, and
+    # reads NaN.  A row whose P(a)x overflows reads inf.
+    ok = (y_eigs.T[-1] > 0.0) & np.isfinite(x_eigs.T[0])
     unit = _spin_identity(x.shape[-1])
-    rel = _spin_relative_eigenvalues(
-        np.where(ok[..., None], x, unit), np.where(ok[..., None], y, unit))
+    x = np.where(ok[..., None], x, unit)
+    y = np.where(ok[..., None], y, unit)
+    y_eigs, y_norm = _spin_spectrum(y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = _frame_sum(np.power(y_eigs, -0.5), _spin_frame(y, y_norm))
+        rel = _spin_eigenvalues(_spin_quad(a, x))
+    rel = np.where(np.isfinite(rel).all(axis=-1, keepdims=True), rel, np.inf)
     return np.where(ok[..., None], rel, np.nan)
 
 

@@ -23,7 +23,11 @@ class EigensolverFailure(SymConeError):
 
 
 class EigenvalueOverflow(EigensolverFailure, OverflowError):
-    """A matrix of finite entries has an eigenvalue beyond the float range."""
+    """A matrix of finite entries has an eigenvalue beyond the float range.
+
+    For a distance, the spectrum of P(y^{-1/2})x may also leave it below:
+    its least eigenvalue underflows.
+    """
 
 
 class InvalidGenerator(SymConeError):

@@ -15,10 +15,15 @@ in one pass:
   P(a)x = 2<a, x> a - det(a) x*, whose closed-form eigenvalues finish it.
 
 Where the least eigenvalue of that spectrum is not positive (a kernel
-reads NaN where it cannot take the pair), ``lambda_extremes`` solves x
-and then y to name the argument at fault: NotInCone for one outside the
-open cone, EigenvalueOverflow for one whose largest eigenvalue is beyond
-the float range.
+reads NaN where it cannot take the pair) or the largest is inf (it
+overflowed), ``lambda_extremes`` solves x and then y to name the argument
+at fault: NotInCone for one outside the open cone, EigenvalueOverflow for
+one whose largest eigenvalue is beyond the float range.  Where both pass,
+an EigenvalueOverflow names P(y^{-1/2})x if its spectrum overflowed, or
+underflowed (l_min(x) / l_max(y), a lower bound on its least eigenvalue,
+is below the least normal double); any other failure sits at the
+rounding edge of the cone, a NotInCone that names y where the kernel
+read NaN, else x.
 
 The equivalent cross form log(l_max(x,y) * l_max(y,x)) is not computed
 here; ``test_metric::test_distance_cross_form`` checks it.
@@ -56,12 +61,12 @@ class MetricReport:
     distance: float
 
 
-def _require_interior(x: Element, name: str) -> float:
-    """x's least eigenvalue, from one eigensolve of x.  NotInCone names x
-    unless it is in the open cone with finite coordinates, and
-    EigenvalueOverflow where its largest eigenvalue is beyond the float
-    range although its coordinates are finite.  On sym the eigensolve
-    reports a non-finite entry as EigensolverFailure."""
+def _require_interior(x: Element, name: str) -> tuple[float, float]:
+    """x's largest and least eigenvalue, from one eigensolve of x.
+    NotInCone names x unless it is in the open cone with finite
+    coordinates, and EigenvalueOverflow where its largest eigenvalue is
+    beyond the float range although its coordinates are finite.  On sym the
+    eigensolve reports a non-finite entry as EigensolverFailure."""
     try:
         eigs = algebra.eigenvalues(x)
     except EigenvalueOverflow as exc:
@@ -70,7 +75,7 @@ def _require_interior(x: Element, name: str) -> float:
         raise NotInCone(f"{name} is not in the open cone")
     if not eigs[0] < math.inf:
         raise EigenvalueOverflow(f"{name} has an eigenvalue beyond the float range")
-    return float(eigs[-1])
+    return float(eigs[0]), float(eigs[-1])
 
 
 def lambda_extremes(x: Element, y: Element) -> tuple[float, float]:
@@ -78,14 +83,22 @@ def lambda_extremes(x: Element, y: Element) -> tuple[float, float]:
     algebra._require_same_algebra(x, y)
     eigs = x.algebra.kernel.relative_eigenvalues(x.coords, y.coords)
     # P(y^{-1/2}) is an automorphism of the cone: it is in the cone iff x is.
-    if not eigs[-1] > 0.0:
+    if not (eigs[-1] > 0.0 and eigs[0] < math.inf):
         # Name the argument at fault, x first: an infinite entry can pass
         # the kernel's tests, and a sym eigensolve reports a non-finite one.
-        _require_interior(x, "x")
-        _require_interior(y, "y")
-        # Both pass: y's Cholesky pivots (the kernel's NaN row) or x's
-        # relative spectrum sit at the rounding edge of the cone.
-        raise NotInCone(f"{'y' if np.isnan(eigs).all() else 'x'} is not in the open cone")
+        _, x_min = _require_interior(x, "x")
+        y_max, _ = _require_interior(y, "y")
+        # Both pass.  Where y's Cholesky pivots sit at the rounding edge of
+        # the cone, the kernel reads NaN.
+        if np.isnan(eigs).all():
+            raise NotInCone("y is not in the open cone")
+        # The spectrum overflowed (it reads inf), or its least eigenvalue,
+        # which l_min(x) / l_max(y) bounds from below, underflowed; else x's
+        # relative spectrum sits at the rounding edge of the cone.
+        if eigs[0] < math.inf and x_min / y_max >= algebra._TINY:
+            raise NotInCone("x is not in the open cone")
+        raise EigenvalueOverflow(
+            "P(y^(-1/2))x has an eigenvalue beyond the float range")
     return float(eigs[0]), float(eigs[-1])
 
 
@@ -104,7 +117,7 @@ def _row_distances(
     eigs = descriptor.kernel.relative_eigenvalues(xs, ys)
     out = []
     for i, (lam_max, lam_min) in enumerate(zip(eigs[:, 0].tolist(), eigs[:, -1].tolist())):
-        if not lam_min > 0.0:
+        if not (lam_min > 0.0 and lam_max < math.inf):
             lam_max, lam_min = lambda_extremes(
                 Element(descriptor, xs[i]), Element(descriptor, ys[i]))
         out.append(math.log(lam_max / lam_min))
@@ -124,7 +137,7 @@ def upper_bound_oracle(x: Element, y: Element, tol: float) -> float:
     if not (algebra._is_number(tol, numbers.Real) and tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     _require_interior(x, "x")
-    y_min = _require_interior(y, "y")
+    _, y_min = _require_interior(y, "y")
     eigenvalues = x.algebra.kernel.eigenvalues
     xc, yc = x.coords, y.coords
     y_max = float(np.abs(yc).max())

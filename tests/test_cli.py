@@ -1,18 +1,21 @@
-import hashlib
 import json
 import math
-import os
-import pathlib
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 import symcone as sc
-from symcone import cli, metric, suites
+from symcone import cli, metric, suites, transforms
 from symcone.cli import main
 from symcone.rng import SplitMix64
+
+from conftest import (
+    RELATIVE_SPECTRUM_OUT_OF_RANGE,
+    REPORT_DIGESTS,
+    REPORT_INPUTS,
+    assert_report_keeps_its_bits,
+    fresh_cli,
+)
 
 
 @pytest.fixture
@@ -100,16 +103,27 @@ def test_metric_on_an_element_whose_largest_eigenvalue_overflows_exit_2(capsys, 
         assert "eigenvalue beyond the float range" in err
 
 
+@pytest.mark.parametrize("case", sorted(RELATIVE_SPECTRUM_OUT_OF_RANGE))
+def test_metric_on_a_pair_whose_relative_spectrum_leaves_the_float_range_exit_2(
+        capsys, tmp_path, case):
+    # The orthant overflow exited 0 and printed "distance": Infinity; the
+    # others exited 3, blaming an argument in the cone.
+    descriptor, x, y = RELATIVE_SPECTRUM_OUT_OF_RANGE[case]
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({
+        "algebra": {"kind": descriptor.kind, "param": descriptor.param},
+        "elements": {"x": x, "y": y}}))
+    code, out, err = run(capsys, "metric", str(path), "x", "y")
+    assert code == 2
+    assert out == ""
+    assert "P(y^(-1/2))x has an eigenvalue beyond the float range" in err
+    assert "Infinity" not in err
+
+
 def test_metric_unknown_name(capsys, instance):
     code, _, err = run(capsys, "metric", instance, "x", "nope")
     assert code == 2
     assert "nope" in err
-
-
-def test_metric_rerun_bit_identical(capsys, instance):
-    _, out1, _ = run(capsys, "metric", instance, "x", "y")
-    _, out2, _ = run(capsys, "metric", instance, "x", "y")
-    assert out1 == out2
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +313,7 @@ def test_bushell_solves_a_large_well_conditioned_t(capsys, tmp_path):
     # Exited 2 with "matrix coordinates are not symmetric", from an
     # iterate's t' x t, though kappa(t) = 2.4.
     path = tmp_path / "bushell.json"
-    t = 100.0 * SplitMix64(126).normal_matrix(4, 4)
-    path.write_text(json.dumps({
-        "algebra": {"kind": "sym", "param": 4},
-        "maps": {"t": [{"type": "congruence", "payload": t.tolist()}]}}))
+    path.write_text(json.dumps(REPORT_INPUTS["bushell.json"]))
     code, out, err = run(capsys, "bushell", str(path), "t")
     assert code == 0 and err == ""
     rep = json.loads(out)
@@ -310,17 +321,9 @@ def test_bushell_solves_a_large_well_conditioned_t(capsys, tmp_path):
 
 
 def test_bushell_report_on_a_large_t_keeps_its_bits(capsys, monkeypatch, tmp_path):
-    # The t above; the report's sha256 was recorded before the sym quads
-    # and congruences of a batch became one stacked product.
-    monkeypatch.chdir(tmp_path)
-    t = 100.0 * SplitMix64(126).normal_matrix(4, 4)
-    pathlib.Path("bushell.json").write_text(json.dumps({
-        "algebra": {"kind": "sym", "param": 4},
-        "maps": {"t": [{"type": "congruence", "payload": t.tolist()}]}}))
-    code, out, err = run(capsys, "bushell", "bushell.json", "t")
-    assert code == 0 and err == ""
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "509e9f71c4b6df7d74b0a61a2011f9733ac1d157520f6077f573fe0fb5563810")
+    # The t above.
+    assert_report_keeps_its_bits("sym:4", "bushell bushell.json t", capsys, monkeypatch,
+                                 tmp_path)
 
 
 def test_bushell_partial_report_carries_k_and_p(capsys, sym_instance):
@@ -655,6 +658,27 @@ def test_check_failure_exit_6(capsys, monkeypatch):
     assert rep["counterexample"]["inputs"] == {"x": [1.0, 2.0]}
 
 
+def test_an_axioms_counterexample_rebuilds_the_drawn_points(capsys, monkeypatch):
+    # No tier-1 run had failed a suite that captures Element coordinates.
+    # A NaN distance fails metric_symmetry at the first sample, whose x, y
+    # and z are the first three points of the suite's stream.
+    nan = metric.MetricReport(math.nan, math.nan, math.nan)
+    monkeypatch.setattr(metric, "distance", lambda x, y: nan)
+    code, out, _ = run(capsys, "check", "axioms", "--algebra", "sym:3",
+                       "--samples", "2", "--seed", "5")
+    assert code == 6
+    counterexample = json.loads(out)["counterexample"]
+    assert counterexample["check"] == "metric_symmetry"
+    inputs = counterexample["inputs"]
+    assert sorted(inputs) == ["x", "y", "z"]
+    s3 = sc.sym_matrix(3)
+    drawn = transforms._random_cone_elements(s3, SplitMix64(5), 3)
+    for name, point in zip("xyz", drawn):
+        assert isinstance(inputs[name], list)
+        rebuilt = cli.element_from_json(s3, inputs[name], name)
+        assert rebuilt.coords.tobytes() == point.coords.tobytes()
+
+
 @pytest.mark.parametrize("suite", ["contraction", "isometry"])
 @pytest.mark.parametrize("algebra", ["orthant:1", "sym:1"])
 def test_check_on_a_rank_one_cone_measures_no_pair_and_passes(capsys, suite, algebra):
@@ -792,27 +816,10 @@ def test_gen_output_feeds_other_commands(capsys, tmp_path):
 # entry point
 # ---------------------------------------------------------------------------
 
-def test_console_script_runs():
-    # The child imports the package this process imported, which pytest may
-    # have found through its own pythonpath setting rather than PYTHONPATH.
-    src = str(pathlib.Path(sc.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "symcone.cli", "gen", "--algebra", "orthant:2",
-         "--what", "element", "--seed", "4"],
-        capture_output=True, text=True, env=env)
-    assert proc.returncode == 0
-    assert "elements" in json.loads(proc.stdout)
-
-
 def test_one_parser_serves_every_call(capsys, monkeypatch):
     # main builds its parser once per process; each call must still act as
     # the same call in a fresh process.  COLUMNS fixes the help width.
     monkeypatch.setenv("COLUMNS", "80")
-    src = str(pathlib.Path(sc.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     check = ["check", "bounds", "--algebra", "orthant:3", "--samples", "5", "--seed", "3"]
     calls = [
         (check, 0),
@@ -825,9 +832,13 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
     ]
     for argv, code in calls:
         got = run(capsys, *argv)
-        proc = subprocess.run([sys.executable, "-m", "symcone.cli", *argv],
-                              capture_output=True, text=True, env=env)
-        assert got == (code, proc.stdout, proc.stderr), argv
+        assert got[0] == code and got == fresh_cli(*argv), argv
+
+
+@pytest.mark.parametrize("tag, run", [key for key in REPORT_DIGESTS
+                                      if key[1].startswith(("gen", "metric"))])
+def test_gen_and_metric_reports_keep_their_bits(tag, run, capsys, monkeypatch, tmp_path):
+    assert_report_keeps_its_bits(tag, run, capsys, monkeypatch, tmp_path)
 
 
 def test_missing_subcommand_exit_2(capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import symcone as sc
-from symcone import algebra, suites
+from symcone import algebra, metric, suites
 from symcone.errors import AlgebraMismatch, EigensolverFailure, EigenvalueOverflow, NotInCone
 from symcone.rng import SplitMix64
 from symcone.transforms import random_cone_element
@@ -322,6 +322,9 @@ def _algebra_id(descriptor):
 # beyond the float range: x0 + ||xbar|| on spin:3, 2.5e308 on sym:2.
 _SPIN_OVERFLOWING = el(sc.spin_factor(3), [1.5e308, 1e308, 0.0])
 _SYM_OVERFLOWING = el(sc.sym_matrix(2), [[1.5e308, 1e308], [1e308, 1.5e308]])
+# The same on sym:3, with entries small enough that L^{-1} x L^{-T} stays
+# finite for y = e.
+_SYM3_OVERFLOWING = el(sc.sym_matrix(3), conftest.OVERFLOWING_EIGENVALUE)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -329,21 +332,23 @@ _SYM_OVERFLOWING = el(sc.sym_matrix(2), [[1.5e308, 1e308], [1e308, 1.5e308]])
     (lambda: sc.distance(_SPIN_OVERFLOWING, _SPIN_OVERFLOWING.algebra.identity()), "^x "),
     (lambda: sc.distance(_SPIN_OVERFLOWING.algebra.identity(), _SPIN_OVERFLOWING), "^y "),
     (lambda: sc.distance(_SYM_OVERFLOWING, _SYM_OVERFLOWING.algebra.identity()), "^x "),
+    (lambda: sc.distance(_SYM3_OVERFLOWING, _SYM3_OVERFLOWING.algebra.identity()), "^x "),
     (lambda: sc.normalize(_SYM_OVERFLOWING), "overflows"),
-], ids=["spin-normalize", "spin-x", "spin-y", "sym-x", "sym-normalize"])
+], ids=["spin-normalize", "spin-x", "spin-y", "sym-x", "sym-x-finite-z", "sym-normalize"])
 def test_an_argument_whose_largest_eigenvalue_overflows_is_named(call, message):
     # The spin normalize returned [0, 0, 0].  The spin distances blamed the
     # other argument with NotInCone, d(x, e) after an "invalid value"
     # warning; the sym distance warned "overflow encountered in add" and
-    # raised the Jacobi's "needs finite entries".
+    # raised the Jacobi's "needs finite entries", and on sym:3 the Jacobi's
+    # "Jacobi overflows", which named no argument.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(EigenvalueOverflow, match=message):
             call()
 
 
-@pytest.mark.parametrize("overflowing", [_SPIN_OVERFLOWING, _SYM_OVERFLOWING],
-                         ids=["spin", "sym"])
+@pytest.mark.parametrize("overflowing", [_SPIN_OVERFLOWING, _SYM_OVERFLOWING, _SYM3_OVERFLOWING],
+                         ids=["spin", "sym", "sym3"])
 def test_a_batch_row_whose_largest_eigenvalue_overflows_reads_nan(overflowing):
     # As its own call reads it, with no warning, so that the batch distances
     # of the contraction suites name it as distance does.
@@ -356,6 +361,47 @@ def test_a_batch_row_whose_largest_eigenvalue_overflows_reads_nan(overflowing):
         singles = [kernel.relative_eigenvalues(x, y) for x, y in zip(xs, ys)]
     assert rel.tobytes() == np.array(singles).tobytes()
     assert np.isnan(rel[1]).all()
+
+
+@pytest.mark.parametrize("case", sorted(conftest.RELATIVE_SPECTRUM_OUT_OF_RANGE))
+def test_a_relative_spectrum_beyond_the_float_range_is_named(case):
+    # The orthant overflow warned "overflow encountered in divide" and gave
+    # d = inf; the sym one raised NotInCone for y; the spin one warned
+    # "invalid value" in _spin_quad, then blamed y; each underflow blamed x.
+    descriptor, x, y = conftest.RELATIVE_SPECTRUM_OUT_OF_RANGE[case]
+    x, y = el(descriptor, x), el(descriptor, y)
+    kernel = descriptor.kernel
+    e = descriptor.identity().coords
+    xs, ys = np.stack([2.0 * e, x.coords]), np.stack([e, y.coords])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EigenvalueOverflow, match=r"^P\(y\^\(-1/2\)\)x has an eigenvalue"):
+            sc.distance(x, y)
+        with pytest.raises(EigenvalueOverflow, match=r"^P\(y"):
+            metric._row_distances(descriptor, xs, ys)
+        rel = kernel.relative_eigenvalues(xs, ys)
+        singles = [kernel.relative_eigenvalues(x, y) for x, y in zip(xs, ys)]
+    # The batch row reads as its own call: inf where the spectrum
+    # overflowed, 0 where its least eigenvalue underflowed.
+    assert rel.tobytes() == np.array(singles).tobytes()
+    if case.endswith("overflow"):
+        assert rel[1, 0] == math.inf
+    else:
+        assert rel[1, -1] == 0.0
+
+
+def test_a_sym_y_at_the_rounding_edge_of_the_cone_is_named():
+    # Jacobi finds y's least eigenvalue, 1.1e-16, positive, but its
+    # Cholesky factorisation fails: y sits at the rounding edge, and not
+    # beyond the float range.
+    s2 = sc.sym_matrix(2)
+    y = el(s2, [[1.0, 0.9], [0.9, 0.81]])
+    assert 0.0 < sc.lambda_min(y) < 1e-15
+    assert np.isnan(s2.kernel.relative_eigenvalues(s2.identity().coords, y.coords)).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotInCone, match="^y is not in the open cone"):
+            sc.distance(s2.identity(), y)
 
 
 def _bits(value):

@@ -8,13 +8,14 @@ import pytest
 
 import symcone as sc
 from symcone import algebra, metric, solver, transforms
-from symcone.cli import main
 from symcone.errors import NonConvergence, NotInCone, SingularMatrix
 from symcone.rng import SplitMix64
 from symcone.transforms import random_cone_element
 
 from conftest import (
     OVERFLOWING_EIGENVALUE,
+    REPORT_DIGESTS,
+    assert_report_keeps_its_bits,
     banach_iteration_bound,
     count_jacobi,
     el,
@@ -864,105 +865,26 @@ def test_sym_solves_keep_their_bits(p):
     assert hashlib.sha256(repr(outcome).encode()).hexdigest() == SYM_SOLVE_DIGESTS[p]
 
 
-# sha256 of the stdout of CLI runs, keyed by (algebra, run).  A check runs
-# with --samples 10 --seed 1; map.json holds the map of `gen --what map`
-# with --seed 2, or 19 for bushell, whose map must be one congruence.  Each
-# was recorded before a change that had to keep it:
-# - the sym:6 axioms, bounds, contraction and oracle checks, whose
-#   distances take eigenvalues only, before the Jacobi rotation kept its
-#   matrix as one flat list;
-# - the orthant:8 and spin:10 checks, before the contraction and isometry
-#   suites measured through the public batch measure_contraction;
-# - the sym:6 isometry check, the isometry checks of a user map and the
-#   solve and bushell reports with the default --tol and --max-iter, which
-#   are echoed into inputs_hash, before the isometry suite drew the words
-#   that go with a user map itself and the CLI took its solve defaults from
-#   SolveConfig;
-# - the spin:2 contraction check and the solves at p = -2 on sym:6 and at
-#   p = +-2 on orthant:8 and spin:10, before the sym quads and congruences
-#   of a batch became one stacked product and x^p lost its extra entry
-#   points;
-# - the sym:12 bushell report, which CI also runs from two fresh
-#   processes, before the solver stopped asking the metric which iterate
-#   to blame for a failed step.
-REPORT_DIGESTS = {
-    ("orthant:8", "check axioms"): "452e0bb5989186fae12ca383a0b44827a2f8747685761d6d56a47bcd007aac6f",
-    ("orthant:8", "check bounds"): "45d2a37c57754eca83414e83670be936a318b8105afd3a2160d7f00b3efcf0b2",
-    ("orthant:8", "check contraction"): "5455132631664354df521150eca48104b00b540907eb2c0852a5e9ef1c9ecd94",
-    ("orthant:8", "check isometry"): "2ad3690ddeb18a12e2ab0bb92c343d7953470df1bd8741a4e1c5477a3bfdd561",
-    ("orthant:8", "check oracle"): "9252a1cb3db279177aeaf47d6b76b57c56b49672c0d4d657174924894906c34d",
-    ("spin:10", "check axioms"): "8e4a60e3c4ce2bf1e52d03ca53b2dd1841875349bd23e0a1a13ffa47d7e3b708",
-    ("spin:10", "check bounds"): "ce88f3d36c8f65a4ad3596daee3ce82c99e953a5be0d733e9f957bc5a778c2a3",
-    ("spin:10", "check contraction"): "b98d163f471c864edcea1b91061708fed999d9e6b8a72efea37c6f3287fab88c",
-    ("spin:10", "check isometry"): "f42049da09c9f3ec8cc443cea7c77017461c77200ca1cb2d6eaab615c3bbe429",
-    ("spin:10", "check oracle"): "0ffae82b3046356e8a6375b2282a849e45b8f35c9528826a8a9d335f1af5e9f8",
-    ("sym:6", "check axioms"): "2a9ff7df75fafdd5061cd9b37c7dfecb05fa4fb0dfb63ba2b45829b2c59f2297",
-    ("sym:6", "check bounds"): "a694facf44215969414f1117507155698d411840d5b671d2643b694131def482",
-    ("sym:6", "check contraction"): "84953d4161bbc5482966eb3e28f3af161de78331d35f684d8aa5fb349337ddd4",
-    ("sym:6", "check isometry"): "d4e00211b553b78f8793e7c82ca21ab8f8d5b0a5f0a4d730f31ce07d4ac52987",
-    ("sym:6", "check oracle"): "3392015b8f7d1352de5e2cba2b9db9ccee209f737fa4d428f0c9cc7f4cf1e902",
-    ("orthant:8", "check isometry --instance map.json --map gen0"):
-        "4d307ede3132e98b40e563b7e0926083a69340cb0be168668b96f936112e9982",
-    ("spin:10", "check isometry --instance map.json --map gen0"):
-        "9ce323a8e730d650d1fe2f6f188f2db246002d13ed8ad20038d988c155116d7c",
-    ("sym:6", "check isometry --instance map.json --map gen0"):
-        "52cca707e06efb2f47344c6101db22a6d6efa7b22b358988b4ac82110c703eb6",
-    ("sym:6", "solve map.json gen0 --p 2"):
-        "4504b4bdc50da0214bd3fa5be45cf69d32a21fee22dc69cb2e83a7e6871ab143",
-    ("sym:6", "bushell map.json gen0 --k 1"):
-        "9b0b448197e20d48a4be3940f5e4b192eb3f3bf5d3757c672f77163f84cf6a64",
-    ("spin:2", "check contraction"): "e564b9bc1702c10e7ee0956db4d0cc6ef9206cedc266d7ae62f2efa1a9675e71",
-    ("sym:6", "solve map.json gen0 --p=-2"):
-        "e59c47c5524fac2089d3a267f9a020adc6ea3110a367740d03bbd8b466c03b3d",
-    ("orthant:8", "solve map.json gen0 --p 2"):
-        "02d9464676bbcacd169505d4509c19303f1fece49d710e252ee7008bc7b630aa",
-    ("orthant:8", "solve map.json gen0 --p=-2"):
-        "f0b39697553196ef49b15a802136f2153c8ace28d1071743fb705a5ceb33a3de",
-    ("spin:10", "solve map.json gen0 --p 2"):
-        "fa8379b92e20fec043ae88e21872c2023c9e62ff37c331349f4638f83ecbd766",
-    ("spin:10", "solve map.json gen0 --p=-2"):
-        "40d47e158c3ee3bcc3298f58727abf75869b628c7c18d5cee8a6da35407db20f",
-    ("sym:12", "bushell map.json gen0 --k 1"):
-        "41ac3841294ed1ab217181eb19c69d3d4cecdefd87d0474c2d6ee92b7ba6d777",
-}
-
-
-def _assert_report_keeps_its_bits(tag, run, capsys, monkeypatch, tmp_path):
-    """Run one REPORT_DIGESTS entry through cli.main in a fresh working
-    directory, so that the echoed map.json is the same path everywhere."""
-    monkeypatch.chdir(tmp_path)
-    argv = run.split()
-    if argv[0] == "check":
-        argv += ["--algebra", tag, "--samples", "10", "--seed", "1"]
-    if "map.json" in argv:
-        seed = "19" if argv[0] == "bushell" else "2"
-        assert main(["gen", "--algebra", tag, "--what", "map", "--seed", seed]) == 0
-        (tmp_path / "map.json").write_text(capsys.readouterr().out)
-    assert main(argv) == 0
-    out = capsys.readouterr().out.encode()
-    assert hashlib.sha256(out).hexdigest() == REPORT_DIGESTS[tag, run]
-
-
 # The runs of the table in three tests: the sym:6 checks, the other checks
-# and the runs on a map.json.
+# and the runs on a map.json; test_cli runs the rest.
 _SUITE_RUNS = [(tag, run.split()[1]) for tag, run in REPORT_DIGESTS
                if run.startswith("check") and "map.json" not in run]
 
 
 @pytest.mark.parametrize("suite", [suite for tag, suite in _SUITE_RUNS if tag == "sym:6"])
 def test_sym_check_reports_keep_their_bits(suite, capsys, monkeypatch, tmp_path):
-    _assert_report_keeps_its_bits("sym:6", f"check {suite}", capsys, monkeypatch, tmp_path)
+    assert_report_keeps_its_bits("sym:6", f"check {suite}", capsys, monkeypatch, tmp_path)
 
 
 @pytest.mark.parametrize("tag, suite", [key for key in _SUITE_RUNS if key[0] != "sym:6"])
 def test_orthant_and_spin_check_reports_keep_their_bits(tag, suite, capsys, monkeypatch,
                                                        tmp_path):
-    _assert_report_keeps_its_bits(tag, f"check {suite}", capsys, monkeypatch, tmp_path)
+    assert_report_keeps_its_bits(tag, f"check {suite}", capsys, monkeypatch, tmp_path)
 
 
 @pytest.mark.parametrize("tag, run", [key for key in REPORT_DIGESTS if "map.json" in key[1]])
 def test_reports_of_a_user_map_keep_their_bits(tag, run, capsys, monkeypatch, tmp_path):
-    _assert_report_keeps_its_bits(tag, run, capsys, monkeypatch, tmp_path)
+    assert_report_keeps_its_bits(tag, run, capsys, monkeypatch, tmp_path)
 
 
 def test_sym_bushell_keeps_its_bits():
