@@ -35,14 +35,24 @@ Each kernel also owns one step of the solver's Banach iteration,
 and the extreme eigenvalues of P(x_next^{-1/2})x, whose log ratio is the
 step d(x, x_next).  The orthant step works entry by entry, with no sort
 or frame.  The spin step works in closed form from g0, ||gbar|| and gbar
-/ ||gbar||, the spectrum of the step from ``_spin_quad``.  The sym step
-decomposes g(x) starting from the eigenvector columns of the previous
-step's decomposition (Jacobi converges in fewer sweeps from them; this
-warm start is the step's own, not ``decompose``'s), builds x_next on that
-frame and takes the step spectrum in that basis.  Every
-power in these steps is one np.power over an array, as in the generic
-x^p, whose bits do not depend on an entry's position, so each step
-returns x_next with the bits of the sum over the frame.
+/ ||gbar||, the spectrum of the step from P(x_next^{-1/2})x.  These two
+steps, and one point's spin P(a)x, compute on Python floats read by one
+tolist() of each array: on a vector of ten entries a numpy call costs
+about a microsecond, the float arithmetic it replaces tens of
+nanoseconds a term, and both round each operation the same way.  numpy
+keeps two jobs there, whose bits are its own: every power is one
+np.power over an array, and the spin <a, x> is np.dot.  (The orthant
+step keeps a a x as one numpy expression too, which at its sizes costs
+less than a loop.)  The sym step decomposes g(x) starting from the
+eigenvector columns of the previous step's decomposition (Jacobi
+converges in fewer sweeps from them; this warm start is the step's own,
+not ``decompose``'s), builds x_next on that frame and takes the step
+spectrum in that basis.  Every power in these steps is one np.power over
+an array, as in the generic x^p, whose bits do not depend on an entry's
+position, so each step returns x_next with the bits of the sum over the
+frame.  A float **, math.pow or a power of numpy scalars in its place
+would not do: they call the C library's pow, whose result differs from
+numpy's vectorized loop on AVX-512 CPUs in about 5 % of inputs.
 
 The kernel functions that sampling, the metric and the maps of
 ``transforms`` use (``quad``, ``decompose``, ``eigenvalues``,
@@ -383,20 +393,27 @@ def _orthant_fixed_point_step(gx, x, e, basis=None):
     eigenvalues, and P(x_next^{-1/2})x = a a x with a = x_next^{-1/2}.
     Each power is one np.power over the coordinates, whose bits do not
     depend on an entry's position, so the decomposition's sort and frame
-    are never needed."""
-    low = gx.argmin()  # a NaN is both the least and the largest entry
+    are never needed.  argmin and argmax pick the extreme entries (a NaN is
+    both the least and the largest), and their values are read as Python
+    floats from one tolist() of each array; the products a a x stay one
+    numpy expression, which at this size costs less than a loop over the
+    entries."""
+    g = gx.tolist()
+    low = gx.argmin()
     high = gx.argmax()
-    _require_finite_extremes(gx[high], gx[low])
-    _require_power_domain(gx[low:low + 1], e)
+    _require_finite_extremes(g[high], g[low])
+    if g[low] <= 0.0:  # the only case that _require_power_domain can refuse
+        _require_power_domain(gx[low:low + 1], e)
     roots = np.power(gx, e)
-    scale = 1.0 / _power_norm((roots[low], roots[high]))
+    r = roots.tolist()
+    scale = 1.0 / _power_norm((r[low], r[high]))
     _require_root_scale(scale)
     x_next = roots * scale
     if x_next.tobytes() == x.tobytes():
         return x_next, None, None
-    a = np.power(x_next, -0.5)
-    rel = _orthant_quad(a, x)
-    rel_max, rel_min = float(rel[rel.argmax()]), float(rel[rel.argmin()])
+    rel = _orthant_quad(np.power(x_next, -0.5), x)
+    rels = rel.tolist()
+    rel_max, rel_min = rels[rel.argmax()], rels[rel.argmin()]
     _require_finite_extremes(rel_max, rel_min, "P(x_next^(-1/2))x")
     return x_next, (rel_max, rel_min), None
 
@@ -668,22 +685,34 @@ def _spin_conjugation(n):
     return signs
 
 
+def _spin_quad_floats(a, x):
+    """P(a)x of one point a, x as a list of Python floats: the head
+    2<a, x> a0 - det(a) x0 and the tail 2<a, x> a_i + det(a) x_i, with
+    <a, x> from np.dot, the BLAS dot product that _row_dots matches row by
+    row."""
+    dot2 = 2.0 * float(np.dot(a, x))
+    a0, *abar = a.tolist()
+    x0, *xbar = x.tolist()
+    a_norm = math.hypot(*abar)
+    det_a = (a0 + a_norm) * (a0 - a_norm)
+    return [dot2 * a0 - det_a * x0, *[dot2 * ai + det_a * xi for ai, xi in zip(abar, xbar)]]
+
+
 def _spin_quad(a, x):
     """P(a)x = 2<a, x> a - det(a) x*, where x* = (x0, -xbar).
 
     Faraut & Koranyi, Analysis on Symmetric Cones, ch. II; <.,.> is the
-    plain dot product: np.dot on one point, and every row's at once by
-    _row_dots on a batch, with the same bits.  a and x are each one point
-    or a batch; one a serves every row of a batch x.  Subtracting
-    det(a) * -x_j adds det(a) * x_j, bit for bit.
+    plain dot product: np.dot on one point, whose terms are Python floats
+    (_spin_quad_floats), and every row's at once by _row_dots on a batch,
+    with the same bits.  a and x are each one point or a batch; one a
+    serves every row of a batch x.  A batch subtracts det(a) * -x_j where
+    one point adds det(a) * x_j, which gives the same bits.
     """
     if a.ndim == x.ndim == 1:
-        dot = float(np.dot(a, x))
-    else:
-        dot = _row_dots(a, x)
+        return np.array(_spin_quad_floats(a, x))
     a0, a_norm = _spin_parts(a)
     det_a = (a0 + a_norm) * (a0 - a_norm)
-    return 2.0 * dot * a - det_a * (x * _spin_conjugation(x.shape[-1]))
+    return 2.0 * _row_dots(a, x) * a - det_a * (x * _spin_conjugation(x.shape[-1]))
 
 
 def _spin_spectrum(x):
@@ -760,32 +789,33 @@ def _spin_fixed_point_step(gx, x, e, basis=None):
     h = u / 2.  The weights are positive, so w1 h_i and w2 (-h_i) are never
     both -0.0, and _frame_sum's initial +0.0 changes no sum.  x_next has the
     weights l_j^e / |g^e| and a = x_next^{-1/2} the weights mu_j^{-1/2};
-    the step spectrum is that of _spin_quad(a, x)."""
-    g0, g_norm = _spin_parts(gx)
+    the step spectrum is that of P(a)x, from _spin_quad_floats.  Every term
+    is a Python float read by tolist(): numpy serves only the two np.power
+    calls over the weights and the np.dot of <a, x>, and builds the arrays
+    x_next and a."""
+    g0, *gbar = gx.tolist()
+    g_norm = math.hypot(*gbar)
     high = g0 + g_norm
     low = g0 - g_norm
     _require_finite_extremes(high, low)
     eigs = np.array([high, low])
-    _require_power_domain(eigs, e)
+    if low <= 0.0:  # the only case that _require_power_domain can refuse
+        _require_power_domain(eigs, e)
     if g_norm != 0.0:
-        h = 0.5 * (gx[1:] / g_norm)
+        h = [0.5 * (gi / g_norm) for gi in gbar]
     else:
-        h = 0.5 * np.eye(gx.shape[0] - 1)[0]  # any unit vector gives a frame
-    neg_h = -h
-    roots = np.power(eigs, e)
-    scale = 1.0 / _power_norm(roots)
+        h = [0.5] + [0.0] * (len(gbar) - 1)  # any unit vector gives a frame
+    w1, w2 = np.power(eigs, e).tolist()
+    scale = 1.0 / _power_norm((w1, w2))
     _require_root_scale(scale)
-    w1, w2 = roots.tolist()
-    x_next = np.empty_like(gx)
-    x_next[0] = (w1 * 0.5 + w2 * 0.5) * scale
-    x_next[1:] = (w1 * h + w2 * neg_h) * scale
+    x_next = np.array([(w1 * 0.5 + w2 * 0.5) * scale,
+                       *[(w1 * hi + w2 * -hi) * scale for hi in h]])
     if x_next.tobytes() == x.tobytes():
         return x_next, None, None
-    w1, w2 = np.power(roots * scale, -0.5).tolist()
-    a = np.empty_like(gx)
-    a[0] = w1 * 0.5 + w2 * 0.5
-    a[1:] = w1 * h + w2 * neg_h
-    z0, z_norm = _spin_parts(_spin_quad(a, x))
+    w1, w2 = np.power(np.array([w1 * scale, w2 * scale]), -0.5).tolist()
+    a = np.array([w1 * 0.5 + w2 * 0.5, *[w1 * hi + w2 * -hi for hi in h]])
+    z0, *zbar = _spin_quad_floats(a, x)
+    z_norm = math.hypot(*zbar)
     rel_max, rel_min = z0 + z_norm, z0 - z_norm
     _require_finite_extremes(rel_max, rel_min, "P(x_next^(-1/2))x")
     return x_next, (rel_max, rel_min), None

@@ -1,6 +1,7 @@
 import ctypes
 import glob
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -44,11 +45,31 @@ def _cpu_has_avx512f() -> str:
     return "yes" if "avx512f" in flags else "no"
 
 
+def numpy_simd_targets():
+    """The SIMD targets that numpy found on this CPU among those it was built
+    for (its baseline, then its dispatch targets), in numpy's order; None
+    where numpy does not report them."""
+    for name in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:
+            umath = importlib.import_module(name)
+            found = umath.__cpu_features__
+            targets = umath.__cpu_baseline__ + umath.__cpu_dispatch__
+        except (ImportError, AttributeError):
+            continue
+        return [target for target in targets if found.get(target)]
+    return None
+
+
 def pytest_report_header():
-    # The sha256 pins hold the bits of one BLAS kernel: under another one
-    # (OPENBLAS_CORETYPE=Haswell or Sandybridge on an AVX-512 machine) some
-    # of them fail on their digests alone.
-    return f"OpenBLAS core: {_openblas_core()}; CPU avx512f: {_cpu_has_avx512f()}"
+    # The sha256 pins hold the bits of one BLAS kernel and of one numpy
+    # np.power loop: under another BLAS kernel (OPENBLAS_CORETYPE=Haswell or
+    # Sandybridge on an AVX-512 machine), or with numpy's AVX-512 dispatch
+    # off (NPY_DISABLE_CPU_FEATURES), some of them fail on their digests
+    # alone.
+    targets = numpy_simd_targets()
+    simd = "unknown" if targets is None else " ".join(targets) or "none"
+    return (f"OpenBLAS core: {_openblas_core()}; CPU avx512f: {_cpu_has_avx512f()}; "
+            f"numpy SIMD: {simd}")
 
 
 def pytest_terminal_summary(terminalreporter, config):
@@ -151,6 +172,72 @@ def spin_point_loop(n, rng, lo, hi, shape=()):
         point[0] = 0.5 * (lam1 + lam2)
         point[1:] = 0.5 * (lam1 - lam2) * (v / norm)
     return points.reshape(shape + (n,))
+
+
+def numpy_orthant_step(gx, x, e, basis=None):
+    """Reference orthant fixed-point step on numpy arrays: the extremes by
+    argmin and argmax read as numpy scalars, the domain checked on a slice,
+    x_next = gx^e times the scale and the step spectrum a a x, a =
+    x_next^(-1/2), each one array operation."""
+    low = gx.argmin()  # a NaN is both the least and the largest entry
+    high = gx.argmax()
+    algebra._require_finite_extremes(gx[high], gx[low])
+    algebra._require_power_domain(gx[low:low + 1], e)
+    roots = np.power(gx, e)
+    scale = 1.0 / algebra._power_norm((roots[low], roots[high]))
+    algebra._require_root_scale(scale)
+    x_next = roots * scale
+    if x_next.tobytes() == x.tobytes():
+        return x_next, None, None
+    a = np.power(x_next, -0.5)
+    rel = a * a * x
+    rel_max, rel_min = float(rel[rel.argmax()]), float(rel[rel.argmin()])
+    algebra._require_finite_extremes(rel_max, rel_min, "P(x_next^(-1/2))x")
+    return x_next, (rel_max, rel_min), None
+
+
+def numpy_spin_quad(a, x):
+    """Reference spin P(a)x = 2<a, x> a - det(a) x* of one point on numpy
+    arrays, x* = x times the conjugation vector (1, -1, ..., -1)."""
+    dot = float(np.dot(a, x))
+    a0, a_norm = algebra._spin_parts(a)
+    det_a = (a0 + a_norm) * (a0 - a_norm)
+    return 2.0 * dot * a - det_a * (x * algebra._spin_conjugation(x.shape[-1]))
+
+
+def numpy_spin_step(gx, x, e, basis=None):
+    """Reference spin fixed-point step on numpy arrays: h = gbar / (2
+    ||gbar||) and -h as arrays, x_next and a = x_next^(-1/2) filled in with
+    array operations on the frame's weights, and the step spectrum from
+    ``numpy_spin_quad``."""
+    g0, g_norm = algebra._spin_parts(gx)
+    high = g0 + g_norm
+    low = g0 - g_norm
+    algebra._require_finite_extremes(high, low)
+    eigs = np.array([high, low])
+    algebra._require_power_domain(eigs, e)
+    if g_norm != 0.0:
+        h = 0.5 * (gx[1:] / g_norm)
+    else:
+        h = 0.5 * np.eye(gx.shape[0] - 1)[0]  # any unit vector gives a frame
+    neg_h = -h
+    roots = np.power(eigs, e)
+    scale = 1.0 / algebra._power_norm(roots)
+    algebra._require_root_scale(scale)
+    w1, w2 = roots.tolist()
+    x_next = np.empty_like(gx)
+    x_next[0] = (w1 * 0.5 + w2 * 0.5) * scale
+    x_next[1:] = (w1 * h + w2 * neg_h) * scale
+    if x_next.tobytes() == x.tobytes():
+        return x_next, None, None
+    w1, w2 = np.power(roots * scale, -0.5).tolist()
+    a = np.empty_like(gx)
+    a[0] = w1 * 0.5 + w2 * 0.5
+    a[1:] = w1 * h + w2 * neg_h
+    z0, z_norm = algebra._spin_parts(numpy_spin_quad(a, x))
+    rel_max, rel_min = z0 + z_norm, z0 - z_norm
+    algebra._require_finite_extremes(rel_max, rel_min, "P(x_next^(-1/2))x")
+    return x_next, (rel_max, rel_min), None
 
 
 # 8e307 (J + 0.1 I) / 1.1 with J all ones: finite entries 8e307 and about

@@ -32,7 +32,7 @@ ALLOWED = {
                                           "one stacked product per batch"),
     ("algebra", "_sym_random_point", "@"): "random sym point q diag(l) q^T",
     ("algebra", "_spin_product", "np.dot"): "head <x, y> of the spin product",
-    ("algebra", "_spin_quad", "np.dot"): "<a, x> of one point's closed-form spin P(a)x",
+    ("algebra", "_spin_quad_floats", "np.dot"): "<a, x> of one point's closed-form spin P(a)x",
     ("algebra", "_row_dots", "@"): "row dots <a_i, b_i>: a batch's spin P(a)x, norms of spin draws",
     ("rng", "SplitMix64.rotation", "np.linalg.qr"): "random rotation from the QR of a normal matrix",
     ("transforms", "numerically_singular", "np.linalg.slogdet"): "log |det t| of the singularity test",
