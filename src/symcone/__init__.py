@@ -60,8 +60,7 @@ from .transforms import (
     Quad,
     Scalar,
     apply,
-    isometry_check,
-    measure_contraction,
+    measure_contractions,
     random_cone_element,
     random_word,
 )

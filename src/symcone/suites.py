@@ -15,6 +15,7 @@ import numpy as np
 
 from . import algebra, metric, transforms
 from .algebra import AlgebraDescriptor, Element
+from .errors import AlgebraMismatch
 from .rng import SplitMix64
 
 DEFAULT_CONTRACTION_PS = (-1.0, -0.7, -0.5, 0.3, 0.5, 0.7, 1.0)
@@ -159,17 +160,18 @@ def axioms_suite(descriptor: AlgebraDescriptor, samples: int, seed: int) -> Suit
 
 
 def contraction_suite(descriptor: AlgebraDescriptor, samples: int, seed: int) -> SuiteResult:
-    """Power maps shrink d by at most |p| for each p of DEFAULT_CONTRACTION_PS.
+    """Power maps shrink d by at most |p| for each p of DEFAULT_CONTRACTION_PS,
+    the k-th measured from seed + k, all in one ``measure_contractions``.
 
     A check whose samples held no measured pair (on a rank-1 cone, every
     pair) takes no update: it reports count 0 and passes.
     """
     result = SuiteResult("contraction", descriptor, samples, seed)
-    for k, p in enumerate(DEFAULT_CONTRACTION_PS):
+    reports = transforms.measure_contractions(descriptor, samples, [
+        (lambda rows, p=p: algebra._power_coords(descriptor, rows, p), seed + k, f"power {p:g}")
+        for k, p in enumerate(DEFAULT_CONTRACTION_PS)])
+    for k, (p, rep) in enumerate(zip(DEFAULT_CONTRACTION_PS, reports)):
         check = CheckResult(f"power_contraction_p={p:g}", 1e-9)
-        rep = transforms.measure_contraction(
-            lambda rows: algebra._power_coords(descriptor, rows, p),
-            descriptor, samples, seed + k, f"power {p:g}")
         if rep.measured:
             check.update(rep.max_ratio - abs(p), {"p": p, "seed": seed + k})
         result.checks.append(check)
@@ -184,30 +186,34 @@ def isometry_suite(
 ) -> SuiteResult:
     """Five generator words and the inversion map preserve d to 1e-8: the
     words drawn from the suite's stream, the fifth replaced by ``word``
-    when one is given.
+    when one is given, and the k-th map measured from seed + k, all in one
+    ``measure_contractions``.  A ``word`` of another algebra raises
+    AlgebraMismatch before any draw.
 
     As in the contraction suite, a check with no measured pair takes no
     update.
     """
     result = SuiteResult("isometry", descriptor, samples, seed)
+    if word is not None and word.algebra != descriptor:
+        raise AlgebraMismatch(
+            f"the word acts on {word.algebra.kind}:{word.algebra.param}, "
+            f"the suite on {descriptor.kind}:{descriptor.param}")
     rng = SplitMix64(seed)
     words = [transforms.random_word(descriptor, rng) for _ in range(4)]
     words.append(transforms.random_word(descriptor, rng) if word is None else word)
-    for k, word in enumerate(words):
-        check = CheckResult(f"word_isometry_{k}_{word.describe()}", 1e-8)
-        rep = transforms.isometry_check(word, samples, seed + k)
+    maps = [(lambda rows, w=w: transforms._apply_coords(w, rows), seed + k, w.describe())
+            for k, w in enumerate(words)]
+    maps.append((lambda rows: algebra._power_coords(descriptor, rows, -1.0),
+                 seed + len(words), "inversion"))
+    reports = transforms.measure_contractions(descriptor, samples, maps)
+    checks = [(f"word_isometry_{k}_{w.describe()}", {"word": w.describe(), "seed": seed + k})
+              for k, w in enumerate(words)]
+    checks.append(("inversion_isometry", {"seed": seed + len(words)}))
+    for (name, inputs), rep in zip(checks, reports):
+        check = CheckResult(name, 1e-8)
         if rep.measured:
-            check.update(max(rep.max_ratio - 1.0, 1.0 - rep.min_ratio),
-                         {"word": word.describe(), "seed": seed + k})
+            check.update(max(rep.max_ratio - 1.0, 1.0 - rep.min_ratio), inputs)
         result.checks.append(check)
-    inv = CheckResult("inversion_isometry", 1e-8)
-    rep = transforms.measure_contraction(
-        lambda rows: algebra._power_coords(descriptor, rows, -1.0),
-        descriptor, samples, seed + len(words), "inversion")
-    if rep.measured:
-        inv.update(max(rep.max_ratio - 1.0, 1.0 - rep.min_ratio),
-                   {"seed": seed + len(words)})
-    result.checks.append(inv)
     return result
 
 

@@ -10,14 +10,17 @@ the cone; a word always does.
 The power maps x -> x^p (``algebra.power``), the inversion x -> x^{-1}
 among them, are the nonlinear maps of interest: powers with
 |p| <= 1 shrink the Hilbert metric by the factor |p|, inversion and every
-word preserve it.  ``measure_contraction`` measures both facts
-empirically over seeded random pairs.  It draws every point first, in the
-order x_1, y_1, x_2, y_2, ..., and then runs each layer once over the
-whole batch of raw coordinates: the distances d(x_i, y_i), the images,
-the distances between the images.  The map it is given takes that batch
-of raw coordinates; the property suites pass ``_apply_coords`` for a word
-and ``algebra._power_coords`` for a power.  On sym these arrays are
-bitwise symmetric by construction, and none is ingested again.
+word preserve it.  ``measure_contractions`` measures both facts
+empirically over seeded random pairs, for several maps at once.  It draws
+every map's points first, each map from its own seed in the order x_1,
+y_1, x_2, y_2, ..., and then runs each layer once over every map's batch
+of raw coordinates: one distance call for every d(x_i, y_i), one call of
+each map on its own pairs, and one distance call for every pair of
+images.  Each map takes its batch of raw coordinates; the property suites
+pass ``_apply_coords`` for a word and ``algebra._power_coords`` for a
+power.  On sym these arrays are bitwise symmetric by construction, and
+none is ingested again.  The kernels compute each row on its own, so a
+map's report has the bits of a call with that map alone.
 """
 
 from __future__ import annotations
@@ -238,52 +241,80 @@ def random_word(
     return AutomorphismWord(descriptor, tuple(factors))
 
 
-def measure_contraction(
-    map_rows,
-    descriptor: AlgebraDescriptor,
-    samples: int,
-    seed: int,
-    label: str = "map",
-) -> ContractionReport:
-    """Max (and min) of d(f(x), f(y)) / d(x, y) over seeded random pairs.
+def _image_distances(descriptor: AlgebraDescriptor, images, labels) -> list[float]:
+    """d(f(x_i), f(y_i)) over every map's images, one point per row in the
+    order x_i, y_i, in one _row_distances call.  Where that call raises,
+    each map's images are measured again on their own, in order, so that
+    the error is the one one-map calls made one after another would raise:
+    MapLeftCone naming the first map whose images leave the open cone."""
+    if not images:
+        return []
+    batch = np.concatenate(images)
+    try:
+        return metric._row_distances(descriptor, batch[0::2], batch[1::2])
+    except Exception:
+        for image, label in zip(images, labels):
+            try:
+                metric._row_distances(descriptor, image[0::2], image[1::2])
+            except NotInCone as exc:
+                raise MapLeftCone(f"{label} sent a cone point out of the cone") from exc
+        raise
 
-    The 2 * samples points are drawn first, in the order x_1, y_1, x_2,
-    y_2, ..., and each layer then runs once over the batch (module
-    docstring).  Pairs closer than 1e-8 in the metric are skipped, and
-    map_rows is called once, on the raw coordinates of the measured pairs,
-    one point per row in the order x_i, y_i of sample order; it returns
-    their images, row for row.  Raises AlgebraMismatch if the images have
-    another shape, and MapLeftCone if the distance between the images
-    finds one outside the open cone.
+
+def measure_contractions(
+    descriptor: AlgebraDescriptor, samples: int, maps
+) -> list[ContractionReport]:
+    """Max (and min) of d(f(x), f(y)) / d(x, y) over seeded random pairs,
+    one ContractionReport per entry (map_rows, seed, label) of maps.
+
+    Each map's 2 * samples points are drawn from SplitMix64(seed), in the
+    order x_1, y_1, x_2, y_2, ..., and each layer then runs once over
+    every map's batch (module docstring).  Pairs closer than 1e-8 in the
+    metric are skipped, and each map_rows is called once, in the order of
+    maps, on the raw coordinates of its measured pairs, one point per row
+    in the order x_i, y_i of sample order; it returns their images, row for
+    row.  A map with no measured pair is not called.  A map's report has
+    the bits of a call with that map alone, and so has its error: a map's
+    own exception, or AlgebraMismatch if its images have another shape, is
+    raised only once the images of the maps before it are measured, and
+    MapLeftCone names the first map whose images leave the open cone.
     """
     metric._require_samples(samples)
-    points = descriptor.kernel.random_point(
-        descriptor.param, SplitMix64(seed), EIG_LO, EIG_HI, (2 * samples,))
+    maps = list(maps)
+    if not maps:
+        return []
+    shape = descriptor.coord_shape
+    points = np.concatenate([
+        descriptor.kernel.random_point(
+            descriptor.param, SplitMix64(seed), EIG_LO, EIG_HI, (2 * samples,))
+        for _, seed, _ in maps])
     dxy = metric._row_distances(descriptor, points[0::2], points[1::2])
-    measured = [i for i, d in enumerate(dxy) if not d < 1e-8]
-    ratios = []
-    if measured:
-        pairs = points.reshape((samples, 2) + descriptor.coord_shape)[measured]
-        rows = pairs.reshape((-1,) + descriptor.coord_shape)
-        images = map_rows(rows)
-        if images.shape != rows.shape:
-            raise AlgebraMismatch(f"{label} maps points out of their algebra")
+    pairs = points.reshape((-1, 2) + shape)
+    measured = [[i for i in range(k * samples, (k + 1) * samples) if not dxy[i] < 1e-8]
+                for k in range(len(maps))]
+    images, labels = [], []
+    for (map_rows, _, label), pair_rows in zip(maps, measured):
+        if not pair_rows:
+            continue
+        rows = pairs[pair_rows].reshape((-1,) + shape)
         try:
-            dfxy = metric._row_distances(descriptor, images[0::2], images[1::2])
-        except NotInCone as exc:
-            raise MapLeftCone(f"{label} sent a cone point out of the cone") from exc
-        ratios = [d / dxy[i] for d, i in zip(dfxy, measured)]
-    if any(math.isnan(ratio) for ratio in ratios):
-        max_ratio = min_ratio = math.nan
-    else:
-        max_ratio = max(ratios, default=0.0)
-        min_ratio = min(ratios, default=0.0)
-    return ContractionReport(samples, max_ratio, min_ratio, label, len(measured))
-
-
-def isometry_check(
-    word: AutomorphismWord, samples: int, seed: int
-) -> ContractionReport:
-    """Contraction report for a word; ratios should sit at 1 for isometries."""
-    return measure_contraction(lambda rows: _apply_coords(word, rows),
-                               word.algebra, samples, seed, word.describe())
+            image = map_rows(rows)
+            if image.shape != rows.shape:
+                raise AlgebraMismatch(f"{label} maps points out of their algebra")
+        except Exception:
+            # One-map calls would have measured the maps before this one.
+            _image_distances(descriptor, images, labels)
+            raise
+        images.append(image)
+        labels.append(label)
+    dfxy = iter(_image_distances(descriptor, images, labels))
+    reports = []
+    for (_, _, label), pair_rows in zip(maps, measured):
+        ratios = [next(dfxy) / dxy[i] for i in pair_rows]
+        if any(math.isnan(ratio) for ratio in ratios):
+            max_ratio = min_ratio = math.nan
+        else:
+            max_ratio = max(ratios, default=0.0)
+            min_ratio = min(ratios, default=0.0)
+        reports.append(ContractionReport(samples, max_ratio, min_ratio, label, len(pair_rows)))
+    return reports

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import symcone as sc
-from symcone import algebra, metric, solver
+from symcone import algebra, metric, solver, transforms
 from symcone.cli import main
 from symcone.errors import NonConvergence, NotInCone
 from symcone.transforms import random_word
@@ -260,10 +260,23 @@ RELATIVE_SPECTRUM_OUT_OF_RANGE = {
 }
 
 
+def contraction_report(map_rows, descriptor, samples, seed, label="map"):
+    """One map's report, from a one-map measure_contractions call."""
+    [rep] = sc.measure_contractions(descriptor, samples, [(map_rows, seed, label)])
+    return rep
+
+
+def word_report(word, samples, seed):
+    """A word's report, measured as the isometry suite measures it."""
+    return contraction_report(lambda rows: transforms._apply_coords(word, rows),
+                              word.algebra, samples, seed, word.describe())
+
+
 def contraction_loop(map_fn, descriptor, samples, seed, label="map"):
-    """Reference measure_contraction: one sample at a time, two Elements,
-    two distances, two map images and their distance per sample, with the
-    running max and min; ``measured`` counts the pairs not skipped."""
+    """Reference measure_contractions for one map: one sample at a time,
+    two Elements, two distances, two map images and their distance per
+    sample, with the running max and min; ``measured`` counts the pairs not
+    skipped."""
     rng = sc.SplitMix64(seed)
     max_ratio = 0.0
     min_ratio = math.inf

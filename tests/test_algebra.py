@@ -970,7 +970,7 @@ def test_stacked_sym_products_equal_per_matrix_products(r):
     # A batch of sym quads or congruences is one stacked product; each of
     # its matrices must have the bits of the product of that matrix alone,
     # C-contiguous as a stack of those products is.  One factor for every
-    # matrix, a factor per matrix, and the rows of measure_contraction:
+    # matrix, a factor per matrix, and the rows of measure_contractions:
     # pairs picked by a list of indices, then flattened.
     kernel = sc.sym_matrix(r).kernel
     rng = SplitMix64(700 + r)

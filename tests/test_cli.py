@@ -15,6 +15,7 @@ from conftest import (
     REPORT_INPUTS,
     assert_report_keeps_its_bits,
     fresh_cli,
+    word_report,
 )
 
 
@@ -769,7 +770,7 @@ def test_gen_map_is_isometry(capsys):
     descriptor = cli.parse_algebra_obj(frag["algebra"])
     word = cli.word_from_json(descriptor, frag["maps"]["gen0"], "gen0")
     assert len(word.factors) <= 3
-    rep = sc.isometry_check(word, 100, 11)
+    rep = word_report(word, 100, 11)
     assert abs(rep.max_ratio - 1.0) <= 1e-8
     assert abs(rep.min_ratio - 1.0) <= 1e-8
 

@@ -18,7 +18,14 @@ from symcone.cli import main
 from symcone.rng import SplitMix64
 from symcone.transforms import random_cone_element, random_word
 
-from conftest import contraction_loop, el, inverse_word, spin_point_loop
+from conftest import (
+    contraction_loop,
+    contraction_report,
+    el,
+    inverse_word,
+    spin_point_loop,
+    word_report,
+)
 
 O2 = sc.orthant(2)
 S2 = sc.sym_matrix(2)
@@ -234,7 +241,7 @@ def _power_rows(descriptor, p):
 
 
 def test_measure_contraction_identity(small_algebra):
-    rep = sc.measure_contraction(lambda rows: rows, small_algebra, 200, 11, label="id")
+    rep = contraction_report(lambda rows: rows, small_algebra, 200, 11, label="id")
     assert abs(rep.max_ratio - 1.0) <= 1e-12
     assert abs(rep.min_ratio - 1.0) <= 1e-12
     assert rep.samples == 200
@@ -242,24 +249,24 @@ def test_measure_contraction_identity(small_algebra):
 
 def test_measure_contraction_validates_samples():
     with pytest.raises(ValueError):
-        sc.measure_contraction(lambda rows: rows, O2, 0, 1)
+        contraction_report(lambda rows: rows, O2, 0, 1)
 
 
 def test_measure_contraction_takes_only_an_integer_sample_count():
     # True ran one sample; 2.5 and np.float64(2.0) failed in range().
     for samples in (True, 2.5, np.float64(2.0), "3", None):
         with pytest.raises(ValueError, match="samples must be an integer"):
-            sc.measure_contraction(lambda rows: rows, O2, samples, 1)
+            contraction_report(lambda rows: rows, O2, samples, 1)
         with pytest.raises(ValueError, match="samples must be an integer"):
-            sc.isometry_check(random_word(O2, SplitMix64(1)), samples, 1)
+            word_report(random_word(O2, SplitMix64(1)), samples, 1)
     inverse = _power_rows(O2, -1.0)
-    assert sc.measure_contraction(inverse, O2, np.int64(3), 1) == \
-        sc.measure_contraction(inverse, O2, 3, 1)
+    assert contraction_report(inverse, O2, np.int64(3), 1) == \
+        contraction_report(inverse, O2, 3, 1)
 
 
 def test_contraction_of_power_maps(small_algebra):
     for p in (-1.0, -0.7, -0.5, 0.3, 0.5, 0.7, 1.0):
-        rep = sc.measure_contraction(
+        rep = contraction_report(
             _power_rows(small_algebra, p), small_algebra, 200, 13,
             label=f"power {p}")
         assert rep.max_ratio <= abs(p) + 1e-9
@@ -276,7 +283,7 @@ def test_contraction_equality_pair():
 def test_map_left_cone_raises():
     shift = (10.0 * O2.identity()).coords
     with pytest.raises(MapLeftCone):
-        sc.measure_contraction(lambda rows: rows - shift, O2, 50, 15)
+        contraction_report(lambda rows: rows - shift, O2, 50, 15)
 
 
 def test_loewner_heinz_order_consequence(small_algebra):
@@ -296,14 +303,14 @@ def test_loewner_heinz_order_consequence(small_algebra):
 
 def test_scalar_word_is_isometry():
     w = sc.AutomorphismWord(O2, (sc.Scalar(3.7),))
-    rep = sc.isometry_check(w, 100, 19)
+    rep = word_report(w, 100, 19)
     assert abs(rep.max_ratio - 1.0) <= 1e-12
     assert abs(rep.min_ratio - 1.0) <= 1e-12
 
 
 def test_inversion_is_isometry(small_algebra):
-    rep = sc.measure_contraction(_power_rows(small_algebra, -1.0), small_algebra,
-                                 200, 21, label="inversion")
+    rep = contraction_report(_power_rows(small_algebra, -1.0), small_algebra,
+                             200, 21, label="inversion")
     assert abs(rep.max_ratio - 1.0) <= 1e-9
     assert abs(rep.min_ratio - 1.0) <= 1e-9
 
@@ -312,7 +319,7 @@ def test_random_words_are_isometries(small_algebra):
     rng = SplitMix64(23)
     for _ in range(5):
         w = random_word(small_algebra, rng)
-        rep = sc.isometry_check(w, 100, 25)
+        rep = word_report(w, 100, 25)
         assert abs(rep.max_ratio - 1.0) <= 1e-8
         assert abs(rep.min_ratio - 1.0) <= 1e-8
 
@@ -322,7 +329,7 @@ def test_quad_words_sym_r4():
     rng = SplitMix64(27)
     factors = tuple(sc.Quad(random_cone_element(s4, rng)) for _ in range(3))
     w = sc.AutomorphismWord(s4, factors)
-    rep = sc.isometry_check(w, 500, 29)
+    rep = word_report(w, 500, 29)
     assert 1 - 1e-8 <= rep.min_ratio <= rep.max_ratio <= 1 + 1e-8
 
 
@@ -365,10 +372,10 @@ def test_batched_reports_equal_the_loop(descriptor):
         for label, element_map, rows_map in maps:
             want = _report_bits(contraction_loop(element_map, descriptor, samples, seed, label))
             assert want[-1] == samples
-            got = sc.measure_contraction(rows_map, descriptor, samples, seed, label)
+            got = contraction_report(rows_map, descriptor, samples, seed, label)
             assert _report_bits(got) == want, label
     for seed, word in enumerate(words):
-        assert _report_bits(sc.isometry_check(word, samples, seed)) == _report_bits(
+        assert _report_bits(word_report(word, samples, seed)) == _report_bits(
             contraction_loop(lambda x: sc.apply(word, x), descriptor, samples, seed,
                              word.describe()))
 
@@ -380,7 +387,7 @@ def test_map_is_called_once_on_the_pairs_rows_in_sample_order():
         calls.append(rows.copy())
         return rows
 
-    sc.measure_contraction(recording, sc.orthant(3), 6, 5)
+    contraction_report(recording, sc.orthant(3), 6, 5)
     rng = SplitMix64(5)
     want = np.array([random_cone_element(sc.orthant(3), rng).coords for _ in range(12)])
     assert len(calls) == 1
@@ -391,7 +398,7 @@ def test_map_must_keep_the_shape_of_the_batch():
     # Images in another algebra's coordinates, or a row short.
     for map_rows in (lambda rows: np.ones((len(rows), 3)), lambda rows: rows[1:]):
         with pytest.raises(AlgebraMismatch, match="out of their algebra"):
-            sc.measure_contraction(map_rows, O2, 4, 1)
+            contraction_report(map_rows, O2, 4, 1)
 
 
 @pytest.mark.parametrize("descriptor", [sc.orthant(1), sc.sym_matrix(1)],
@@ -400,10 +407,10 @@ def test_rank_one_cones_measure_no_pair(descriptor):
     # Every pair of a rank-1 cone lies on one ray: d = 0, and every pair
     # is skipped.  The report says so, and the ratios read 0.0.
     calls = []
-    rep = sc.measure_contraction(lambda rows: calls.append(rows) or rows, descriptor, 5, 1)
+    rep = contraction_report(lambda rows: calls.append(rows) or rows, descriptor, 5, 1)
     assert (rep.measured, rep.max_ratio, rep.min_ratio) == (0, 0.0, 0.0)
     assert calls == []
-    assert sc.isometry_check(random_word(descriptor, SplitMix64(1)), 5, 1).measured == 0
+    assert word_report(random_word(descriptor, SplitMix64(1)), 5, 1).measured == 0
 
 
 def test_a_nan_ratio_makes_both_extremes_nan(monkeypatch):
@@ -417,10 +424,193 @@ def test_a_nan_ratio_makes_both_extremes_nan(monkeypatch):
         return out if len(layers) == 1 else [math.nan] + out[1:]
 
     monkeypatch.setattr(metric, "_row_distances", nan_images)
-    rep = sc.measure_contraction(lambda rows: rows, O2, 5, 1)
+    rep = contraction_report(lambda rows: rows, O2, 5, 1)
     assert layers == [5, 5]
     assert math.isnan(rep.max_ratio) and math.isnan(rep.min_ratio)
     assert rep.measured == 5
+
+
+# ---------------------------------------------------------------------------
+# many maps in one call against one-map calls
+# ---------------------------------------------------------------------------
+
+MANY_MAP_ALGEBRAS = [sc.orthant(1), sc.orthant(8), sc.sym_matrix(1), S2, sc.sym_matrix(6),
+                     sc.spin_factor(3), sc.spin_factor(10)]
+
+
+def _suite_maps(descriptor, seed):
+    """The suites' maps as (map_rows, seed, label), the k-th from seed + k:
+    the seven exponents, inversion and three random words; and the loop's
+    Element map of each."""
+    rng = SplitMix64(seed)
+    words = [random_word(descriptor, rng) for _ in range(3)]
+    maps = [(f"power {p:g}", lambda x, p=p: sc.power(x, p), _power_rows(descriptor, p))
+            for p in suites.DEFAULT_CONTRACTION_PS + (-1.0,)]
+    maps += [(w.describe(), lambda x, w=w: sc.apply(w, x),
+              lambda rows, w=w: transforms._apply_coords(w, rows)) for w in words]
+    return ([(rows_map, seed + k, label) for k, (label, _, rows_map) in enumerate(maps)],
+            [element_map for _, element_map, _ in maps])
+
+
+def _bits(reports):
+    return [_report_bits(rep) for rep in reports]
+
+
+def _collapsing_pairs(descriptor):
+    """A copy of descriptor whose batch draws set y_i = x_i in none, half or
+    all of the pairs, drawn from the stream after the points: each seed
+    measures its own number of pairs."""
+    kernel = descriptor.kernel
+
+    def random_point(param, rng, lo, hi, shape=()):
+        points = kernel.random_point(param, rng, lo, hi, shape)
+        if shape:
+            j = rng.integer(3) * shape[0] // 4
+            points[1:2 * j:2] = points[0:2 * j:2]
+        return points
+
+    ref = sc.AlgebraDescriptor(descriptor.kind, descriptor.param)
+    object.__setattr__(ref, "kernel", kernel._replace(random_point=random_point))
+    return ref
+
+
+def _one_map_calls(descriptor, samples, maps):
+    """The reports of one-map calls made one after another, or the error
+    of the first that raises."""
+    return [contraction_report(map_rows, descriptor, samples, seed, label)
+            for map_rows, seed, label in maps]
+
+
+@pytest.mark.parametrize("descriptor", MANY_MAP_ALGEBRAS, ids=lambda d: f"{d.kind}:{d.param}")
+def test_many_maps_equal_one_map_calls_and_the_loop(descriptor):
+    samples = 10
+    for seed in (1, 2):
+        maps, element_maps = _suite_maps(descriptor, seed)
+        got = sc.measure_contractions(descriptor, samples, maps)
+        loop = [contraction_loop(element_map, descriptor, samples, k, label)
+                for element_map, (_, k, label) in zip(element_maps, maps)]
+        assert _bits(got) == _bits(_one_map_calls(descriptor, samples, maps)) == _bits(loop)
+
+
+@pytest.mark.parametrize("descriptor", MANY_MAP_ALGEBRAS, ids=lambda d: f"{d.kind}:{d.param}")
+def test_maps_with_different_measured_counts(descriptor):
+    # Each map is called once, on exactly the rows of its measured pairs in
+    # sample order, and a map with none is not called.
+    ref = _collapsing_pairs(descriptor)
+    samples = 6
+    seeds = list(range(1, 9))
+    calls = []
+
+    def recording(k):
+        def map_rows(rows):
+            calls.append((k, rows.copy()))
+            return sc.algebra._power_coords(ref, rows, 0.5)
+        return map_rows
+
+    maps = [(recording(k), seed, f"map {k}") for k, seed in enumerate(seeds)]
+    got = sc.measure_contractions(ref, samples, maps)
+    counts = [rep.measured for rep in got]
+    if descriptor.param == 1:
+        assert counts == [0] * len(seeds)
+    else:
+        assert sorted(set(counts)) == [0, samples // 2, samples]
+    want = []
+    for k, seed in enumerate(seeds):
+        points = ref.kernel.random_point(ref.param, SplitMix64(seed), transforms.EIG_LO,
+                                         transforms.EIG_HI, (2 * samples,))
+        pairs = [points[2 * i:2 * i + 2] for i in range(samples)
+                 if not sc.distance(sc.Element(ref, points[2 * i]),
+                                    sc.Element(ref, points[2 * i + 1])).distance < 1e-8]
+        assert len(pairs) == counts[k]
+        if pairs:
+            want.append((k, np.concatenate(pairs).tobytes()))
+    assert [(k, rows.tobytes()) for k, rows in calls] == want
+    calls.clear()
+    assert _bits(got) == _bits(_one_map_calls(ref, samples, maps))
+    assert [(k, rows.tobytes()) for k, rows in calls] == want
+
+
+@pytest.mark.parametrize("descriptor", [d for d in MANY_MAP_ALGEBRAS if d.param > 1],
+                         ids=lambda d: f"{d.kind}:{d.param}")
+def test_a_nan_ratio_in_one_map_reads_nan_in_that_report_only(monkeypatch, descriptor):
+    samples = 4
+    maps = [(_power_rows(descriptor, p), seed, f"power {p:g}")
+            for p, seed in ((0.5, 1), (-1.0, 2), (0.3, 3))]
+    want = _bits(_one_map_calls(descriptor, samples, maps))
+    row_distances = metric._row_distances
+    layers = []
+
+    def nan_images(descriptor, xs, ys):
+        out = row_distances(descriptor, xs, ys)
+        layers.append(len(out))
+        if len(layers) == 2:
+            out[samples + 1] = math.nan
+        return out
+
+    monkeypatch.setattr(metric, "_row_distances", nan_images)
+    got = sc.measure_contractions(descriptor, samples, maps)
+    assert layers == [3 * samples, 3 * samples]
+    assert [rep.measured for rep in got] == [samples] * 3
+    assert math.isnan(got[1].max_ratio) and math.isnan(got[1].min_ratio)
+    assert [_report_bits(got[0]), _report_bits(got[2])] == [want[0], want[2]]
+
+
+@pytest.mark.parametrize("descriptor", [sc.orthant(1), sc.sym_matrix(1)],
+                         ids=lambda d: f"{d.kind}:{d.param}")
+def test_a_rank_one_cone_calls_no_map(monkeypatch, descriptor):
+    row_distances = metric._row_distances
+    layers = []
+    monkeypatch.setattr(metric, "_row_distances", lambda *args: layers.append(1)
+                        or row_distances(*args))
+    calls = []
+    maps = [(lambda rows: calls.append(rows) or rows, seed, f"map {seed}") for seed in (1, 2, 3)]
+    got = sc.measure_contractions(descriptor, 5, maps)
+    assert [(rep.measured, rep.max_ratio, rep.min_ratio) for rep in got] == [(0, 0.0, 0.0)] * 3
+    assert calls == [] and layers == [1]
+
+
+class _MapError(Exception):
+    pass
+
+
+def _raising(rows):
+    raise _MapError("the map's own error")
+
+
+def _error_of(descriptor, samples, maps, call):
+    try:
+        call(descriptor, samples, maps)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("descriptor", [d for d in MANY_MAP_ALGEBRAS if d.param > 1],
+                         ids=lambda d: f"{d.kind}:{d.param}")
+def test_errors_keep_the_order_of_one_map_calls(descriptor):
+    identity = lambda rows: rows
+    negate = lambda rows: -rows
+    short = lambda rows: rows[1:]
+    cases = [
+        # An earlier map's MapLeftCone beats a later map's own error or
+        # AlgebraMismatch, and names the first map that leaves the cone.
+        ([identity, negate, _raising], (MapLeftCone, "left1")),
+        ([identity, negate, short], (MapLeftCone, "left1")),
+        ([identity, negate, negate], (MapLeftCone, "left1")),
+        ([negate, identity, negate], (MapLeftCone, "left0")),
+        # With the maps before it in the cone, a map's own error stands.
+        ([identity, _raising, negate], (_MapError, "the map's own error")),
+        ([identity, short, negate], (AlgebraMismatch, "map1 maps points out of their algebra")),
+    ]
+    for fns, (error, text) in cases:
+        maps = [(fn, 5 + k, f"{'left' if fn is negate else 'map'}{k}")
+                for k, fn in enumerate(fns)]
+        got = _error_of(descriptor, 3, maps, sc.measure_contractions)
+        assert got == _error_of(descriptor, 3, maps, _one_map_calls)
+        assert got[0] is error and text in got[1], (fns, got)
+    with pytest.raises(MapLeftCone) as info:
+        sc.measure_contractions(descriptor, 3, [(identity, 1, "id"), (negate, 2, "neg")])
+    assert isinstance(info.value.__cause__, NotInCone)
 
 
 def test_suites_keep_the_slacks_of_the_loop():
@@ -440,6 +630,18 @@ def test_suites_keep_the_slacks_of_the_loop():
         rep = contraction_loop(map_fn, O2, samples, seed + k)
         assert check.count == 1
         assert check.worst.hex() == max(rep.max_ratio - 1.0, 1.0 - rep.min_ratio).hex()
+
+
+def test_isometry_suite_refuses_a_word_of_another_algebra(monkeypatch):
+    # It reported a spin:3 word's 6 checks under orthant:4, and passed.
+    word = random_word(sc.spin_factor(3), SplitMix64(1))
+
+    def no_draw(seed):
+        raise AssertionError("the suite drew before it checked the word")
+
+    monkeypatch.setattr(suites, "SplitMix64", no_draw)
+    with pytest.raises(AlgebraMismatch, match="spin:3.*orthant:4"):
+        suites.isometry_suite(sc.orthant(4), 5, 1, word=word)
 
 
 def _drawing_one_point_at_a_time(monkeypatch, descriptor):
