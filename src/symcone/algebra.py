@@ -27,8 +27,10 @@ same pair on every family; x^p (``power``, one reduction over the
 rows), det, the cone test and the spectral norm are written once on top
 of it.  P(x)y
 has a closed form in each kernel (x y x on sym, 2<x, y> x - det(x) y* on
-spin), and the spectrum of P(y^{-1/2})x is computed by each kernel in its
-own way and read directly by ``metric``.
+spin).  Each kernel computes the spectrum of P(y^{-1/2})x on one path,
+with one rule for a spectrum that fails: all NaN where y fails the
+kernel's cone test, all inf where any other eigenvalue is not finite.
+``metric`` reads it and names the fault.
 
 Each kernel also owns one step of the solver's Banach iteration,
 ``fixed_point_step``: from g(x) it forms x_next = g(x)^{1/p} / |g(x)^{1/p}|
@@ -65,13 +67,14 @@ point that serves every row.  On orthant and spin one array operation
 serves the whole batch.  Spin takes every row's <a, x> in one stacked
 matmul, which numpy hands row by row to the BLAS dot product that
 ``np.dot`` calls (``_row_dots``), and only ||xbar|| row by row, by
-``math.hypot``; its random points come from one ``SplitMix64.unit_rows``
-call, whose norms are such dot products too.  A sym quad or congruence
-of a batch is one stacked matmul, which numpy hands matrix by matrix to
-the BLAS call of a single product, so each matrix gets the bits of its
-own call.  The sym kernel loops over a batch only for Jacobi and
-Cholesky, one matrix at a time (``_each_matrix``), so their time and
-bits are those of single calls.  A sym random point, quad or congruence
+``math.hypot``; its batch P(a)x subtracts det(a) x0 from the head and
+adds det(a) x_i to the tail, the terms of one point's floats; its random
+points come from one ``SplitMix64.unit_rows`` call, whose norms are such
+dot products too.  A sym quad or congruence of a batch is one stacked
+matmul, which numpy hands matrix by matrix to the BLAS call of a single
+product, so each matrix gets the bits of its own call.  The sym kernel
+loops over a batch only for Jacobi and Cholesky, one matrix at a time
+(``_each_matrix``), so their time and bits are those of single calls.  A sym random point, quad or congruence
 averages its product with its transpose, which makes it bitwise
 symmetric by construction: ingestion runs only where coordinates enter
 an Element.  The averaging has one cost: a product with entries above
@@ -107,10 +110,6 @@ _SYM_INGEST_RTOL = 1e-12
 _EPS = float(np.finfo(float).eps)
 # Least positive normal double: a smaller sum of squares has lost bits.
 _TINY = float(np.finfo(float).tiny)
-# Powers of two below 1 / the largest double, exact: x * 2^-k < y means
-# x / y < 2^k, with no overflow on the way.
-_2_TO_MINUS_1023 = math.ldexp(1.0, -1023)
-_2_TO_MINUS_1020 = math.ldexp(1.0, -1020)
 
 
 def _is_number(value, kind: type) -> bool:
@@ -262,13 +261,10 @@ class _Kernel(NamedTuple):
     decompose: Callable  # coords -> (eigenvalues descending, frame array)
     eigenvalues: Callable  # coords -> eigenvalues descending
     tr: Callable
-    # (x, y) -> eigenvalues of P(y^{-1/2})x descending, all NaN when y is
-    # not in the open cone (on sym: fails Cholesky), an entry of x (on sym
-    # also of y) is not finite or x's largest eigenvalue overflows; the
-    # largest is inf where the spectrum overflows (on sym also where
-    # L^{-1} x L^{-T} gets an infinite entry; on spin where a term of
-    # P(a)x does), with no numpy warning; x is in the cone iff the least
-    # is > 0.
+    # (x, y) -> eigenvalues of P(y^{-1/2})x descending, on one path with no
+    # numpy warning: all NaN where y fails the kernel's cone test, all inf
+    # where any other eigenvalue is not finite; x is in the cone iff the
+    # least is > 0.
     relative_eigenvalues: Callable
     # (gx, x, e, basis) -> (x_next, extremes, basis): one Banach step of the
     # solver from x, given gx = g(x).  x_next = gx^e / |gx^e|; extremes are
@@ -361,18 +357,25 @@ def _require_root_scale(scale) -> None:
             f"1 / |g(x)^(1/p)| is {scale:.6g}")
 
 
+def _failed_rows(rel, y_inside):
+    """relative_eigenvalues' rule on a spectrum rel of one point or a batch,
+    descending with NaN last, and y_inside, y's cone test: all NaN where y
+    fails, else all inf where an eigenvalue is not finite, which is where
+    the first is not < inf or the last not > -inf."""
+    if rel.ndim == 1:
+        if not y_inside:
+            return np.full_like(rel, np.nan)
+        return rel if rel[0] < math.inf and rel[-1] > -math.inf else np.full_like(rel, np.inf)
+    finite = (rel[:, :1] < math.inf) & (rel[:, -1:] > -math.inf)
+    return np.where(y_inside[:, None], np.where(finite, rel, np.inf), np.nan)
+
+
 def _orthant_relative_eigenvalues(x, y):
-    y_min = y.min(axis=-1)
-    # Where max |x_i| * 2^-1023 < min y_i, no ratio x_i / y_i overflows.
-    if _every(np.abs(x).max(axis=-1) * _2_TO_MINUS_1023 < y_min):
-        return _orthant_eigenvalues(x / y)
-    # NaN rows where y is not in the open cone or x has a non-finite entry,
-    # divided by 1 so that nothing warns; a ratio that overflows reads inf.
-    ok = (y_min > 0.0) & np.isfinite(x).all(axis=-1)
-    x = np.where(ok[..., None], x, np.nan)
-    y = np.where(ok[..., None], y, 1.0)
-    with np.errstate(over="ignore"):
-        return _orthant_eigenvalues(x / y)
+    """The ratios x_i / y_i sorted; y's cone test is that every entry is
+    > 0."""
+    with np.errstate(all="ignore"):
+        rel = _orthant_eigenvalues(x / y)
+    return _failed_rows(rel, y.min(axis=-1) > 0.0)
 
 
 def _orthant_decompose(x):
@@ -581,35 +584,26 @@ def _sym_relative_eigenvalues(x, y):
     z is similar to y^{-1} x, so it has the spectrum of P(y^{-1/2})x =
     y^{-1/2} x y^{-1/2}; it is congruent to x, so by Sylvester's law of
     inertia it is positive definite iff x is.  One eigensolve in all.
-    Non-finite entries give NaN: an infinite pivot would pass the test,
-    and the caller's eigensolves of x and y report such entries.  A z that
-    overflows, or whose spectrum does, gives inf, or NaN where x's own
-    largest eigenvalue overflows.
+    y's cone test is that its entries are finite (an infinite pivot would
+    pass) and its Cholesky factorisation succeeds.  A z with a non-finite
+    entry, or whose spectrum overflows, reads inf.
     """
     if x.ndim == 3:
         return _each_matrix(_sym_relative_eigenvalues, x, y)
-    upper = None
-    if np.isfinite(x).all() and np.isfinite(y).all():
-        upper = _sym_cholesky(y)
-    if upper is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = _lower_solve(upper, _lower_solve(upper, x).T)
-            z = (z + z.T) / 2.0
-        try:
-            return _sym_eigenvalues(z)
-        except EigenvalueOverflow:
-            pass
-        except EigensolverFailure:
-            if np.isfinite(z).all():
-                raise
-        # z, or its spectrum, overflowed: it reads inf, or NaN where x's own
-        # largest eigenvalue overflows, an x that the spin kernel refuses too.
-        try:
-            _sym_eigenvalues(x)
-        except EigenvalueOverflow:
+    with np.errstate(all="ignore"):
+        upper = _sym_cholesky(y) if np.isfinite(y).all() else None
+        if upper is None:
             return np.full(x.shape[0], np.nan)
-        return np.full(x.shape[0], np.inf)
-    return np.full(x.shape[0], np.nan)
+        z = _lower_solve(upper, _lower_solve(upper, x).T)
+        z = (z + z.T) / 2.0
+    try:
+        return _sym_eigenvalues(z)
+    except EigenvalueOverflow:
+        pass
+    except EigensolverFailure:
+        if np.isfinite(z).all():
+            raise
+    return np.full(x.shape[0], np.inf)
 
 
 def _sym_random_point(r, rng, lo, hi, shape=()):
@@ -676,15 +670,6 @@ def _spin_parts(x):
     return x[:, :1], norms.reshape(-1, 1)
 
 
-@functools.lru_cache(maxsize=8)
-def _spin_conjugation(n):
-    """(1, -1, ..., -1), read-only: x * it is x* = (x0, -xbar)."""
-    signs = -np.ones(n)
-    signs[0] = 1.0
-    signs.flags.writeable = False
-    return signs
-
-
 def _spin_quad_floats(a, x):
     """P(a)x of one point a, x as a list of Python floats: the head
     2<a, x> a0 - det(a) x0 and the tail 2<a, x> a_i + det(a) x_i, with
@@ -705,14 +690,18 @@ def _spin_quad(a, x):
     plain dot product: np.dot on one point, whose terms are Python floats
     (_spin_quad_floats), and every row's at once by _row_dots on a batch,
     with the same bits.  a and x are each one point or a batch; one a
-    serves every row of a batch x.  A batch subtracts det(a) * -x_j where
-    one point adds det(a) * x_j, which gives the same bits.
+    serves every row of a batch x.  A batch subtracts det(a) x0 from the
+    head and adds det(a) x_i to the tail, as one point's floats do.
     """
     if a.ndim == x.ndim == 1:
         return np.array(_spin_quad_floats(a, x))
     a0, a_norm = _spin_parts(a)
     det_a = (a0 + a_norm) * (a0 - a_norm)
-    return 2.0 * _row_dots(a, x) * a - det_a * (x * _spin_conjugation(x.shape[-1]))
+    dot2_a = 2.0 * _row_dots(a, x) * a
+    det_x = det_a * x
+    pax = dot2_a + det_x
+    pax[..., 0] = dot2_a[..., 0] - det_x[..., 0]
+    return pax
 
 
 def _spin_spectrum(x):
@@ -755,31 +744,14 @@ def _spin_decompose(x):
 
 
 def _spin_relative_eigenvalues(x, y):
-    # a = y^{-1/2} and P(a)x come from the generic power and the closed-form
-    # quad, so the bits match theirs.  For x in the cone, every term of
-    # P(a)x has norm at most 2 l_max(x) / l_min(y) and its eigenvalues are
-    # at most 4.25 l_max(x) / l_min(y), so nothing overflows where that
-    # ratio is below 2^1020.
-    y_eigs, y_norm = _spin_spectrum(y)
-    x_eigs = _spin_eigenvalues(x)
-    if _every((x_eigs.T[-1] > 0.0) & (x_eigs.T[0] * _2_TO_MINUS_1020 < y_eigs.T[-1])):
-        a = _frame_sum(np.power(y_eigs, -0.5), _spin_frame(y, y_norm))
-        return _spin_eigenvalues(_spin_quad(a, x))
-    # y's eigenvalues are checked before anything divides by them, and x's
-    # largest, x0 + ||xbar||, which is finite iff every entry is and it does
-    # not overflow, before a product multiplies inf by 0: a row that fails
-    # either test is computed from the identity, so that nothing warns, and
-    # reads NaN.  A row whose P(a)x overflows reads inf.
-    ok = (y_eigs.T[-1] > 0.0) & np.isfinite(x_eigs.T[0])
-    unit = _spin_identity(x.shape[-1])
-    x = np.where(ok[..., None], x, unit)
-    y = np.where(ok[..., None], y, unit)
-    y_eigs, y_norm = _spin_spectrum(y)
-    with np.errstate(over="ignore", invalid="ignore"):
+    """The spectrum of P(a)x, a = y^{-1/2} from the generic power and P(a)x
+    from the closed-form quad, so the bits match theirs; y's cone test is
+    that its least eigenvalue is > 0."""
+    with np.errstate(all="ignore"):
+        y_eigs, y_norm = _spin_spectrum(y)
         a = _frame_sum(np.power(y_eigs, -0.5), _spin_frame(y, y_norm))
         rel = _spin_eigenvalues(_spin_quad(a, x))
-    rel = np.where(np.isfinite(rel).all(axis=-1, keepdims=True), rel, np.inf)
-    return np.where(ok[..., None], rel, np.nan)
+    return _failed_rows(rel, y_eigs.T[-1] > 0.0)
 
 
 def _spin_fixed_point_step(gx, x, e, basis=None):

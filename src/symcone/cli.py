@@ -63,11 +63,10 @@ def parse_algebra_flag(text: str) -> AlgebraDescriptor:
     """kind:param, e.g. sym:3 or orthant:8."""
     try:
         kind, param = text.split(":")
-        return parse_algebra_obj({"kind": kind, "param": int(param)})
-    except ParseError:
-        raise
-    except Exception as exc:
+        param = int(param)
+    except ValueError as exc:
         raise ParseError(f"cannot parse algebra {text!r}: expected kind:param") from exc
+    return parse_algebra_obj({"kind": kind, "param": param})
 
 
 def _float_array(data, where: str) -> np.ndarray:
@@ -293,8 +292,6 @@ def cmd_check(args) -> int:
                             f"only, not to {args.suite}")
         inst = load_instance(args.instance)
         raw = inst.raw
-        if inst.descriptor != descriptor:
-            return _fail(2, "instance algebra does not match --algebra")
         extra["word"] = inst.map(args.map)
     suite_fn = suites.SUITES[args.suite]
     result = suite_fn(descriptor, args.samples, args.seed, **extra)
@@ -388,7 +385,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (ParseError, ValueError) as exc:
+    except (ParseError, ValueError, MemoryError) as exc:
         return _fail(2, f"error: {exc}")
     except NotInCone as exc:
         return _fail(3, f"error: {exc}")

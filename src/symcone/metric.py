@@ -1,9 +1,9 @@
 """Hilbert projective metric on the open cone.
 
 The distance between interior points x, y is d(x, y) = log(l_max / l_min)
-where l_max, l_min are the extreme eigenvalues of P(y^{-1/2}) x.  Each
-family's kernel computes that spectrum, and the cone tests of x and y,
-in one pass:
+where l_max, l_min are the extreme eigenvalues of P(y^{-1/2}) x.  The
+kernels compute and ``metric`` names.  Each family's kernel computes that
+spectrum on one path:
 
 * orthant: the ratios x_i / y_i, so d(x, x) is exactly 0;
 * sym: a Cholesky factorisation y = L L^T (y is in the cone iff every
@@ -14,16 +14,18 @@ in one pass:
 * spin: y's closed-form eigenvalues, then y^{-1/2} and the closed form
   P(a)x = 2<a, x> a - det(a) x*, whose closed-form eigenvalues finish it.
 
-Where the least eigenvalue of that spectrum is not positive (a kernel
-reads NaN where it cannot take the pair) or the largest is inf (it
-overflowed), ``lambda_extremes`` solves x and then y to name the argument
-at fault: NotInCone for one outside the open cone, EigenvalueOverflow for
-one whose largest eigenvalue is beyond the float range.  Where both pass,
-an EigenvalueOverflow names P(y^{-1/2})x if its spectrum overflowed, or
+A kernel reads all NaN where y fails its cone test and all inf where
+another eigenvalue is not finite.  Where the least eigenvalue is not
+positive or the largest is inf, ``_raise_fault`` names the fault from the
+spectrum it is given, for one pair or for a failing row of a batch: it
+solves x and then y to name the argument at fault, NotInCone for one
+outside the open cone, EigenvalueOverflow for one whose largest
+eigenvalue is beyond the float range.  Where both pass, a NaN spectrum is
+a NotInCone that names y, at the rounding edge of the cone; otherwise an
+EigenvalueOverflow names P(y^{-1/2})x if its spectrum overflowed, or
 underflowed (l_min(x) / l_max(y), a lower bound on its least eigenvalue,
-is below the least normal double); any other failure sits at the
-rounding edge of the cone, a NotInCone that names y where the kernel
-read NaN, else x.
+is below the least normal double), and any other failure is a NotInCone
+that names x, at the rounding edge.
 
 The equivalent cross form log(l_max(x,y) * l_max(y,x)) is not computed
 here; ``test_metric::test_distance_cross_form`` checks it.
@@ -45,6 +47,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -78,27 +81,33 @@ def _require_interior(x: Element, name: str) -> tuple[float, float]:
     return float(eigs[0]), float(eigs[-1])
 
 
+def _raise_fault(x: Element, y: Element, eigs: np.ndarray) -> NoReturn:
+    """Raise the error that names the fault of eigs, the relative spectrum
+    of x and y as their kernel computed it, whose least eigenvalue is not
+    positive or whose largest is inf."""
+    # x first: an infinite entry can pass the kernel's tests, and a sym
+    # eigensolve reports a non-finite one.
+    _, x_min = _require_interior(x, "x")
+    y_max, _ = _require_interior(y, "y")
+    # Both pass.  A NaN spectrum is y's failed cone test: on sym, a Cholesky
+    # pivot at the rounding edge of the cone.
+    if np.isnan(eigs).all():
+        raise NotInCone("y is not in the open cone")
+    # The spectrum overflowed (it reads inf), or its least eigenvalue, which
+    # l_min(x) / l_max(y) bounds from below, underflowed; else x's relative
+    # spectrum sits at the rounding edge of the cone.
+    if eigs[0] < math.inf and x_min / y_max >= algebra._TINY:
+        raise NotInCone("x is not in the open cone")
+    raise EigenvalueOverflow("P(y^(-1/2))x has an eigenvalue beyond the float range")
+
+
 def lambda_extremes(x: Element, y: Element) -> tuple[float, float]:
     """Greatest and least eigenvalue of P(y^{-1/2}) x, both > 0."""
     algebra._require_same_algebra(x, y)
     eigs = x.algebra.kernel.relative_eigenvalues(x.coords, y.coords)
     # P(y^{-1/2}) is an automorphism of the cone: it is in the cone iff x is.
     if not (eigs[-1] > 0.0 and eigs[0] < math.inf):
-        # Name the argument at fault, x first: an infinite entry can pass
-        # the kernel's tests, and a sym eigensolve reports a non-finite one.
-        _, x_min = _require_interior(x, "x")
-        y_max, _ = _require_interior(y, "y")
-        # Both pass.  Where y's Cholesky pivots sit at the rounding edge of
-        # the cone, the kernel reads NaN.
-        if np.isnan(eigs).all():
-            raise NotInCone("y is not in the open cone")
-        # The spectrum overflowed (it reads inf), or its least eigenvalue,
-        # which l_min(x) / l_max(y) bounds from below, underflowed; else x's
-        # relative spectrum sits at the rounding edge of the cone.
-        if eigs[0] < math.inf and x_min / y_max >= algebra._TINY:
-            raise NotInCone("x is not in the open cone")
-        raise EigenvalueOverflow(
-            "P(y^(-1/2))x has an eigenvalue beyond the float range")
+        _raise_fault(x, y, eigs)
     return float(eigs[0]), float(eigs[-1])
 
 
@@ -112,14 +121,14 @@ def _row_distances(
 ) -> list[float]:
     """d(x_i, y_i) over the rows of two batches of raw coordinates: one
     kernel call for every spectrum, then each log by math.log, as
-    ``distance`` takes it, so each distance has its bits.  A pair outside
-    the open cone raises the error ``distance`` raises on it."""
+    ``distance`` takes it, so each distance has its bits.  The first pair
+    outside the open cone raises, from its row, the error ``distance``
+    raises on it."""
     eigs = descriptor.kernel.relative_eigenvalues(xs, ys)
     out = []
     for i, (lam_max, lam_min) in enumerate(zip(eigs[:, 0].tolist(), eigs[:, -1].tolist())):
         if not (lam_min > 0.0 and lam_max < math.inf):
-            lam_max, lam_min = lambda_extremes(
-                Element(descriptor, xs[i]), Element(descriptor, ys[i]))
+            _raise_fault(Element(descriptor, xs[i]), Element(descriptor, ys[i]), eigs[i])
         out.append(math.log(lam_max / lam_min))
     return out
 

@@ -36,13 +36,15 @@ def _openblas_core() -> str:
     return "unknown"
 
 
-def _cpu_has_avx512f() -> str:
+def _cpu_flags(names) -> str:
+    """"flag: yes" or "flag: no" for each of the CPU flags names, from one
+    read of /proc/cpuinfo, or "unknown" where it cannot be read."""
     try:
         with open("/proc/cpuinfo") as fh:
-            flags = next(line for line in fh if line.startswith("flags")).split()
+            flags = set(next(line for line in fh if line.startswith("flags")).split())
     except (OSError, StopIteration):
         return "unknown"
-    return "yes" if "avx512f" in flags else "no"
+    return ", ".join(f"{name}: {'yes' if name in flags else 'no'}" for name in names)
 
 
 def numpy_simd_targets():
@@ -61,14 +63,18 @@ def numpy_simd_targets():
 
 
 def pytest_report_header():
-    # The sha256 pins hold the bits of one BLAS kernel and of one numpy
-    # np.power loop: under another BLAS kernel (OPENBLAS_CORETYPE=Haswell or
-    # Sandybridge on an AVX-512 machine), or with numpy's AVX-512 dispatch
-    # off (NPY_DISABLE_CPU_FEATURES), some of them fail on their digests
-    # alone.
+    # The sha256 pins hold the bits of one BLAS kernel, of one numpy np.power
+    # loop and of one libm variant: under another BLAS kernel
+    # (OPENBLAS_CORETYPE=Haswell or Sandybridge on an AVX-512 machine), with
+    # numpy's AVX-512 dispatch off (NPY_DISABLE_CPU_FEATURES), or with
+    # glibc's FMA variants of pow, exp, log and log1p off (it picks them by
+    # the CPU's fma and avx2 flags, unless GLIBC_TUNABLES masks them), some
+    # of them fail on their digests alone.
     targets = numpy_simd_targets()
     simd = "unknown" if targets is None else " ".join(targets) or "none"
-    return (f"OpenBLAS core: {_openblas_core()}; CPU avx512f: {_cpu_has_avx512f()}; "
+    return (f"OpenBLAS core: {_openblas_core()}; "
+            f"CPU {_cpu_flags(('avx512f', 'avx2', 'fma'))}; "
+            f"GLIBC_TUNABLES: {os.environ.get('GLIBC_TUNABLES', 'unset')}; "
             f"numpy SIMD: {simd}")
 
 
@@ -202,7 +208,9 @@ def numpy_spin_quad(a, x):
     dot = float(np.dot(a, x))
     a0, a_norm = algebra._spin_parts(a)
     det_a = (a0 + a_norm) * (a0 - a_norm)
-    return 2.0 * dot * a - det_a * (x * algebra._spin_conjugation(x.shape[-1]))
+    signs = -np.ones(x.shape[-1])
+    signs[0] = 1.0
+    return 2.0 * dot * a - det_a * (x * signs)
 
 
 def numpy_spin_step(gx, x, e, basis=None):
@@ -568,17 +576,17 @@ REPORT_INPUTS = {
 }
 
 
-def fresh_cli(*argv):
+def fresh_cli(*argv, env=None, preexec_fn=None):
     """Exit code, stdout and stderr of ``python -m symcone.cli argv`` in a
     new process in the working directory, as ``main`` gives them in this
-    one.  The child imports the package this process imported, which pytest
-    may have found through its own pythonpath setting rather than
-    PYTHONPATH."""
+    one, with env's variables added and preexec_fn run in the child.  The
+    child imports the package this process imported, which pytest may have
+    found through its own pythonpath setting rather than PYTHONPATH."""
     src = str(pathlib.Path(sc.__file__).resolve().parents[1])
-    env = {**os.environ,
+    env = {**os.environ, **(env or {}),
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "symcone.cli", *argv],
-                          capture_output=True, env=env, timeout=300)
+                          capture_output=True, env=env, preexec_fn=preexec_fn, timeout=300)
     return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
 
 

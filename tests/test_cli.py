@@ -375,7 +375,7 @@ _SOLVE = ["solve", "{path}", "g", "--p", "2"]
      ["bushell", "{path}", "t"], "bushell needs a sym algebra instance"),
     ({"algebra": _O2, "maps": {"g": []}},
      ["check", "isometry", "--algebra", "orthant:3", "--instance", "{path}", "--map", "g",
-      "--samples", "1"], "instance algebra does not match --algebra"),
+      "--samples", "1"], "error: the word acts on orthant:2, the suite on orthant:3"),
 ], ids=["no-algebra", "algebra-list", "algebra-flag-without-param", "huge-integer",
         "generator-not-object", "permutation-payload", "map-not-list", "unknown-map",
         "unreadable-path", "top-level-list", "bushell-on-orthant", "instance-algebra-mismatch"])
@@ -388,6 +388,35 @@ def test_malformed_input_exit_2(capsys, tmp_path, data, argv, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+def _limit_address_space(resource):
+    """A preexec_fn that caps the child's address space at 2 GiB (or the
+    hard limit already in force), so that a large allocation fails with
+    MemoryError rather than taking the machine's memory."""
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)
+    return lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("argv", [
+    ["metric", "big.json", "x", "y"],
+    ["solve", "big.json", "g", "--p", "2"],
+    ["check", "axioms", "--algebra", "sym:30000"],
+], ids=["metric", "solve", "check"])
+def test_a_large_algebra_size_exits_2(monkeypatch, tmp_path, argv):
+    # sym:30000's unit element alone takes 6.7 GiB.  metric and solve ended
+    # in a MemoryError traceback, exit 1, and check blamed the flag's form.
+    resource = pytest.importorskip("resource")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.json").write_text(json.dumps({
+        "algebra": {"kind": "sym", "param": 30000},
+        "elements": {"x": [[1.0]], "y": [[1.0]]}, "maps": {"g": []}}))
+    code, out, err = fresh_cli(*argv, env={"OPENBLAS_NUM_THREADS": "1"},
+                               preexec_fn=_limit_address_space(resource))
+    assert code == 2
+    assert out == ""
+    assert "Unable to allocate" in err
 
 
 def test_unknown_top_level_key(capsys, tmp_path):

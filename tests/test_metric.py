@@ -349,18 +349,22 @@ def test_an_argument_whose_largest_eigenvalue_overflows_is_named(call, message):
 
 @pytest.mark.parametrize("overflowing", [_SPIN_OVERFLOWING, _SYM_OVERFLOWING, _SYM3_OVERFLOWING],
                          ids=["spin", "sym", "sym3"])
-def test_a_batch_row_whose_largest_eigenvalue_overflows_reads_nan(overflowing):
-    # As its own call reads it, with no warning, so that the batch distances
-    # of the contraction suites name it as distance does.
-    kernel = overflowing.algebra.kernel
-    e = overflowing.algebra.identity().coords
+def test_a_batch_row_whose_largest_eigenvalue_overflows_reads_inf(overflowing):
+    # As its own call reads it, with no warning: the fault is x's, not y's,
+    # so the row reads inf, and the batch distances of the contraction
+    # suites name x from it as distance does.
+    descriptor = overflowing.algebra
+    kernel = descriptor.kernel
+    e = descriptor.identity().coords
     xs, ys = np.stack([2.0 * e, overflowing.coords]), np.stack([e, e])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rel = kernel.relative_eigenvalues(xs, ys)
         singles = [kernel.relative_eigenvalues(x, y) for x, y in zip(xs, ys)]
+        with pytest.raises(EigenvalueOverflow, match="^x "):
+            metric._row_distances(descriptor, xs, ys)
     assert rel.tobytes() == np.array(singles).tobytes()
-    assert np.isnan(rel[1]).all()
+    assert (rel[1] == np.inf).all()
 
 
 @pytest.mark.parametrize("case", sorted(conftest.RELATIVE_SPECTRUM_OUT_OF_RANGE))
@@ -402,6 +406,105 @@ def test_a_sym_y_at_the_rounding_edge_of_the_cone_is_named():
         warnings.simplefilter("error")
         with pytest.raises(NotInCone, match="^y is not in the open cone"):
             sc.distance(s2.identity(), y)
+
+
+def _embed(descriptor, coords):
+    """The coords of a smaller algebra of the same kind, padded with the
+    entries of descriptor's unit element (block diagonal on sym)."""
+    coords = np.asarray(coords, dtype=float)
+    out = descriptor.identity().coords.copy()
+    out[tuple(slice(k) for k in coords.shape)] = coords
+    return out
+
+
+# Per algebra, the x whose largest eigenvalue overflows.  On the orthant an
+# eigenvalue is an entry, so only an infinite entry, the "x-infinite" row,
+# overflows.
+_OVERFLOWING_X = {x.algebra: x.coords
+                  for x in (_SPIN_OVERFLOWING, _SYM_OVERFLOWING, _SYM3_OVERFLOWING)}
+
+
+def _one_rule_rows(descriptor):
+    """(label, x, y, what the row reads) for good pairs and every kind of
+    failing pair: "nan" where y fails the kernel's cone test, "inf" where
+    another eigenvalue is not finite, "finite" otherwise."""
+    e = descriptor.identity().coords
+    rng = SplitMix64(7)
+    rows = [("good", 2.0 * e, e, "finite"),
+            ("good-random", random_cone_element(descriptor, rng).coords,
+             random_cone_element(descriptor, rng).coords, "finite"),
+            ("y-outside", e, -e, "nan"),
+            ("x-outside", -e, e, "finite")]
+    infinite = e.copy()
+    infinite.flat[0] = math.inf
+    rows.append(("x-infinite", infinite, e, "inf"))
+    if descriptor in _OVERFLOWING_X:
+        rows.append(("x-overflow", _OVERFLOWING_X[descriptor], e, "inf"))
+    for case, (case_descriptor, x, y) in sorted(conftest.RELATIVE_SPECTRUM_OUT_OF_RANGE.items()):
+        if case_descriptor.kind == descriptor.kind:
+            reads = "inf" if case.endswith("overflow") else "finite"
+            rows.append((case, _embed(descriptor, x), _embed(descriptor, y), reads))
+    if descriptor.kind == algebra.SYM:
+        edge = _embed(descriptor, [[1.0, 0.9], [0.9, 0.81]])
+        rows.append(("y-rounding-edge", e, edge, "nan"))
+    return rows
+
+
+def _counting_descriptor(descriptor, calls):
+    """descriptor with a kernel whose relative_eigenvalues appends the
+    number of rows of each call to calls."""
+    kernel = descriptor.kernel
+
+    def relative_eigenvalues(x, y):
+        calls.append(len(x))
+        return kernel.relative_eigenvalues(x, y)
+
+    counted = sc.AlgebraDescriptor(descriptor.kind, descriptor.param)
+    object.__setattr__(counted, "kernel",
+                       kernel._replace(relative_eigenvalues=relative_eigenvalues))
+    return counted
+
+
+def _error(call):
+    """(class, message) of the exception call raises."""
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("descriptor", [sc.orthant(3), sc.spin_factor(3), sc.sym_matrix(2),
+                                        sc.sym_matrix(3)], ids=_algebra_id)
+def test_a_relative_spectrum_reads_nan_only_where_y_fails_its_cone_test(descriptor):
+    kernel = descriptor.kernel
+    rows = _one_rule_rows(descriptor)
+    labels = [label for label, _, _, _ in rows]
+    xs = np.stack([x for _, x, _, _ in rows])
+    ys = np.stack([y for _, _, y, _ in rows])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rel = kernel.relative_eigenvalues(xs, ys)
+        singles = [kernel.relative_eigenvalues(x, y) for x, y in zip(xs, ys)]
+        # Each row has the bits of its own call.
+        assert rel.tobytes() == np.array(singles).tobytes()
+        # All NaN where y fails the cone test, all inf on every other
+        # non-finite row.
+        for label, row, (_, _, _, reads) in zip(labels, rel, rows):
+            read = ("nan" if np.isnan(row).all() else "inf" if (row == np.inf).all()
+                    else "finite" if np.isfinite(row).all() else "mixed")
+            assert read == reads, label
+        # A failing row raises, from the one kernel call, what distance
+        # raises on its pair; a whole batch, what its first failing row does.
+        failing = [i for i, row in enumerate(rel) if not (row[-1] > 0.0 and row[0] < math.inf)]
+        assert [labels[i] for i in failing] == [
+            label for label in labels if not label.startswith("good")]
+        for picked in [[0, 1, i, 0] for i in failing] + [list(range(len(rows)))]:
+            first = next(i for i in picked if i in failing)
+            want = _error(lambda: sc.distance(el(descriptor, xs[first]), el(descriptor, ys[first])))
+            calls = []
+            counted = _counting_descriptor(descriptor, calls)
+            got = _error(lambda: metric._row_distances(counted, xs[picked], ys[picked]))
+            assert got == want, labels[first]
+            assert calls == [len(picked)]
 
 
 def _bits(value):
